@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,6 +40,7 @@ from .twistor import (
     chart_residuals,
     g_plus_closed_form,
     gauss_map,
+    isotropy_fields,
     isotropy_report,
     lift_agreement_residual,
     lift_sphere_fields,
@@ -116,6 +118,16 @@ def _emit(args, text: str):
             sys.stdout.write("\n")
 
 
+def _emit_json(args, doc):
+    """Write doc as strict JSON: a nan or inf anywhere is a numeric breakdown,
+    refused before anything is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"the result is not finite ({exc})") from None
+    _emit(args, text)
+
+
 # --- catalog -----------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
@@ -128,7 +140,7 @@ def cmd_catalog(args) -> int:
                 for e in catalog_entries()
             ],
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
         return 0
     rows = [("name", "isothermal", "minimal", "isotropic", "lift", "domain")]
     for e in catalog_entries():
@@ -217,7 +229,7 @@ def cmd_analyze(args) -> int:
             doc["g_plus_closed_form"] = _c(g_plus_closed_form(ps))
         except PoleOfChart:
             doc["g_plus_closed_form"] = "pole"
-    _emit(args, json.dumps(doc, indent=2))
+    _emit_json(args, doc)
     return 0
 
 
@@ -233,42 +245,22 @@ _GRID_COLUMNS = (
 
 
 def _grid_rows(grid: FieldGrid):
-    iso = grid.isothermal
-    if iso:
-        cp, cm = lift_sphere_fields(grid)
-    b = grid.b
-    b111, b112 = b[..., 0, 0, 0], b[..., 0, 0, 1]
-    b211, b212 = b[..., 1, 0, 0], b[..., 1, 0, 1]
-    res_a = np.abs(grid.beta1 ** 2 + grid.beta2 ** 2)
-    res_b = np.maximum(np.abs(b111 ** 2 - b112 ** 2 + b211 ** 2 - b212 ** 2),
-                       np.abs(b111 * b112 + b211 * b212))
-    res_c = np.maximum(np.abs(b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2),
-                       np.abs(b111 * b211 + b112 * b212))
-    res_d = np.maximum(0.5 * np.abs(b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2),
-                       np.abs(b111 * b211 + b112 * b212))
-    for i, uu in enumerate(grid.us):
-        for j, vv in enumerate(grid.vs):
-            row = {
-                "u": uu, "v": vv,
-                "g11": grid.g11[i, j], "g12": grid.g12[i, j],
-                "g22": grid.g22[i, j], "H_norm": grid.H_norm[i, j],
-            }
-            if iso:
-                gp = chart(cp[i, j])
-                gm = chart(cm[i, j])
-                row.update({
-                    "cplus_1": cp[i, j, 0], "cplus_2": cp[i, j, 1],
-                    "cplus_3": cp[i, j, 2],
-                    "cminus_1": cm[i, j, 0], "cminus_2": cm[i, j, 1],
-                    "cminus_3": cm[i, j, 2],
-                    "gplus_re": gp.value.real, "gplus_im": gp.value.imag,
-                    "gplus_antipode": gp.antipode,
-                    "gminus_re": gm.value.real, "gminus_im": gm.value.imag,
-                    "gminus_antipode": gm.antipode,
-                    "res_a": res_a[i, j], "res_b": res_b[i, j],
-                    "res_c": res_c[i, j], "res_d": res_d[i, j],
-                })
-            yield row
+    """Per-point rows over the grid, u-major; lift, chart and isotropy
+    columns are absent (None) unless the grid is isothermal."""
+    us, vs = np.meshgrid(grid.us, grid.vs, indexing="ij")
+    cols = {"u": us, "v": vs, "g11": grid.g11, "g12": grid.g12,
+            "g22": grid.g22, "H_norm": grid.H_norm}
+    if grid.isothermal:
+        for sign, c in zip(("plus", "minus"), lift_sphere_fields(grid)):
+            g = chart(c)
+            cols.update({f"c{sign}_{k + 1}": c[..., k] for k in range(3)})
+            cols.update({f"g{sign}_re": g.value.real, f"g{sign}_im": g.value.imag,
+                         f"g{sign}_antipode": g.antipode})
+        cols.update(zip(("res_a", "res_b", "res_c", "res_d"),
+                        isotropy_fields(grid)))
+    empty = [None] * us.size
+    return zip(*(np.ravel(cols[c]).tolist() if c in cols else empty
+                 for c in _GRID_COLUMNS))
 
 
 def _grid_summary(grid: FieldGrid) -> dict:
@@ -303,10 +295,16 @@ def _grid_summary(grid: FieldGrid) -> dict:
 def cmd_grid(args) -> int:
     surface = _resolve_surface(args)
     domain = tuple(args.domain) if args.domain else surface.domain
+    n = args.n
     if args.h is not None:
-        n = int(round((domain[1] - domain[0]) / args.h)) + 1
-    else:
-        n = args.n
+        if not args.h > 0:
+            raise ExpressionError(f"--h must be positive, got {args.h:g}")
+        n, nv = (int(round((hi - lo) / args.h)) + 1
+                 for lo, hi in (domain[:2], domain[2:]))
+        if n != nv:
+            raise ExpressionError(
+                f"--h {args.h:g} gives {n} points on u but {nv} on v; the "
+                f"grid is square, so give --n or a domain with equal extents")
     grid = FieldGrid(surface, n, domain=domain, seed_branch=args.seed_normal)
     if args.format == "csv":
         import io
@@ -314,11 +312,8 @@ def cmd_grid(args) -> int:
         writer = csv.writer(buf)
         writer.writerow(_GRID_COLUMNS)
         for row in _grid_rows(grid):
-            writer.writerow([
-                _fmt(row[c]) if isinstance(row.get(c), float)
-                else ("" if c not in row else str(row[c]))
-                for c in _GRID_COLUMNS
-            ])
+            writer.writerow([_fmt(x) if isinstance(x, float)
+                             else "" if x is None else str(x) for x in row])
         _emit(args, buf.getvalue())
         return 0
     doc = {
@@ -328,11 +323,9 @@ def cmd_grid(args) -> int:
                                        if grid.branch_uniform else "per-point")),
         "summary": _grid_summary(grid),
         "columns": list(_GRID_COLUMNS),
-        "rows": [
-            [row.get(c) for c in _GRID_COLUMNS] for row in _grid_rows(grid)
-        ],
+        "rows": [list(row) for row in _grid_rows(grid)],
     }
-    _emit(args, json.dumps(doc, indent=2))
+    _emit_json(args, doc)
     return 0
 
 
@@ -369,7 +362,7 @@ def cmd_isotropy(args) -> int:
                               domain=list(grid.domain), tol=args.tol),
             "report": rep.as_dict(),
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
         return 0
     lines = [f"isotropy analysis: {surface.name}  "
              f"(n={grid.n}, domain=[{domain[0]:g}, {domain[1]:g}] x "
@@ -408,12 +401,15 @@ def cmd_residuals(args) -> int:
             "config": _config(surface, n=coarse.n, n_fine=fine.n,
                               h=[coarse.hu, coarse.hv],
                               domain=list(coarse.domain)),
+            # an order is null where none is finite: both sups at the
+            # roundoff floor, or sup_h2 exactly 0 (text output: "inf")
             "residuals": [
-                {"name": k, "sup_h": c, "sup_h2": f, "order": o}
+                {"name": k, "sup_h": c, "sup_h2": f,
+                 "order": None if o == math.inf else o}
                 for k, c, f, o in table
             ],
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit_json(args, doc)
         return 0
     lines = [f"structure-equation residuals: {surface.name}  "
              f"(n={coarse.n} vs {fine.n})",

@@ -35,8 +35,8 @@ class UnknownIdentifier(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation left the real domain (log/sqrt of a non-positive value,
-    division by zero, fractional power of a non-positive base)."""
+    """A jet is not finite: evaluation left the real domain or overflowed.
+    The message names the innermost such sub-expression and the point."""
 
     def __init__(self, message: str, expr_text: str):
         super().__init__(f"{message} in '{expr_text}'")

@@ -2,11 +2,12 @@
 
 Pointwise quantities (first and second fundamental form, Christoffel symbols,
 shape operators, mean curvature vector, normal connection, the combined
-frame-derivative matrices) are computed from exact second-order jets.  All
-third-order information -- the normal connection, structure-equation
-residuals, frame derivatives -- comes from central differences of
-pointwise-exact fields, so the truncation error is an O(h^2) quantity that
-the tests measure directly.
+frame-derivative matrices) are computed from exact second-order jets, taken
+by one batched evaluation over an array of points: the point itself, its
+normal-connection stencil and its isothermality probes.  All third-order
+information -- the normal connection, structure-equation residuals, frame
+derivatives -- comes from central differences of pointwise-exact fields, so
+the truncation error is an O(h^2) quantity that the tests measure directly.
 
 A FieldGrid evaluates the whole pointwise apparatus on a rectangular sample
 grid with a single smooth choice of normal frame whenever one exists.
@@ -28,7 +29,7 @@ from .errors import (
     NotMinimal,
     SeedBranchFlip,
 )
-from .surface_expr import SurfaceDef, eval_surface_jet
+from .surface_expr import Jet2, SurfaceDef, eval_surface_jet, finite_mask, require_finite
 
 __all__ = [
     "FALLBACK_SEEDS",
@@ -138,15 +139,40 @@ class SurfacePointData:
     gamma: Optional[complex]
 
 
+def _dot(a, b):
+    return np.einsum("...c,...c->...", a, b)
+
+
 def jet_arrays(jets):
-    """Stack componentwise jets into six E^4 vectors (F, Fu, Fv, Fuu, Fuv, Fvv)."""
-    F = np.array([j.val for j in jets])
-    Fu = np.array([j.du for j in jets])
-    Fv = np.array([j.dv for j in jets])
-    Fuu = np.array([j.duu for j in jets])
-    Fuv = np.array([j.duv for j in jets])
-    Fvv = np.array([j.dvv for j in jets])
-    return F, Fu, Fv, Fuu, Fuv, Fvv
+    """Stack componentwise jets into six E^4 vectors (F, Fu, Fv, Fuu, Fuv,
+    Fvv), each of shape (..., 4) over the points the jets were taken at."""
+    shape = np.broadcast_shapes(*(np.shape(j.val) for j in jets))
+    out = np.empty((6,) + shape + (len(jets),))
+    for k, j in enumerate(jets):
+        for m, x in enumerate(j.as_tuple()):
+            out[m, ..., k] = x
+    return tuple(out)
+
+
+def _jet_fields(surface: SurfaceDef, u, v):
+    """Stacked jet arrays of a surface over the points (u, v), from one
+    evaluation, and the mask of the points where all of them are finite."""
+    jets = eval_surface_jet(surface, u, v)
+    return jet_arrays(jets), finite_mask(jets)
+
+
+def _point_jets(arrays, i):
+    """The four componentwise jets at point i of stacked jet arrays."""
+    return tuple(Jet2(*(a[i, k] for a in arrays)) for k in range(4))
+
+
+def _immersed(g11, g12, g22, tol):
+    return (g11 > tol) & (g22 > tol) & (g11 * g22 - g12 ** 2 > tol)
+
+
+def _isothermal_mask(g11, g12, g22, tol):
+    scale = 0.5 * (g11 + g22)
+    return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
 
 
 def first_form(jets, tol: float = 1e-12) -> FirstForm:
@@ -155,7 +181,7 @@ def first_form(jets, tol: float = 1e-12) -> FirstForm:
     g11 = float(Fu @ Fu)
     g12 = float(Fu @ Fv)
     g22 = float(Fv @ Fv)
-    if g11 <= tol or g22 <= tol or g11 * g22 - g12 ** 2 <= tol:
+    if not _immersed(g11, g12, g22, tol):
         raise NotImmersed(
             f"tangent vectors are dependent (g11={g11:g}, g22={g22:g}, "
             f"det={g11 * g22 - g12 ** 2:g})")
@@ -163,9 +189,7 @@ def first_form(jets, tol: float = 1e-12) -> FirstForm:
 
 
 def is_isothermal(form: FirstForm, tol: float = 1e-8) -> bool:
-    scale = 0.5 * (form.g11 + form.g22)
-    return (abs(form.g11 - form.g22) <= tol * scale
-            and abs(form.g12) <= tol * scale)
+    return bool(_isothermal_mask(form.g11, form.g12, form.g22, tol))
 
 
 def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
@@ -187,10 +211,25 @@ def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
     return out
 
 
-def _tangent_unit(Fu, Fv):
-    t1 = Fu / np.linalg.norm(Fu)
-    w = Fv - (Fv @ t1) * t1
-    return t1, w / np.linalg.norm(w)
+def _frames(Fu, Fv, pair):
+    """Adapted frames of point, stencil and grid (broadcasting): unit
+    tangents, Gram-Schmidt of the seed pair off them, n2 negated where needed
+    for det [t1 t2 n1 n2] = +1; plus the norms of the two seed projections,
+    on which a seed is judged degenerate."""
+    t1 = Fu / np.sqrt(_dot(Fu, Fu))[..., None]
+    w = Fv - _dot(Fv, t1)[..., None] * t1
+    t2 = w / np.sqrt(_dot(w, w))[..., None]
+    s1, s2 = pair
+    p1 = s1 - _dot(s1, t1)[..., None] * t1 - _dot(s1, t2)[..., None] * t2
+    p1n = np.sqrt(_dot(p1, p1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = p1 / p1n[..., None]
+        p2 = (s2 - _dot(s2, t1)[..., None] * t1 - _dot(s2, t2)[..., None] * t2
+              - _dot(s2, n1)[..., None] * n1)
+        p2n = np.sqrt(_dot(p2, p2))
+        n2 = p2 / p2n[..., None]
+        flip = np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1)) < 0
+    return Frame(t1, t2, n1, np.where(flip[..., None], -n2, n2)), p1n, p2n
 
 
 def build_frame(jets, seeds, tol: float = 1e-6) -> Frame:
@@ -201,21 +240,12 @@ def build_frame(jets, seeds, tol: float = 1e-6) -> Frame:
     vectors has norm <= tol.
     """
     _, Fu, Fv, *_ = jet_arrays(jets)
-    t1, t2 = _tangent_unit(Fu, Fv)
-    s1, s2 = seeds
-    p1 = s1 - (s1 @ t1) * t1 - (s1 @ t2) * t2
-    n1p = np.linalg.norm(p1)
-    if n1p <= tol:
+    frame, p1n, p2n = _frames(Fu, Fv, seeds)
+    if p1n <= tol:
         raise DegenerateSeed("first seed vector is tangent within tolerance")
-    n1 = p1 / n1p
-    p2 = s2 - (s2 @ t1) * t1 - (s2 @ t2) * t2 - (s2 @ n1) * n1
-    n2p = np.linalg.norm(p2)
-    if n2p <= tol:
+    if p2n <= tol:
         raise DegenerateSeed("second seed vector degenerates within tolerance")
-    n2 = p2 / n2p
-    if np.linalg.det(np.column_stack([t1, t2, n1, n2])) < 0:
-        n2 = -n2
-    return Frame(t1, t2, n1, n2)
+    return frame
 
 
 def build_frame_auto(jets, tol: float = 1e-6, start: int = 0) -> Frame:
@@ -252,15 +282,29 @@ def mean_curvature(form: FirstForm, second: np.ndarray, frame: Frame) -> np.ndar
     return 0.5 * (np.trace(ops.a1) * frame.n1 + np.trace(ops.a2) * frame.n2)
 
 
-def _resolve_seeds(jets, seeds, tol):
-    if seeds is None:
-        fr = build_frame_auto(jets, tol=tol)
-        return FALLBACK_SEEDS[fr.seed_branch], fr
-    if isinstance(seeds, int):
-        pair = FALLBACK_SEEDS[seeds]
-        fr = build_frame(jets, pair, tol=tol)
-        return pair, Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=seeds)
-    return seeds, build_frame(jets, seeds, tol=tol)
+def _stencil(u: float, v: float, steps):
+    """The point (u, v), then (u + s, v), (u - s, v), (u, v + s), (u, v - s)
+    for each step s."""
+    us, vs = [u], [v]
+    for s in steps:
+        us += [u + s, u - s, u, u]
+        vs += [v, v, v + s, v - s]
+    return np.array(us), np.array(vs)
+
+
+def _stencil_gammas(Fu, Fv, pair, frame0: Frame, h: float, tol: float):
+    """(gamma_1, gamma_2) by central differences of the seed-pair frames at
+    the four points of _stencil's step h (the rows of Fu, Fv).
+
+    Raises SeedBranchFlip when the stencil frames are discontinuous (a seed
+    degenerates on the stencil, or a normal flips relative to frame0).
+    """
+    fr, p1n, p2n = _frames(Fu, Fv, pair)
+    if not (np.minimum(p1n, p2n) > tol).all():
+        raise SeedBranchFlip("seed degenerates on the stencil")
+    if not ((_dot(fr.n1, frame0.n1) >= 0.5) & (_dot(fr.n2, frame0.n2) >= 0.5)).all():
+        raise SeedBranchFlip("frame branch changes across the stencil")
+    return _dot((fr.n1[[0, 2]] - fr.n1[[1, 3]]) / (2 * h), frame0.n2)
 
 
 def normal_connection(surface: SurfaceDef, u: float, v: float,
@@ -268,40 +312,29 @@ def normal_connection(surface: SurfaceDef, u: float, v: float,
                       richardson: bool = False,
                       seed_tol: float = 1e-6) -> NormalConnection:
     """Normal connection coefficients gamma_a = <d n_1 / da, n_2> by central
-    differences of the frame field with a pinned seed branch.
+    differences of the frame field with a pinned seed branch, from one
+    batched jet evaluation of the point and its stencil.
 
     Raises SeedBranchFlip when the stencil frames are discontinuous (a seed
     degenerates on the stencil, or a normal flips relative to the center).
     """
     if h is None:
         h = 1e-4 * surface.domain_diameter()
-    jets0 = eval_surface_jet(surface, u, v)
-    pair, frame0 = _resolve_seeds(jets0, seeds, seed_tol)
-
-    def frame_at(uu, vv) -> Frame:
-        try:
-            fr = build_frame(eval_surface_jet(surface, uu, vv), pair, tol=seed_tol)
-        except DegenerateSeed as exc:
-            raise SeedBranchFlip(f"seed degenerates on the stencil: {exc}") from None
-        if fr.n1 @ frame0.n1 < 0.5 or fr.n2 @ frame0.n2 < 0.5:
-            raise SeedBranchFlip("frame branch changes across the stencil")
-        return fr
-
-    def gammas(step):
-        fu_p = frame_at(u + step, v)
-        fu_m = frame_at(u - step, v)
-        fv_p = frame_at(u, v + step)
-        fv_m = frame_at(u, v - step)
-        g1 = ((fu_p.n1 - fu_m.n1) / (2 * step)) @ frame0.n2
-        g2 = ((fv_p.n1 - fv_m.n1) / (2 * step)) @ frame0.n2
-        return g1, g2
-
-    if richardson:
-        a1, a2 = gammas(h)
-        b1, b2 = gammas(h / 2)
-        return NormalConnection((4 * b1 - a1) / 3, (4 * b2 - a2) / 3)
-    g1, g2 = gammas(h)
-    return NormalConnection(g1, g2)
+    steps = (h, h / 2) if richardson else (h,)
+    pu, pv = _stencil(u, v, steps)
+    arrays, ok = _jet_fields(surface, pu, pv)
+    _, Fu, Fv, *_ = arrays
+    require_finite(surface.components, ok, pu, pv)
+    jets0 = _point_jets(arrays, 0)
+    if seeds is None:
+        frame0 = build_frame_auto(jets0, tol=seed_tol)
+        pair = FALLBACK_SEEDS[frame0.seed_branch]
+    else:
+        pair = FALLBACK_SEEDS[seeds] if isinstance(seeds, int) else seeds
+        frame0 = build_frame(jets0, pair, tol=seed_tol)
+    g = [_stencil_gammas(Fu[k:k + 4], Fv[k:k + 4], pair, frame0, step, seed_tol)
+         for k, step in zip((1, 5), steps)]
+    return NormalConnection(*((4 * g[1] - g[0]) / 3 if richardson else g[0]))
 
 
 def gauss_weingarten_matrices(pd: SurfacePointData):
@@ -336,30 +369,17 @@ def beta_gamma(pd: SurfacePointData):
         raise NotIsothermal("beta and gamma are defined at isothermal points only")
     if pd.connection is None:
         raise ValueError("point data has no normal connection")
-    b = pd.second
-    beta1 = 0.5 * (b[0, 0, 0] - 1j * b[0, 0, 1])
-    beta2 = 0.5 * (b[1, 0, 0] - 1j * b[1, 0, 1])
-    gamma = 0.5 * (pd.connection.gamma1 + 1j * pd.connection.gamma2)
-    return beta1, beta2, gamma
+    return pd.beta1, pd.beta2, pd.gamma
 
 
-def _isothermal_nearby(surface: SurfaceDef, u: float, v: float,
-                       tol: float) -> bool:
-    """Probe four neighbouring points so that an accidental pointwise
-    coincidence g11 = g22 does not count as isothermal coordinates."""
-    u0, u1, v0, v1 = surface.domain
-    du = 1e-3 * max(u1 - u0, v1 - v0)
-    probes = {(min(max(u + s * du, u0), u1), v) for s in (-1.0, 1.0)}
-    probes |= {(u, min(max(v + s * du, v0), v1)) for s in (-1.0, 1.0)}
-    probes.discard((u, v))
-    for up, vp in probes:
-        try:
-            form = first_form(eval_surface_jet(surface, up, vp))
-        except Exception:
-            continue
-        if not is_isothermal(form, tol):
-            return False
-    return True
+def _isothermal_nearby(Fu, Fv, ok, tol: float) -> bool:
+    """Isothermality at the probes around a point (rows of Fu, Fv), so that
+    an accidental pointwise coincidence g11 = g22 does not count as isothermal
+    coordinates; undefined (not ok) or non-immersed probes are skipped."""
+    Fu, Fv = Fu[ok], Fv[ok]
+    g11, g12, g22 = _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
+    immersed = _immersed(g11, g12, g22, 1e-12)
+    return bool(_isothermal_mask(g11, g12, g22, tol)[immersed].all())
 
 
 def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
@@ -370,12 +390,24 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
                        seed_tol: float = 1e-6,
                        with_connection: bool = True,
                        neighborhood_isothermal: bool = True) -> SurfacePointData:
-    """Assemble all pointwise geometry at (u, v)."""
-    jets = eval_surface_jet(surface, u, v)
+    """Assemble all pointwise geometry at (u, v), from one batched jet
+    evaluation of the point, its normal-connection stencil at step h and four
+    isothermality probes 1e-3 of the larger domain extent away."""
+    if h is None:
+        h = 1e-4 * surface.domain_diameter()
+    u0, u1, v0, v1 = surface.domain
+    d = 1e-3 * max(u1 - u0, v1 - v0)
+    pu, pv = _stencil(u, v, (h,))
+    pu = np.concatenate([pu, np.clip([u - d, u + d], u0, u1), [u, u]])
+    pv = np.concatenate([pv, [v, v], np.clip([v - d, v + d], v0, v1)])
+    arrays, ok = _jet_fields(surface, pu, pv)
+    _, Fu, Fv, *_ = arrays
+    require_finite(surface.components, ok[:1], pu[:1], pv[:1])
+    jets = _point_jets(arrays, 0)
     form = first_form(jets, tol=immersion_tol)
     iso = is_isothermal(form, isothermal_tol)
     if iso and neighborhood_isothermal:
-        iso = _isothermal_nearby(surface, u, v, isothermal_tol)
+        iso = _isothermal_nearby(Fu[5:], Fv[5:], ok[5:], isothermal_tol)
     frame = build_frame_auto(jets, tol=seed_tol,
                              start=0 if seed_branch is None else seed_branch)
     b = second_form(jets, frame)
@@ -384,8 +416,10 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     chris = christoffel_tangential(jets, form)
     conn = None
     if with_connection:
-        conn = normal_connection(surface, u, v, h=h, seeds=frame.seed_branch,
-                                 seed_tol=seed_tol)
+        require_finite(surface.components, ok[1:5], pu[1:5], pv[1:5])
+        conn = NormalConnection(*_stencil_gammas(
+            Fu[1:5], Fv[1:5], FALLBACK_SEEDS[frame.seed_branch], frame, h,
+            seed_tol))
     alpha = 0.5 * math.log(form.g11) if iso else None
     beta1 = beta2 = gamma = None
     if iso:
@@ -398,10 +432,6 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
 
 
 # --- grids -------------------------------------------------------------------
-
-def _dot(a, b):
-    return np.einsum("...c,...c->...", a, b)
-
 
 class FieldGrid:
     """Pointwise-exact fields sampled on an n x n rectangular grid.
@@ -429,27 +459,11 @@ class FieldGrid:
         self.hu = float(self.us[1] - self.us[0])
         self.hv = float(self.vs[1] - self.vs[0])
 
-        shape = (n, n, 4)
-        F = np.empty(shape)
-        Fu = np.empty(shape)
-        Fv = np.empty(shape)
-        Fuu = np.empty(shape)
-        Fuv = np.empty(shape)
-        Fvv = np.empty(shape)
-        comps = surface.components
-        from .surface_expr import _eval  # local alias, hot loop
-        for i, uu in enumerate(self.us):
-            for j, vv in enumerate(self.vs):
-                for k in range(4):
-                    jet = _eval(comps[k], uu, vv)
-                    F[i, j, k] = jet.val
-                    Fu[i, j, k] = jet.du
-                    Fv[i, j, k] = jet.dv
-                    Fuu[i, j, k] = jet.duu
-                    Fuv[i, j, k] = jet.duv
-                    Fvv[i, j, k] = jet.dvv
-        self.F, self.Fu, self.Fv = F, Fu, Fv
-        self.Fuu, self.Fuv, self.Fvv = Fuu, Fuv, Fvv
+        U, V = np.meshgrid(self.us, self.vs, indexing="ij")
+        arrays, ok = _jet_fields(surface, U, V)
+        require_finite(surface.components, ok, U, V)
+        self.F, self.Fu, self.Fv, self.Fuu, self.Fuv, self.Fvv = arrays
+        _, Fu, Fv, Fuu, Fuv, Fvv = arrays
 
         self.g11 = _dot(Fu, Fu)
         self.g12 = _dot(Fu, Fv)
@@ -460,10 +474,8 @@ class FieldGrid:
             raise NotImmersed(
                 f"degenerate point at (u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
 
-        scale = 0.5 * (self.g11 + self.g22)
-        self.isothermal_mask = (
-            (np.abs(self.g11 - self.g22) <= isothermal_tol * scale)
-            & (np.abs(self.g12) <= isothermal_tol * scale))
+        self.isothermal_mask = _isothermal_mask(self.g11, self.g12, self.g22,
+                                                isothermal_tol)
         self.isothermal = bool(self.isothermal_mask.all())
         self.e2a = self.g11
         self.alpha = 0.5 * np.log(self.g11) if self.isothermal else None
@@ -489,28 +501,9 @@ class FieldGrid:
         self.beta1 = 0.5 * (b[..., 0, 0, 0] - 1j * b[..., 0, 0, 1])
         self.beta2 = 0.5 * (b[..., 1, 0, 0] - 1j * b[..., 1, 0, 1])
 
-    def _branch_projections(self, pair):
-        s1, s2 = pair
-        t1, t2 = self.t1, self.t2
-        p1 = s1 - _dot(s1, t1)[..., None] * t1 - _dot(s1, t2)[..., None] * t2
-        p1n = np.sqrt(_dot(p1, p1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n1 = p1 / p1n[..., None]
-        p2 = (s2 - _dot(s2, t1)[..., None] * t1 - _dot(s2, t2)[..., None] * t2
-              - _dot(s2, n1)[..., None] * n1)
-        p2n = np.sqrt(_dot(p2, p2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n2 = p2 / p2n[..., None]
-        return n1, n2, p1n, p2n
-
     def _build_frames(self, seed_branch, margin, seed_tol):
-        nrm = np.sqrt(self.g11)[..., None]
-        self.t1 = self.Fu / nrm
-        w = self.Fv - _dot(self.Fv, self.t1)[..., None] * self.t1
-        self.t2 = w / np.sqrt(_dot(w, w))[..., None]
-
         if seed_branch is not None:
-            n1, n2, p1n, p2n = self._branch_projections(FALLBACK_SEEDS[seed_branch])
+            fr, p1n, p2n = _frames(self.Fu, self.Fv, FALLBACK_SEEDS[seed_branch])
             if min(p1n.min(), p2n.min()) <= seed_tol:
                 raise DegenerateSeed(
                     f"seed branch {seed_branch} degenerates on the grid")
@@ -518,20 +511,15 @@ class FieldGrid:
             self.branch_uniform = True
         else:
             for k, pair in enumerate(FALLBACK_SEEDS):
-                n1, n2, p1n, p2n = self._branch_projections(pair)
+                fr, p1n, p2n = _frames(self.Fu, self.Fv, pair)
                 if min(p1n.min(), p2n.min()) > margin:
                     self.seed_branch = k
                     self.branch_uniform = True
                     break
             else:
-                n1, n2, branch = self._per_point_frames(seed_tol)
-                self.seed_branch = branch
+                fr, self.seed_branch = self._per_point_frames(seed_tol)
                 self.branch_uniform = False
-
-        M = np.stack([self.t1, self.t2, n1, n2], axis=-1)
-        flip = np.linalg.det(M) < 0
-        n2 = np.where(flip[..., None], -n2, n2)
-        self.n1, self.n2 = n1, n2
+        self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
 
     def _per_point_frames(self, seed_tol):
         n = self.n
@@ -539,10 +527,10 @@ class FieldGrid:
         n2 = np.zeros((n, n, 4))
         branch = np.full((n, n), -1, dtype=int)
         for k, pair in enumerate(FALLBACK_SEEDS):
-            c1, c2, p1n, p2n = self._branch_projections(pair)
+            fr, p1n, p2n = _frames(self.Fu, self.Fv, pair)
             ok = (p1n > seed_tol) & (p2n > seed_tol) & (branch < 0)
-            n1 = np.where(ok[..., None], c1, n1)
-            n2 = np.where(ok[..., None], c2, n2)
+            n1 = np.where(ok[..., None], fr.n1, n1)
+            n2 = np.where(ok[..., None], fr.n2, n2)
             branch = np.where(ok, k, branch)
             if (branch >= 0).all():
                 break
@@ -550,7 +538,7 @@ class FieldGrid:
             i, j = np.argwhere(branch < 0)[0]
             raise DegenerateSeed(
                 f"no seed pair works at (u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
-        return n1, n2, branch
+        return Frame(fr.t1, fr.t2, n1, n2), branch
 
     def sup_H(self) -> float:
         return float(self.H_norm.max())

@@ -11,13 +11,15 @@ A surface is four comma-separated expressions in the variables u, v:
               | NAME "(" expr ")" | "(" expr ")"
 
 Functions: sin cos tan exp log sqrt sinh cosh atan.  The exponent of "^" must
-fold to a numeric constant at parse time.  Implicit multiplication is not
-recognized: write 2*u*v, not 2uv.
+fold to a finite numeric constant at parse time.  Implicit multiplication is
+not recognized: write 2*u*v, not 2uv.
 
-Evaluation returns a Jet2 carrying the value and all partial derivatives up
-to second order, propagated by degree-2 truncated Taylor arithmetic, so the
-derivatives are exact to roundoff (no truncation error).  Everything here is
-pure; a SurfaceDef can be evaluated at many points concurrently.
+Evaluation walks the tree once over numpy arrays of (u, v) (a single point is
+a 0-d batch) and returns a Jet2 carrying the value and all partial
+derivatives up to second order, propagated by degree-2 truncated Taylor
+arithmetic, so the derivatives are exact to roundoff.  Leaving the real
+domain or overflowing leaves a non-finite jet, and one finiteness check names
+the innermost such sub-expression and the first offending (u, v).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import ArityError, DomainError, ExpressionError, ExprSyntaxError, UnknownIdentifier
 
@@ -41,6 +45,8 @@ __all__ = [
     "surface_text",
     "eval_jet2",
     "eval_surface_jet",
+    "finite_mask",
+    "require_finite",
 ]
 
 
@@ -87,26 +93,24 @@ class Call:
 
 Expr = Union[Num, Const, Var, Neg, Bin, Pow, Call]
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.pi, "e": np.e}
 _VARIABLES = ("u", "v")
 
-# func -> (value, first derivative, second derivative)
+
+# func -> x -> (value, first derivative, second derivative), elementwise.
+# Outside a function's domain numpy returns nan or inf, which the finiteness
+# check reports, so no function carries its own domain test.
 _FUNCTIONS = {
-    "sin": (math.sin, math.cos, lambda x: -math.sin(x)),
-    "cos": (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x)),
-    "tan": (math.tan,
-            lambda x: 1.0 + math.tan(x) ** 2,
-            lambda x: 2.0 * math.tan(x) * (1.0 + math.tan(x) ** 2)),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
-    "sqrt": (math.sqrt,
-             lambda x: 0.5 / math.sqrt(x),
-             lambda x: -0.25 / (x * math.sqrt(x))),
-    "sinh": (math.sinh, math.cosh, math.sinh),
-    "cosh": (math.cosh, math.sinh, math.cosh),
-    "atan": (math.atan,
-             lambda x: 1.0 / (1.0 + x * x),
-             lambda x: -2.0 * x / (1.0 + x * x) ** 2),
+    "sin": lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
+    "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
+    "tan": lambda x: ((t := np.tan(x)), 1.0 + t * t, 2.0 * t * (1.0 + t * t)),
+    "exp": lambda x: ((y := np.exp(x)), y, y),
+    "log": lambda x: (np.log(x), 1.0 / x, -1.0 / (x * x)),
+    "sqrt": lambda x: ((r := np.sqrt(x)), 0.5 / r, -0.25 / (x * r)),
+    "sinh": lambda x: (np.sinh(x), np.cosh(x), np.sinh(x)),
+    "cosh": lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
+    "atan": lambda x: (np.arctan(x), 1.0 / (1.0 + x * x),
+                       -2.0 * x / (1.0 + x * x) ** 2),
 }
 
 
@@ -175,12 +179,13 @@ class _Parser:
         base = self.parse_atom()
         if self._take("^"):
             caret = self._offset() - 1
-            exp_node = self.parse_unary()
-            try:
-                value = _fold_constant(exp_node)
-            except _NotConstant:
-                raise ExprSyntaxError("exponent must be constant", caret) from None
-            return Pow(base, value)
+            # The evaluator folds the exponent: a sub-expression without u or v
+            # evaluates to a plain number, which must also be finite.
+            with np.errstate(all="ignore"):
+                value = _eval(self.parse_unary(), *np.zeros(2))
+            if isinstance(value, Jet2) or not np.isfinite(value):
+                raise ExprSyntaxError("exponent must be a finite constant", caret)
+            return Pow(base, float(value))
         return base
 
     def parse_atom(self) -> Expr:
@@ -219,40 +224,6 @@ class _Parser:
                 return Const(name)
             raise UnknownIdentifier(name, start)
         raise ExprSyntaxError(f"unexpected character {c!r}", self._offset())
-
-
-class _NotConstant(Exception):
-    pass
-
-
-def _fold_constant(node: Expr) -> float:
-    """Evaluate a variable-free subtree to a float (for exponents)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_fold_constant(node.arg)
-    if isinstance(node, Bin):
-        lhs = _fold_constant(node.left)
-        rhs = _fold_constant(node.right)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if rhs == 0.0:
-            raise _NotConstant
-        return lhs / rhs
-    if isinstance(node, Pow):
-        return _fold_constant(node.base) ** node.exponent
-    if isinstance(node, Call):
-        try:
-            return _FUNCTIONS[node.func][0](_fold_constant(node.arg))
-        except ValueError:
-            raise _NotConstant from None
-    raise _NotConstant  # Var
 
 
 def parse(text: str) -> Expr:
@@ -356,9 +327,12 @@ def surface_from_json(obj) -> SurfaceDef:
 # --- second-order jets ------------------------------------------------------
 
 class Jet2:
-    """Value and exact partials (du, dv, duu, duv, dvv) of a scalar at a point."""
+    """Value and exact partials (du, dv, duu, duv, dvv) of a scalar at a point
+    or elementwise over points; constant parts may stay plain numbers."""
 
     __slots__ = ("val", "du", "dv", "duu", "duv", "dvv")
+    # numpy numbers and arrays on the left defer to Jet2's reflected operators
+    __array_ufunc__ = None
 
     def __init__(self, val, du=0.0, dv=0.0, duu=0.0, duv=0.0, dvv=0.0):
         self.val = val
@@ -437,13 +411,15 @@ class Jet2:
         return (self.val, self.du, self.dv, self.duu, self.duv, self.dvv)
 
 
-def _eval(node: Expr, u: float, v: float) -> Jet2:
-    if isinstance(node, Num):
-        return Jet2(node.value)
-    if isinstance(node, Const):
-        return Jet2(_CONSTANTS[node.name])
+def _eval(node: Expr, u, v):
+    """Jet of node over the points (u, v); a sub-expression without u or v
+    gives a plain number.  Undefined points hold nan or inf, unchecked."""
     if isinstance(node, Var):
         return Jet2.variable(node.name, u, v)
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Const):
+        return np.float64(_CONSTANTS[node.name])
     if isinstance(node, Neg):
         return -_eval(node.arg, u, v)
     if isinstance(node, Bin):
@@ -455,51 +431,83 @@ def _eval(node: Expr, u: float, v: float) -> Jet2:
             return lhs - rhs
         if node.op == "*":
             return lhs * rhs
-        if rhs.val == 0.0:
-            raise DomainError("division by zero", expr_text(node))
-        return lhs * rhs.reciprocal()
+        return lhs / rhs
     if isinstance(node, Pow):
-        base = _eval(node.base, u, v)
-        p = node.exponent
-        x = base.val
-        try:
-            if float(p).is_integer():
-                n = int(p)
-                if x == 0.0 and n < 0:
-                    raise DomainError("zero raised to a negative power",
-                                      expr_text(node))
-                if n == 0:
-                    return Jet2(1.0)
-                f1 = n * x ** (n - 1)
-                f2 = n * (n - 1) * x ** (n - 2) if n != 1 else 0.0
-                return base.chain(x ** n, f1, f2)
-            if x <= 0.0:
-                raise DomainError("fractional power of a non-positive base",
-                                  expr_text(node))
-            return base.chain(x ** p, p * x ** (p - 1.0),
-                              p * (p - 1.0) * x ** (p - 2.0))
-        except OverflowError:
-            raise DomainError("power overflows", expr_text(node)) from None
+        base, p = _eval(node.base, u, v), node.exponent
+        if p == 0:  # 1 wherever the base is defined
+            if not isinstance(base, Jet2):
+                return np.float64(1.0 if np.isfinite(base) else np.nan)
+            return Jet2(np.where(finite_mask((base,)), 1.0, np.nan))
+        x = base.val if isinstance(base, Jet2) else base
+        if not p.is_integer():  # a real power needs a positive base
+            x = np.where(x > 0.0, x, np.nan)
+        if not isinstance(base, Jet2):
+            return x ** p
+        f2 = p * (p - 1) * x ** (p - 2) if p != 1 else 0.0
+        return base.chain(x ** p, p * x ** (p - 1), f2)
     if isinstance(node, Call):
         arg = _eval(node.arg, u, v)
-        x = arg.val
-        if node.func == "log" and x <= 0.0:
-            raise DomainError("log of a non-positive value", expr_text(node))
-        if node.func == "sqrt" and x <= 0.0:
-            raise DomainError("sqrt of a non-positive value", expr_text(node))
-        f0, f1, f2 = _FUNCTIONS[node.func]
-        try:
-            return arg.chain(f0(x), f1(x), f2(x))
-        except (OverflowError, ValueError) as exc:
-            raise DomainError(str(exc), expr_text(node)) from None
+        if isinstance(arg, Jet2):
+            return arg.chain(*_FUNCTIONS[node.func](arg.val))
+        return _FUNCTIONS[node.func](arg)[0]
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_jet2(expr: Expr, u: float, v: float) -> Jet2:
-    """Value and all partials up to order 2 of expr at (u, v)."""
-    return _eval(expr, float(u), float(v))
+def _jets(exprs, u, v):
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    with np.errstate(all="ignore"):
+        jets = [_eval(e, np.atleast_1d(u), np.atleast_1d(v)) for e in exprs]
+    jets = [j if isinstance(j, Jet2) else Jet2(j) for j in jets]
+    if u.ndim == v.ndim == 0:
+        # A point is evaluated as a 1-point batch and unwrapped: numpy's
+        # scalar arithmetic can differ from its array loops in the last bit.
+        jets = [Jet2(*(np.ravel(x)[0] for x in j.as_tuple())) for j in jets]
+    return tuple(jets)
 
 
-def eval_surface_jet(surface: SurfaceDef, u: float, v: float):
-    """Componentwise jets of a surface: a tuple of four Jet2."""
-    return tuple(_eval(c, float(u), float(v)) for c in surface.components)
+def finite_mask(jets) -> np.ndarray:
+    """True at the points where every part of every jet is finite."""
+    ok = True
+    for x in (x for j in jets for x in j.as_tuple()):
+        ok = ok & np.isfinite(x)
+    return ok
+
+
+def _culprit(node: Expr, u: float, v: float):
+    """The innermost sub-expression of node whose jet at the point (u, v) is
+    not finite, or None where node's own jet is finite."""
+    if finite_mask(_jets((node,), u, v)):
+        return None
+    subs = (x for x in vars(node).values() if not isinstance(x, (str, float)))
+    return next(filter(None, (_culprit(x, u, v) for x in subs)), node)
+
+
+def require_finite(exprs, ok, u, v) -> None:
+    """Raise DomainError at the first of the points (u, v) where the mask ok
+    is False, naming the innermost sub-expression of exprs whose jet is not
+    finite there."""
+    ok = np.asarray(ok)
+    if ok.all():
+        return
+    i = np.flatnonzero(~ok)[0]
+    uu, vv = (float(np.broadcast_to(x, ok.shape).flat[i]) for x in (u, v))
+    node = next(filter(None, (_culprit(e, uu, vv) for e in exprs)), None)
+    raise DomainError(f"undefined or infinite at (u, v) = ({uu:g}, {vv:g})",
+                      ", ".join(map(expr_text, exprs if node is None else [node])))
+
+
+def eval_jet2(expr: Expr, u, v) -> Jet2:
+    """Value and all partials up to order 2 of expr at the points (u, v),
+    floats or arrays of one shape; raises DomainError where any is not
+    finite (outside the real domain, or overflowing)."""
+    jets = _jets((expr,), u, v)
+    require_finite((expr,), finite_mask(jets), u, v)
+    return jets[0]
+
+
+def eval_surface_jet(surface: SurfaceDef, u, v):
+    """Componentwise jets of a surface over the points (u, v), floats or
+    arrays of one shape: a tuple of four Jet2.  An undefined point holds nan
+    or inf instead of raising, so a batch may carry points allowed to fail;
+    require_finite turns the ones that may not into a DomainError."""
+    return _jets(surface.components, u, v)

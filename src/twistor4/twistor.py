@@ -54,6 +54,7 @@ __all__ = [
     "lift_agreement_residual",
     "lift_gradient_sups",
     "chart_residuals",
+    "isotropy_fields",
     "isotropy_report",
 ]
 
@@ -128,7 +129,8 @@ class ChartValue:
     `antipode` False: projection from (0, 0, 1), g = (c1 + i c2) / (1 - c3).
     `antipode` True: the point is within tolerance of (0, 0, 1) (infinite in
     the standard chart), so the value from the antipodal projection
-    (c1 + i c2) / (1 + c3) is reported instead.
+    (c1 + i c2) / (1 + c3) is reported instead.  For a field of points both
+    are arrays over the points.
     """
 
     value: complex
@@ -136,14 +138,22 @@ class ChartValue:
 
 
 def chart(c, tol: float = 1e-8) -> ChartValue:
-    """Stereographic chart of a unit vector c on S^2."""
-    c = np.asarray(c, float)
-    if abs(np.linalg.norm(c) - 1.0) > max(tol, 1e-8):
-        raise NonUnitCoords(f"|c| = {np.linalg.norm(c)!r} is not 1")
-    g = c[0] + 1j * c[1]
-    if 1.0 - c[2] <= tol:
-        return ChartValue(complex(g / (1.0 + c[2])), antipode=True)
-    return ChartValue(complex(g / (1.0 - c[2])), antipode=False)
+    """Stereographic chart of unit vectors c[..., 3] on S^2.
+
+    A single vector gives a complex value and a bool; a field of vectors
+    gives arrays of both over its leading axes.
+    """
+    c1, c2, c3 = np.moveaxis(np.asarray(c, float), -1, 0)
+    norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
+    bad = np.abs(norm - 1.0) > max(tol, 1e-8)
+    if np.any(bad):
+        raise NonUnitCoords(f"|c| = {np.ravel(norm)[np.ravel(bad)][0]!r} is not 1")
+    antipode = 1.0 - c3 <= tol
+    # the chosen projection's denominator is at least tol, or about 2
+    value = (c1 + 1j * c2) / np.where(antipode, 1.0 + c3, 1.0 - c3)
+    if np.ndim(value) == 0:
+        return ChartValue(complex(value), bool(antipode))
+    return ChartValue(value, antipode)
 
 
 def inverse_chart(g) -> np.ndarray:
@@ -162,7 +172,16 @@ def inverse_chart(g) -> np.ndarray:
 
 
 def g_plus_closed_form(ps, tol: float = 1e-8) -> complex:
-    """Closed form of the plus chart directly from psi.
+    """Closed form of the plus chart directly from psi at one point;
+    raises PoleOfChart at the chart pole (see g_plus_closed_field)."""
+    g = g_plus_closed_field(ps, tol)
+    if np.isnan(g):
+        raise PoleOfChart("plus lift is at the chart pole (c3 = 1)")
+    return complex(g)
+
+
+def g_plus_closed_field(psi_field, tol: float = 1e-8) -> np.ndarray:
+    """Closed form of the plus chart from psi[..., 4]; NaN at chart poles.
 
     Two algebraically equivalent branches exist,
 
@@ -172,19 +191,6 @@ def g_plus_closed_form(ps, tol: float = 1e-8) -> complex:
     the one with the larger denominator modulus is used.  Both denominators
     vanish together exactly at the chart pole c+3 = 1.
     """
-    p1, p2, p3, p4 = np.asarray(ps)
-    d1 = p2 - 1j * p3
-    d2 = p1 - 1j * p4
-    scale = float(np.sum(np.abs([p1, p2, p3, p4]) ** 2))
-    if abs(d1) ** 2 + abs(d2) ** 2 <= tol * scale:
-        raise PoleOfChart("plus lift is at the chart pole (c3 = 1)")
-    if abs(d1) >= abs(d2):
-        return complex((p1 + 1j * p4) / (1j * d1))
-    return complex(1j * (p2 + 1j * p3) / d2)
-
-
-def g_plus_closed_field(psi_field, tol: float = 1e-8) -> np.ndarray:
-    """Vectorized closed form over a grid of psi values; NaN at chart poles."""
     ps = np.asarray(psi_field)
     p1, p2, p3, p4 = (ps[..., k] for k in range(4))
     d1 = p2 - 1j * p3
@@ -267,14 +273,6 @@ def lift_agreement_residual(grid: FieldGrid) -> float:
     return float(max(np.abs(Ap - Mp).max(), np.abs(Am - Mm).max()))
 
 
-def _chart_fields(c):
-    c1 = c[..., 0] + 1j * c[..., 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        north = c1 / (1.0 - c[..., 2])
-        south = c1 / (1.0 + c[..., 2])
-    return north, south
-
-
 def _chart_dwbar_exact(grid: FieldGrid, cs):
     """|d/dwbar| of the holomorphic chart function of each lift on the
     interior, by forward mode over the 2-jet (no truncation error).
@@ -309,7 +307,9 @@ def _chart_dwbar_stencil(grid: FieldGrid, cs):
     """|d/dwbar| of the holomorphic chart function of each lift on the
     interior, by central differences of the chart fields (O(h^2))."""
     for c, eps in zip(cs, (1, -1)):
-        north, south = _chart_fields(c)
+        z = c[..., 0] + 1j * c[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            north, south = z / (1.0 - c[..., 2]), z / (1.0 + c[..., 2])
         if eps < 0:
             holo_n, holo_s = np.conj(north), south
         else:
@@ -410,6 +410,22 @@ def lift_gradient_sups(grid: FieldGrid):
             _sup_gradient(Mm, grid.hu, grid.hv))
 
 
+def isotropy_fields(grid: FieldGrid):
+    """Pointwise residuals of isotropy conditions (a)-(d) over a grid; their
+    sup-norms are the residuals of isotropy_report."""
+    b = grid.b
+    b111, b112 = b[..., 0, 0, 0], b[..., 0, 0, 1]
+    b211, b212 = b[..., 1, 0, 0], b[..., 1, 0, 1]
+    # |theta-dependent Fourier coefficients| of the rotated shape operator
+    cos_abs = np.abs(b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2)
+    sin_abs = np.abs(b111 * b211 + b112 * b212)
+    res_a = np.abs(grid.beta1 ** 2 + grid.beta2 ** 2)
+    res_b = np.maximum(np.abs(b111 ** 2 - b112 ** 2 + b211 ** 2 - b212 ** 2),
+                       np.abs(b111 * b112 + b211 * b212))
+    return (res_a, res_b, np.maximum(cos_abs, sin_abs),
+            np.maximum(0.5 * cos_abs, sin_abs))
+
+
 def isotropy_report(grid: FieldGrid, tol: float = 1e-6,
                     minimal_tol: float = 1e-8) -> IsotropyReport:
     """Evaluate the five isotropy conditions for a minimal surface in
@@ -417,18 +433,10 @@ def isotropy_report(grid: FieldGrid, tol: float = 1e-6,
     grid.require_isothermal()
     grid.require_minimal(minimal_tol)
 
+    res_a, res_b, res_c, res_d = (float(f.max()) for f in isotropy_fields(grid))
     b = grid.b
     b111, b112, b122 = b[..., 0, 0, 0], b[..., 0, 0, 1], b[..., 0, 1, 1]
     b211, b212, b222 = b[..., 1, 0, 0], b[..., 1, 0, 1], b[..., 1, 1, 1]
-
-    res_a = float(np.abs(grid.beta1 ** 2 + grid.beta2 ** 2).max())
-    res_b = float(max(
-        np.abs(b111 ** 2 - b112 ** 2 + b211 ** 2 - b212 ** 2).max(),
-        np.abs(b111 * b112 + b211 * b212).max()))
-    cos_coef = b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2
-    sin_coef = b111 * b211 + b112 * b212
-    res_c = float(max(np.abs(cos_coef).max(), np.abs(sin_coef).max()))
-    res_d = float(max(np.abs(0.5 * cos_coef).max(), np.abs(sin_coef).max()))
 
     grad_plus, grad_minus = lift_gradient_sups(grid)
     u0, u1, v0, v1 = grid.domain

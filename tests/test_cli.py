@@ -143,6 +143,49 @@ class TestExitCodes:
         assert code == 2 and "JSON" in err
 
 
+def _strict(token):
+    raise ValueError(f"non-finite number {token} in JSON output")
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("command", [("analyze", "--at", "0.1", "0.1"),
+                                         ("grid", "--n", "5")])
+    @pytest.mark.parametrize("expr,code,message", [
+        ("u^(0^-1), v, 0, 0", 2, "exponent"),
+        ("u^((-8)^(1/3)), v, 0, 0", 2, "exponent"),
+        ("u, v, 1e308*1e308*u, 0", 2, "undefined or infinite at (u, v)"),
+        ("u, v, u*v, 0", 0, ""),
+    ])
+    def test_exit_cleanly(self, capsys, command, expr, code, message):
+        # no traceback; an error prints nothing on stdout; success is strict JSON
+        got, out, err = run(capsys, command[0], "--expr", expr, *command[1:])
+        assert got == code
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out, parse_constant=_strict)
+        else:
+            assert out == "" and err.startswith("error:") and message in err
+
+    def test_non_finite_result_is_a_numeric_breakdown(self, capsys, monkeypatch):
+        import twistor4.cli as cli
+        monkeypatch.setattr(cli, "convergence_order", lambda c, f: math.nan)
+        code, out, err = run(capsys, "residuals", "--surface", "holo_square",
+                             "--n", "11", "--json")
+        assert code == 4 and out == "" and "not finite" in err
+
+    def test_infinite_order_is_null_in_json(self, capsys, monkeypatch):
+        # an exactly vanishing fine residual gives order inf: "inf" in the
+        # text table, null in strict JSON, and success either way
+        import twistor4.cli as cli
+        monkeypatch.setattr(cli, "convergence_order", lambda c, f: math.inf)
+        args = ("residuals", "--surface", "holo_square", "--n", "11")
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        assert all(r["order"] is None for r in json.loads(out)["residuals"])
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and " inf" in out
+
+
 class TestGrid:
     def test_csv_round_trip(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"
@@ -182,6 +225,17 @@ class TestGrid:
         doc = json.loads(out)
         assert code == 0
         assert doc["config"]["n"] == 5  # [-1, 1] at step 0.5
+
+    def test_nonpositive_spacing_is_refused(self, capsys):
+        for h in ("0", "-0.5"):
+            code, out, err = run(capsys, "grid", "--surface", "plane", "--h", h)
+            assert code == 2 and out == "" and "--h must be positive" in err
+
+    def test_spacing_must_give_a_square_grid(self, capsys):
+        code, out, err = run(capsys, "grid", "--expr", "u, v, u^2-v^2, 2*u*v",
+                             "--domain", "-1", "1", "-3", "3", "--h", "0.5")
+        assert code == 2 and out == ""
+        assert "5 points on u but 13 on v" in err
 
     def test_non_isothermal_grid_still_exports(self, capsys):
         code, out, _ = run(capsys, "grid", "--surface", "nonisothermal_graph",

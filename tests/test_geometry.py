@@ -8,6 +8,7 @@ import pytest
 from twistor4.catalog import CATALOG
 from twistor4.errors import (
     DegenerateSeed,
+    DomainError,
     GridTooSmall,
     NotImmersed,
     NotIsothermal,
@@ -414,6 +415,37 @@ class TestGaussWeingarten:
 
 
 class TestPointData:
+    def test_one_jet_evaluation_per_point(self, monkeypatch):
+        # point, stencil and isothermality probes come from a single batch
+        import twistor4.geometry as geometry
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eval_surface_jet(*args)
+
+        monkeypatch.setattr(geometry, "eval_surface_jet", counting)
+        names = ("holo_square", "catenoid_E3", "round_sphere",
+                 "nonisothermal_graph")
+        for name in names:
+            surface_point_data(CATALOG[name].surface, 0.3, 0.5)
+        assert len(calls) == len(names)
+
+    def test_undefined_probe_is_skipped(self):
+        # a plane, defined for u >= 0.1 only: the probe at u - 0.002 is
+        # undefined, the stencil at u -+ 2.8e-4 is not
+        s = parse_surface("u, v, 0, 0*sqrt(u - 0.1)")
+        pd = surface_point_data(s, 0.1005, 0.0)
+        assert pd.isothermal and pd.connection is not None
+
+    def test_undefined_stencil_point_is_a_domain_error(self):
+        s = parse_surface("u, v, 0, 0*sqrt(u - 0.1)")
+        with pytest.raises(DomainError) as err:
+            surface_point_data(s, 0.1001, 0.0)
+        assert "sqrt" in str(err.value) and "(u, v) = (0.0998" in str(err.value)
+        pd = surface_point_data(s, 0.1001, 0.0, with_connection=False)
+        assert pd.connection is None
+
     def test_holo_square_origin_betas(self):
         pd = surface_point_data(CATALOG["holo_square"].surface, 0.0, 0.0)
         assert pd.isothermal
@@ -448,6 +480,20 @@ class TestFieldGrid:
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmall):
             FieldGrid(CATALOG["plane"].surface, 2)
+
+    def test_domain_error_names_first_grid_point(self):
+        with pytest.raises(DomainError) as err:
+            FieldGrid(parse_surface("u, v, log(u + 0.5), 0"), 5)
+        assert "(u, v) = (-1, -1)" in str(err.value)
+        assert "log((u + 0.5))" in str(err.value)
+
+    def test_jets_match_pointwise_evaluation(self, grids):
+        g = grids("round_sphere", 11)
+        for i, j in ((0, 0), (3, 7), (10, 4)):
+            pointwise = jet_arrays(eval_surface_jet(g.surface, g.us[i], g.vs[j]))
+            grid = (g.F, g.Fu, g.Fv, g.Fuu, g.Fuv, g.Fvv)
+            for a, b in zip(grid, pointwise):
+                assert np.array_equal(a[i, j], b)
 
 
 class TestStructureResiduals:

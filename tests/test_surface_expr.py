@@ -15,9 +15,11 @@ from twistor4.errors import (
     UnknownIdentifier,
 )
 from twistor4.surface_expr import (
+    SurfaceDef,
     eval_jet2,
     eval_surface_jet,
     expr_text,
+    finite_mask,
     parse,
     parse_surface,
     surface_from_json,
@@ -87,6 +89,17 @@ class TestParser:
     def test_variable_exponent_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse("u^v")
+
+    @pytest.mark.parametrize("text", [
+        "u^(0^-1)",          # the exponent is infinite
+        "u^((-8)^(1/3))",    # a real power of a negative base: nan
+        "u^(log(0))",
+        "u^(u^0)",           # depends on u, though it is 1 wherever defined
+    ])
+    def test_exponent_must_fold_to_a_finite_constant(self, text):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert "exponent" in str(err.value) and err.value.position == 2
 
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ExprSyntaxError):
@@ -172,7 +185,8 @@ class TestJetExactness:
             for _ in range(20):
                 u = rng.uniform(u0, u1)
                 v = rng.uniform(v0, v1)
-                eval_surface_jet(entry.surface, u, v)  # must not raise
+                jets = eval_surface_jet(entry.surface, u, v)  # must not raise
+                assert finite_mask(jets)
 
 
 class TestDomainErrors:
@@ -201,6 +215,43 @@ class TestDomainErrors:
     def test_integer_power_of_negative_base_is_fine(self):
         assert jet("u^3", -2.0, 0.0).val == -8.0
 
+    @pytest.mark.parametrize("text, u, culprit", [
+        ("log(u)^0", -1.0, "'log(u)'"),
+        ("(1/u)^0", 0.0, "'(1.0 / u)'"),
+        ("(0^-1)^0", 0.5, "'(0.0 ^ -1.0)'"),
+    ])
+    def test_zeroth_power_of_undefined_base(self, text, u, culprit):
+        with pytest.raises(DomainError) as err:
+            jet(text, u, 0.0)
+        assert culprit in str(err.value)
+
+    def test_zeroth_power_is_one_where_the_base_is_defined(self):
+        j = jet("u^0 + sqrt(v)^0", 0.0, 2.0)
+        assert j.as_tuple() == (2.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError) as err:
+            jet("1e308*1e308*u", 0.1, 0.2)
+        assert "(1e+308 * 1e+308)" in str(err.value)
+
+    def test_error_names_innermost_subexpression_and_point(self):
+        with pytest.raises(DomainError) as err:
+            jet("sin(u) + 2*log(v - 1)", 0.25, 0.5)
+        msg = str(err.value)
+        assert "(u, v) = (0.25, 0.5)" in msg
+        assert "'log((v - 1.0))'" in msg
+
+    def test_infinite_derivative_is_a_domain_error(self):
+        # sqrt(u) is 0 at u = 0, but its derivative is not finite there
+        with pytest.raises(DomainError):
+            jet("sqrt(u)", 0.0, 0.3)
+
+    def test_first_offending_point_of_a_batch(self):
+        u = np.array([0.5, 0.2, -0.1, -0.3])
+        with pytest.raises(DomainError) as err:
+            eval_jet2(parse("log(u)"), u, np.zeros(4))
+        assert "(u, v) = (-0.1, 0)" in str(err.value)
+
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -220,9 +271,33 @@ _trees = st.recursive(
         st.builds(Neg, kids),
         st.builds(Bin, st.sampled_from("+-*/"), kids, kids),
         st.builds(Call, _funcs, kids),
-        st.builds(Pow, kids, st.sampled_from([2.0, 3.0, -1.0, 0.5])),
+        st.builds(Pow, kids, st.sampled_from([2.0, 3.0, -1.0, 0.5, 0.0])),
     ),
     max_leaves=12)
+
+
+_coords = st.floats(min_value=-2, max_value=2, allow_nan=False)
+
+
+@given(_trees, st.lists(st.tuples(_coords, _coords), min_size=1, max_size=6))
+def test_batch_matches_points_one_by_one(tree, points):
+    # a stack of points gives each point's value and five partials, and marks
+    # a point invalid exactly where evaluating it alone raises DomainError
+    surface = SurfaceDef("t", (tree, Var("u"), Var("v"), Num(0.0)),
+                         (-2.0, 2.0, -2.0, 2.0))
+    us, vs = np.array(points).T
+    batch = eval_surface_jet(surface, us, vs)[0]
+    # a constant tree gives plain numbers, which broadcast over the batch
+    ok = np.broadcast_to(finite_mask((batch,)), us.shape)
+    parts = np.broadcast_arrays(*batch.as_tuple(), us)[:6]
+    for i, (u, v) in enumerate(points):
+        try:
+            alone = eval_jet2(tree, u, v)
+        except DomainError:
+            assert not ok[i]
+            continue
+        assert ok[i]
+        assert [p[i] for p in parts] == list(alone.as_tuple())
 
 
 @given(_trees)

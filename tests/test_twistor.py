@@ -26,6 +26,7 @@ from twistor4.twistor import (
     gauss_map,
     holomorphicity_residual,
     inverse_chart,
+    isotropy_fields,
     isotropy_report,
     lift_agreement_residual,
     lift_frame,
@@ -198,6 +199,17 @@ class TestChart:
         with pytest.raises(NonUnitCoords):
             chart([1.0, 1.0, 1.0])
 
+    def test_field_of_vectors_matches_one_by_one(self, rng):
+        cs = np.array([random_unit3(rng) for _ in range(20)]
+                      + [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]).reshape(2, 11, 3)
+        field = chart(cs)
+        assert field.value.shape == field.antipode.shape == (2, 11)
+        for idx in np.ndindex(2, 11):
+            one = chart(cs[idx])
+            assert field.value[idx] == one.value
+            assert field.antipode[idx] == one.antipode
+        assert field.antipode.sum() == 1
+
     def test_plain_complex_inverse(self):
         assert np.allclose(inverse_chart(0j), [0, 0, -1], atol=1e-16)
 
@@ -317,6 +329,13 @@ class TestIsotropyReport:
         assert all(not ok for _, _, ok in rep.conditions())
         assert min(r for _, r, _ in rep.conditions()) >= 1e-2
         assert rep.constant_lift == "none"
+
+    def test_residuals_are_sups_of_the_fields(self, grids):
+        for name in ("holo_cube", "catenoid_E3"):
+            g = grids(name, 21)
+            rep = isotropy_report(g)
+            sups = [float(f.max()) for f in isotropy_fields(g)]
+            assert sups == [rep.res_a, rep.res_b, rep.res_c, rep.res_d]
 
     def test_refusals(self, grids):
         with pytest.raises(NotMinimal):
