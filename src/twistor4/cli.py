@@ -28,6 +28,9 @@ from .errors import (
     PoleOfChart,
 )
 from .geometry import (
+    IMMERSION_TOL,
+    ISOTHERMAL_TOL,
+    SEED_TOL,
     FieldGrid,
     convergence_order,
     gauss_weingarten_matrices,
@@ -48,10 +51,10 @@ from .twistor import (
 )
 
 _DEFAULTS = {
-    "isothermal_tol": 1e-8,
+    "isothermal_tol": ISOTHERMAL_TOL,
     "minimal_tol": 1e-8,
-    "immersion_tol": 1e-12,
-    "seed_tol": 1e-6,
+    "immersion_tol": IMMERSION_TOL,
+    "seed_tol": SEED_TOL,
     "isotropy_tol": 1e-6,
 }
 
@@ -164,13 +167,12 @@ def cmd_analyze(args) -> int:
     u, v = args.at
     pd = surface_point_data(
         surface, u, v,
-        h=args.h,
         seed_branch=args.seed_normal,
         isothermal_tol=args.tol if args.tol else _DEFAULTS["isothermal_tol"],
     )
-    h_eff = args.h if args.h else 1e-4 * surface.domain_diameter()
+    s1, s2 = gauss_weingarten_matrices(pd)
     doc = {
-        "config": _config(surface, h=h_eff, seed_branch=pd.frame.seed_branch),
+        "config": _config(surface, seed_branch=pd.frame.seed_branch),
         "point": {"u": u, "v": v},
         "first_form": {"g11": pd.form.g11, "g12": pd.form.g12, "g22": pd.form.g22},
         "isothermal": pd.isothermal,
@@ -190,24 +192,20 @@ def cmd_analyze(args) -> int:
             [[pd.christoffel[k, i, j] for j in (0, 1)] for i in (0, 1)]
             for k in (0, 1)
         ],
-        "normal_connection": (
-            None if pd.connection is None else
-            {"gamma1": pd.connection.gamma1, "gamma2": pd.connection.gamma2}),
+        "normal_connection": {"gamma1": pd.connection.gamma1,
+                              "gamma2": pd.connection.gamma2},
         "mean_curvature": {
             "vector": _vec(pd.H),
             "norm": float(np.linalg.norm(pd.H)),
         },
-        "gauss_weingarten": None,
+        "gauss_weingarten": {"S1": _mat(s1), "S2": _mat(s2)},
         "beta1": None, "beta2": None, "gamma": None,
         "psi": None, "lifts": None, "g_plus_closed_form": None,
     }
-    if pd.connection is not None:
-        s1, s2 = gauss_weingarten_matrices(pd)
-        doc["gauss_weingarten"] = {"S1": _mat(s1), "S2": _mat(s2)}
     if pd.isothermal:
         doc["beta1"] = _c(pd.beta1)
         doc["beta2"] = _c(pd.beta2)
-        doc["gamma"] = None if pd.gamma is None else _c(pd.gamma)
+        doc["gamma"] = _c(pd.gamma)
         ps = psi(pd.jets)
         doc["psi"] = [_c(z) for z in ps]
         lp = gauss_map(pd)
@@ -430,8 +428,8 @@ def _add_surface_args(p, with_grid=False):
     p.add_argument("--domain", type=float, nargs=4,
                    metavar=("U0", "U1", "V0", "V1"),
                    help="parameter rectangle (default: surface's own)")
-    p.add_argument("--seed-normal", type=int, default=None,
-                   metavar="K", help="normal-frame seed branch index (0..5)")
+    p.add_argument("--seed-normal", type=int, default=None, choices=range(6),
+                   metavar="K", help="pin the normal-frame seed branch K (0..5)")
     if with_grid:
         p.add_argument("--n", type=int, default=41,
                        help="grid points per axis (default 41)")
@@ -457,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("U", "V"))
     p.add_argument("--tol", type=float, default=None,
                    help="isothermality tolerance")
-    p.add_argument("--h", type=float, default=None,
-                   help="finite-difference step for the normal connection")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

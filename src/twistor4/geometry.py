@@ -1,13 +1,12 @@
 """Pointwise and grid-level geometry of surfaces in E^4.
 
-Pointwise quantities (first and second fundamental form, Christoffel symbols,
-shape operators, mean curvature vector, normal connection, the combined
-frame-derivative matrices) are computed from exact second-order jets, taken
-by one batched evaluation over an array of points: the point itself, its
-normal-connection stencil and its isothermality probes.  All third-order
-information -- the normal connection, structure-equation residuals, frame
-derivatives -- comes from central differences of pointwise-exact fields, so
-the truncation error is an O(h^2) quantity that the tests measure directly.
+Pointwise quantities (fundamental forms, Christoffel symbols, frames, shape
+operators, mean curvature vector, and the normal connection, which depends
+only on F_u, F_v and a seed pair) are exact from the 2-jets, by one set of
+array functions that a FieldGrid applies to its grid and surface_point_data
+to one point; first_form, build_frame, second_form and the like are adapters
+over them.  Only the structure-equation residuals (third order) come from
+central differences of these fields, an O(h^2) error the tests measure.
 
 A FieldGrid evaluates the whole pointwise apparatus on a rectangular sample
 grid with a single smooth choice of normal frame whenever one exists.
@@ -53,7 +52,6 @@ __all__ = [
     "gauss_weingarten_matrices",
     "beta_gamma",
     "surface_point_data",
-    "dw_field",
     "dwbar_field",
     "laplacian_field",
     "structure_residuals",
@@ -61,6 +59,15 @@ __all__ = [
 ]
 
 _E = np.eye(4)
+
+# Default tolerances (the CLI reports them in its JSON config): of g11, g22
+# and det g; of a seed's projection norm; of |g11 - g22|, |g12| per mean g.
+IMMERSION_TOL = 1e-12
+SEED_TOL = 1e-6
+ISOTHERMAL_TOL = 1e-8
+# A batch of points (a grid, or one point) uses one seed pair throughout when
+# both of its projections stay above this margin, well clear of SEED_TOL.
+_BRANCH_MARGIN = 1e-2
 
 # Normal-frame seed pairs, tried in order until both projections survive.
 FALLBACK_SEEDS = (
@@ -92,8 +99,7 @@ class Frame:
     """Orthonormal frame (t1, t2, n1, n2) with det [t1 t2 n1 n2] = +1.
 
     t1, t2 span the tangent plane.  seed_branch records which fallback seed
-    pair produced the normals (None for caller-supplied seeds), so stencil
-    evaluations can pin the same branch.
+    pair produced the normals (None for caller-supplied seeds).
     """
 
     t1: np.ndarray
@@ -101,9 +107,6 @@ class Frame:
     n1: np.ndarray
     n2: np.ndarray
     seed_branch: Optional[int] = None
-
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([self.t1, self.t2, self.n1, self.n2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +136,7 @@ class SurfacePointData:
     shape: ShapeOperators
     christoffel: np.ndarray   # Gamma[k, i, j]
     H: np.ndarray
-    connection: Optional[NormalConnection]
+    connection: NormalConnection
     beta1: Optional[complex]
     beta2: Optional[complex]
     gamma: Optional[complex]
@@ -161,9 +164,11 @@ def _jet_fields(surface: SurfaceDef, u, v):
     return jet_arrays(jets), finite_mask(jets)
 
 
-def _point_jets(arrays, i):
-    """The four componentwise jets at point i of stacked jet arrays."""
-    return tuple(Jet2(*(a[i, k] for a in arrays)) for k in range(4))
+# --- array functions: one point or a whole grid (broadcasting over "...") ----
+
+def _metric(Fu, Fv):
+    """First fundamental form (g11, g12, g22)."""
+    return _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
 
 
 def _immersed(g11, g12, g22, tol):
@@ -175,47 +180,10 @@ def _isothermal_mask(g11, g12, g22, tol):
     return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
 
 
-def first_form(jets, tol: float = 1e-12) -> FirstForm:
-    """Induced metric coefficients; raises NotImmersed at degenerate points."""
-    _, Fu, Fv, *_ = jet_arrays(jets)
-    g11 = float(Fu @ Fu)
-    g12 = float(Fu @ Fv)
-    g22 = float(Fv @ Fv)
-    if not _immersed(g11, g12, g22, tol):
-        raise NotImmersed(
-            f"tangent vectors are dependent (g11={g11:g}, g22={g22:g}, "
-            f"det={g11 * g22 - g12 ** 2:g})")
-    return FirstForm(g11, g12, g22)
-
-
-def is_isothermal(form: FirstForm, tol: float = 1e-8) -> bool:
-    return bool(_isothermal_mask(form.g11, form.g12, form.g22, tol))
-
-
-def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] from the tangential projections.
-
-    For each second derivative F_ab the 2x2 Gram system
-    <F_ab, F_c> = sum_k Gamma^k_ab g_kc is solved directly.
-    """
-    _, Fu, Fv, Fuu, Fuv, Fvv = jet_arrays(jets)
-    det = form.det
-    out = np.empty((2, 2, 2))
-    second = ((0, 0, Fuu), (0, 1, Fuv), (1, 1, Fvv))
-    for i, j, Fab in second:
-        r1 = float(Fab @ Fu)
-        r2 = float(Fab @ Fv)
-        out[0, i, j] = (form.g22 * r1 - form.g12 * r2) / det
-        out[1, i, j] = (form.g11 * r2 - form.g12 * r1) / det
-        out[:, j, i] = out[:, i, j]
-    return out
-
-
 def _frames(Fu, Fv, pair):
-    """Adapted frames of point, stencil and grid (broadcasting): unit
-    tangents, Gram-Schmidt of the seed pair off them, n2 negated where needed
-    for det [t1 t2 n1 n2] = +1; plus the norms of the two seed projections,
-    on which a seed is judged degenerate."""
+    """Adapted frames: unit tangents, Gram-Schmidt of the seed pair off them,
+    n2 negated where needed for det [t1 t2 n1 n2] = +1; plus the norms of the
+    two seed projections, on which a seed is judged degenerate."""
     t1 = Fu / np.sqrt(_dot(Fu, Fu))[..., None]
     w = Fv - _dot(Fv, t1)[..., None] * t1
     t2 = w / np.sqrt(_dot(w, w))[..., None]
@@ -232,7 +200,112 @@ def _frames(Fu, Fv, pair):
     return Frame(t1, t2, n1, np.where(flip[..., None], -n2, n2)), p1n, p2n
 
 
-def build_frame(jets, seeds, tol: float = 1e-6) -> Frame:
+def _seeded_frames(Fu, Fv, branch, tol, at=None) -> Frame:
+    """Frames of seed branch `branch` or, when it is None, of the first
+    fallback pair whose seed projections exceed _BRANCH_MARGIN at every point
+    (a smooth frame field), else per point of the first whose projections
+    exceed tol (seed_branch an array then).  Raises DegenerateSeed where the
+    branch, or every pair, degenerates, at the first such point of at = (U, V)."""
+    if branch is None:
+        for k, pair in enumerate(FALLBACK_SEEDS):
+            fr, p1n, p2n = _frames(Fu, Fv, pair)
+            if min(p1n.min(), p2n.min()) > _BRANCH_MARGIN:
+                return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
+    n1 = n2 = np.zeros(np.shape(Fu))
+    got = np.full(np.shape(Fu)[:-1], -1)
+    for k in range(len(FALLBACK_SEEDS)) if branch is None else [branch]:
+        fr, p1n, p2n = _frames(Fu, Fv, FALLBACK_SEEDS[k])
+        ok = (p1n > tol) & (p2n > tol) & (got < 0)
+        n1 = np.where(ok[..., None], fr.n1, n1)
+        n2 = np.where(ok[..., None], fr.n2, n2)
+        got = np.where(ok, k, got)
+        if (got >= 0).all():
+            return Frame(fr.t1, fr.t2, n1, n2, seed_branch=(
+                branch if branch is not None else got if got.ndim else int(got)))
+    what = ("no seed pair works" if branch is None
+            else f"seed branch {branch} degenerates")
+    if at is not None:
+        i = tuple(np.argwhere(got < 0)[0])
+        what += " at (u, v) = ({:g}, {:g})".format(*(np.asarray(x)[i] for x in at))
+    raise DegenerateSeed(what)
+
+
+def _second_form(Fuu, Fuv, Fvv, n1, n2):
+    """Second fundamental form b[..., k, i, j] = <F_ij, n_k>."""
+    b = np.empty(np.shape(n1)[:-1] + (2, 2, 2))
+    for k, nk in enumerate((n1, n2)):
+        b[..., k, 0, 0] = _dot(Fuu, nk)
+        b[..., k, 0, 1] = b[..., k, 1, 0] = _dot(Fuv, nk)
+        b[..., k, 1, 1] = _dot(Fvv, nk)
+    return b
+
+
+def _mean_curvature(g11, g12, g22, b, n1, n2):
+    """Mean curvature vector H = (tr(g^-1 b_1) n_1 + tr(g^-1 b_2) n_2) / 2."""
+    det = g11 * g22 - g12 ** 2
+    tr1, tr2 = ((g22 * b[..., k, 0, 0] - 2 * g12 * b[..., k, 0, 1]
+                 + g11 * b[..., k, 1, 1]) / det for k in (0, 1))
+    return 0.5 * (tr1[..., None] * n1 + tr2[..., None] * n2)
+
+
+def _christoffel(arrays, g11, g12, g22):
+    """Christoffel symbols Gamma[..., k, i, j], solving for each F_ab the 2x2
+    Gram system <F_ab, F_c> = sum_k Gamma^k_ab g_kc directly."""
+    _, Fu, Fv, Fuu, Fuv, Fvv = arrays
+    det = g11 * g22 - g12 ** 2
+    out = np.empty(np.shape(det) + (2, 2, 2))
+    for i, j, Fab in ((0, 0, Fuu), (0, 1, Fuv), (1, 1, Fvv)):
+        r1, r2 = _dot(Fab, Fu), _dot(Fab, Fv)
+        out[..., 0, i, j] = out[..., 0, j, i] = (g22 * r1 - g12 * r2) / det
+        out[..., 1, i, j] = out[..., 1, j, i] = (g11 * r2 - g12 * r1) / det
+    return out
+
+
+def _connection(s1, frame: Frame, g11, g12, g22, b):
+    """Normal connection (gamma_1, gamma_2), gamma_a = <d n_1/da, n_2>, exact
+    from the 2-jet for a frame whose n_1 was built from the seed s1.
+
+    n_1 = p_1/|p_1|, p_1 = s_1 - <s_1,t_1> t_1 - <s_1,t_2> t_2, so
+    gamma_a = -(<s_1,t_1> <d_a t_1, n_2> + <s_1,t_2> <d_a t_2, n_2>)/|p_1|,
+    with <d_a t_1, n_2> = b2_1a/|F_u|, <d_a t_2, n_2> = (b2_2a - <F_v,t_1>
+    b2_1a/|F_u|)/|w| for w = F_v - <F_v,t_1> t_1, b2_ia = <F_ia, n_2>,
+    |F_u|^2 = g11, <F_v,t_1> = g12/|F_u|, |w|^2 = det/g11, |p_1| = <s_1,n_1>.
+    """
+    g11, g12, g22 = (np.asarray(x)[..., None] for x in (g11, g12, g22))
+    fu = np.sqrt(g11)
+    dt1 = b[..., 1, 0, :] / fu
+    dt2 = (b[..., 1, 1, :] - g12 / fu * dt1) / np.sqrt((g11 * g22 - g12 ** 2) / g11)
+    gamma = -(_dot(s1, frame.t1)[..., None] * dt1
+              + _dot(s1, frame.t2)[..., None] * dt2) / _dot(s1, frame.n1)[..., None]
+    return gamma[..., 0], gamma[..., 1]
+
+
+# --- pointwise adapters --------------------------------------------------------
+
+def _point_form(g11, g12, g22, tol) -> FirstForm:
+    if not _immersed(g11, g12, g22, tol):
+        raise NotImmersed(
+            f"tangent vectors are dependent (g11={g11:g}, g22={g22:g}, "
+            f"det={g11 * g22 - g12 ** 2:g})")
+    return FirstForm(float(g11), float(g12), float(g22))
+
+
+def first_form(jets, tol: float = IMMERSION_TOL) -> FirstForm:
+    """Induced metric coefficients; raises NotImmersed at degenerate points."""
+    _, Fu, Fv, *_ = jet_arrays(jets)
+    return _point_form(*_metric(Fu, Fv), tol)
+
+
+def is_isothermal(form: FirstForm, tol: float = ISOTHERMAL_TOL) -> bool:
+    return bool(_isothermal_mask(form.g11, form.g12, form.g22, tol))
+
+
+def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
+    """Christoffel symbols Gamma[k, i, j] from the tangential projections."""
+    return _christoffel(jet_arrays(jets), form.g11, form.g12, form.g22)
+
+
+def build_frame(jets, seeds, tol: float = SEED_TOL) -> Frame:
     """Orthonormal frame from unit tangents plus Gram-Schmidt on two seed
     vectors; the second normal is flipped if needed to make det = +1.
 
@@ -248,26 +321,17 @@ def build_frame(jets, seeds, tol: float = 1e-6) -> Frame:
     return frame
 
 
-def build_frame_auto(jets, tol: float = 1e-6, start: int = 0) -> Frame:
-    """Try the fallback seed list from index `start`; record the branch used."""
-    for k in range(start, len(FALLBACK_SEEDS)):
-        try:
-            fr = build_frame(jets, FALLBACK_SEEDS[k], tol=tol)
-        except DegenerateSeed:
-            continue
-        return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
-    raise DegenerateSeed("all fallback seed pairs degenerate")
+def build_frame_auto(jets, tol: float = SEED_TOL) -> Frame:
+    """Frame from the fallback seed pairs as a FieldGrid picks them (see
+    _seeded_frames); records the branch used."""
+    _, Fu, Fv, *_ = jet_arrays(jets)
+    return _seeded_frames(Fu, Fv, None, tol)
 
 
 def second_form(jets, frame: Frame) -> np.ndarray:
     """Second fundamental form components b[k, i, j] = <F_ij, n_k>."""
     _, _, _, Fuu, Fuv, Fvv = jet_arrays(jets)
-    b = np.empty((2, 2, 2))
-    for k, nk in enumerate((frame.n1, frame.n2)):
-        b[k, 0, 0] = Fuu @ nk
-        b[k, 0, 1] = b[k, 1, 0] = Fuv @ nk
-        b[k, 1, 1] = Fvv @ nk
-    return b
+    return _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
 
 
 def shape_operators(form: FirstForm, second: np.ndarray) -> ShapeOperators:
@@ -278,88 +342,29 @@ def shape_operators(form: FirstForm, second: np.ndarray) -> ShapeOperators:
 
 def mean_curvature(form: FirstForm, second: np.ndarray, frame: Frame) -> np.ndarray:
     """Mean curvature vector H = ((tr A_1) n_1 + (tr A_2) n_2) / 2."""
-    ops = shape_operators(form, second)
-    return 0.5 * (np.trace(ops.a1) * frame.n1 + np.trace(ops.a2) * frame.n2)
-
-
-def _stencil(u: float, v: float, steps):
-    """The point (u, v), then (u + s, v), (u - s, v), (u, v + s), (u, v - s)
-    for each step s."""
-    us, vs = [u], [v]
-    for s in steps:
-        us += [u + s, u - s, u, u]
-        vs += [v, v, v + s, v - s]
-    return np.array(us), np.array(vs)
-
-
-def _stencil_gammas(Fu, Fv, pair, frame0: Frame, h: float, tol: float):
-    """(gamma_1, gamma_2) by central differences of the seed-pair frames at
-    the four points of _stencil's step h (the rows of Fu, Fv).
-
-    Raises SeedBranchFlip when the stencil frames are discontinuous (a seed
-    degenerates on the stencil, or a normal flips relative to frame0).
-    """
-    fr, p1n, p2n = _frames(Fu, Fv, pair)
-    if not (np.minimum(p1n, p2n) > tol).all():
-        raise SeedBranchFlip("seed degenerates on the stencil")
-    if not ((_dot(fr.n1, frame0.n1) >= 0.5) & (_dot(fr.n2, frame0.n2) >= 0.5)).all():
-        raise SeedBranchFlip("frame branch changes across the stencil")
-    return _dot((fr.n1[[0, 2]] - fr.n1[[1, 3]]) / (2 * h), frame0.n2)
+    return _mean_curvature(form.g11, form.g12, form.g22, second,
+                           frame.n1, frame.n2)
 
 
 def normal_connection(surface: SurfaceDef, u: float, v: float,
-                      h: Optional[float] = None, seeds=None, *,
-                      richardson: bool = False,
-                      seed_tol: float = 1e-6) -> NormalConnection:
-    """Normal connection coefficients gamma_a = <d n_1 / da, n_2> by central
-    differences of the frame field with a pinned seed branch, from one
-    batched jet evaluation of the point and its stencil.
-
-    Raises SeedBranchFlip when the stencil frames are discontinuous (a seed
-    degenerates on the stencil, or a normal flips relative to the center).
-    """
-    if h is None:
-        h = 1e-4 * surface.domain_diameter()
-    steps = (h, h / 2) if richardson else (h,)
-    pu, pv = _stencil(u, v, steps)
-    arrays, ok = _jet_fields(surface, pu, pv)
-    _, Fu, Fv, *_ = arrays
-    require_finite(surface.components, ok, pu, pv)
-    jets0 = _point_jets(arrays, 0)
-    if seeds is None:
-        frame0 = build_frame_auto(jets0, tol=seed_tol)
-        pair = FALLBACK_SEEDS[frame0.seed_branch]
-    else:
-        pair = FALLBACK_SEEDS[seeds] if isinstance(seeds, int) else seeds
-        frame0 = build_frame(jets0, pair, tol=seed_tol)
-    g = [_stencil_gammas(Fu[k:k + 4], Fv[k:k + 4], pair, frame0, step, seed_tol)
-         for k, step in zip((1, 5), steps)]
-    return NormalConnection(*((4 * g[1] - g[0]) / 3 if richardson else g[0]))
+                      seeds: Optional[int] = None) -> NormalConnection:
+    """Normal connection coefficients gamma_a = <d n_1 / da, n_2> at (u, v),
+    exact from the 2-jet; seeds pins the seed branch of the normals."""
+    return surface_point_data(surface, u, v, seed_branch=seeds).connection
 
 
 def gauss_weingarten_matrices(pd: SurfacePointData):
     """Coefficient matrices S1, S2 of the combined frame derivative:
     d/du (F_u, F_v, n1, n2) = (F_u, F_v, n1, n2) S1 and likewise S2 for d/dv.
     """
-    if pd.connection is None:
-        raise ValueError("point data has no normal connection")
-    G = pd.christoffel
-    A = (pd.shape.a1, pd.shape.a2)
-    b = pd.second
-    gam = (pd.connection.gamma1, pd.connection.gamma2)
-    out = []
-    for j in (0, 1):
-        S = np.zeros((4, 4))
-        S[0, 0], S[0, 1] = G[0, 0, j], G[0, 1, j]
-        S[1, 0], S[1, 1] = G[1, 0, j], G[1, 1, j]
-        S[0, 2], S[0, 3] = -A[0][0, j], -A[1][0, j]
-        S[1, 2], S[1, 3] = -A[0][1, j], -A[1][1, j]
-        S[2, 0], S[2, 1] = b[0, 0, j], b[0, 1, j]
-        S[3, 0], S[3, 1] = b[1, 0, j], b[1, 1, j]
-        S[2, 3] = -gam[j]
-        S[3, 2] = gam[j]
-        out.append(S)
-    return out[0], out[1]
+    A = np.stack([pd.shape.a1, pd.shape.a2])
+    gam = np.array([pd.connection.gamma1, pd.connection.gamma2])
+    S = np.zeros((2, 4, 4))                           # S1, S2
+    S[:, :2, :2] = pd.christoffel.transpose(2, 0, 1)  # S[j, k, i] = G[k, i, j]
+    S[:, :2, 2:] = -A.transpose(2, 1, 0)              # S[j, i, 2+k] = -A_k[i, j]
+    S[:, 2:, :2] = pd.second.transpose(2, 0, 1)       # S[j, 2+k, i] = b[k, i, j]
+    S[:, 2, 3], S[:, 3, 2] = -gam, gam
+    return S[0], S[1]
 
 
 def beta_gamma(pd: SurfacePointData):
@@ -367,68 +372,49 @@ def beta_gamma(pd: SurfacePointData):
     point: beta^k = (b^k_11 - i b^k_12)/2 and gamma = (gamma_1 + i gamma_2)/2."""
     if not pd.isothermal:
         raise NotIsothermal("beta and gamma are defined at isothermal points only")
-    if pd.connection is None:
-        raise ValueError("point data has no normal connection")
     return pd.beta1, pd.beta2, pd.gamma
 
 
-def _isothermal_nearby(Fu, Fv, ok, tol: float) -> bool:
-    """Isothermality at the probes around a point (rows of Fu, Fv), so that
-    an accidental pointwise coincidence g11 = g22 does not count as isothermal
-    coordinates; undefined (not ok) or non-immersed probes are skipped."""
-    Fu, Fv = Fu[ok], Fv[ok]
-    g11, g12, g22 = _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
-    immersed = _immersed(g11, g12, g22, 1e-12)
-    return bool(_isothermal_mask(g11, g12, g22, tol)[immersed].all())
-
-
 def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
-                       h: Optional[float] = None,
                        seed_branch: Optional[int] = None,
-                       immersion_tol: float = 1e-12,
-                       isothermal_tol: float = 1e-8,
-                       seed_tol: float = 1e-6,
-                       with_connection: bool = True,
-                       neighborhood_isothermal: bool = True) -> SurfacePointData:
-    """Assemble all pointwise geometry at (u, v), from one batched jet
-    evaluation of the point, its normal-connection stencil at step h and four
-    isothermality probes 1e-3 of the larger domain extent away."""
-    if h is None:
-        h = 1e-4 * surface.domain_diameter()
+                       isothermal_tol: float = ISOTHERMAL_TOL) -> SurfacePointData:
+    """All pointwise geometry at (u, v), normal connection included, exact
+    from the 2-jet by the array functions of a FieldGrid, with one jet
+    evaluation of the point and four isothermality probes 1e-3 of the larger
+    domain extent away.  seed_branch pins the normals' seed pair
+    (DegenerateSeed where it degenerates); without it they are chosen as
+    for a grid."""
     u0, u1, v0, v1 = surface.domain
     d = 1e-3 * max(u1 - u0, v1 - v0)
-    pu, pv = _stencil(u, v, (h,))
-    pu = np.concatenate([pu, np.clip([u - d, u + d], u0, u1), [u, u]])
-    pv = np.concatenate([pv, [v, v], np.clip([v - d, v + d], v0, v1)])
+    pu = np.concatenate([[u], np.clip([u - d, u + d], u0, u1), [u, u]])
+    pv = np.concatenate([[v, v, v], np.clip([v - d, v + d], v0, v1)])
     arrays, ok = _jet_fields(surface, pu, pv)
-    _, Fu, Fv, *_ = arrays
     require_finite(surface.components, ok[:1], pu[:1], pv[:1])
-    jets = _point_jets(arrays, 0)
-    form = first_form(jets, tol=immersion_tol)
-    iso = is_isothermal(form, isothermal_tol)
-    if iso and neighborhood_isothermal:
-        iso = _isothermal_nearby(Fu[5:], Fv[5:], ok[5:], isothermal_tol)
-    frame = build_frame_auto(jets, tol=seed_tol,
-                             start=0 if seed_branch is None else seed_branch)
-    b = second_form(jets, frame)
-    shape = shape_operators(form, b)
-    H = mean_curvature(form, b, frame)
-    chris = christoffel_tangential(jets, form)
-    conn = None
-    if with_connection:
-        require_finite(surface.components, ok[1:5], pu[1:5], pv[1:5])
-        conn = NormalConnection(*_stencil_gammas(
-            Fu[1:5], Fv[1:5], FALLBACK_SEEDS[frame.seed_branch], frame, h,
-            seed_tol))
+    point = tuple(a[0] for a in arrays)
+    _, Fu, Fv, Fuu, Fuv, Fvv = point
+    g = _metric(arrays[1], arrays[2])
+    g0 = tuple(x[0] for x in g)
+    form = _point_form(*g0, IMMERSION_TOL)
+    # The probes must be isothermal too, lest a pointwise coincidence g11 = g22
+    # pass for isothermal coordinates; undefined or non-immersed ones are skipped.
+    probes = ok & _immersed(*g, IMMERSION_TOL)
+    iso = bool(_isothermal_mask(*g, isothermal_tol)[probes].all())
+    frame = _seeded_frames(Fu, Fv, seed_branch, SEED_TOL, (u, v))
+    b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
+    conn = NormalConnection(*map(float, _connection(
+        FALLBACK_SEEDS[frame.seed_branch][0], frame, *g0, b)))
     alpha = 0.5 * math.log(form.g11) if iso else None
     beta1 = beta2 = gamma = None
     if iso:
         beta1 = 0.5 * (b[0, 0, 0] - 1j * b[0, 0, 1])
         beta2 = 0.5 * (b[1, 0, 0] - 1j * b[1, 0, 1])
-        if conn is not None:
-            gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
-    return SurfacePointData(u, v, jets, form, iso, alpha, frame, b, shape,
-                            chris, H, conn, beta1, beta2, gamma)
+        gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
+    jets = tuple(Jet2(*(a[k] for a in point)) for k in range(4))
+    return SurfacePointData(u, v, jets, form, iso, alpha,
+                            frame, b, shape_operators(form, b),
+                            _christoffel(point, *g0),
+                            _mean_curvature(*g0, b, frame.n1, frame.n2),
+                            conn, beta1, beta2, gamma)
 
 
 # --- grids -------------------------------------------------------------------
@@ -436,18 +422,15 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
 class FieldGrid:
     """Pointwise-exact fields sampled on an n x n rectangular grid.
 
-    The normal frame uses one seed pair for the whole grid whenever some
-    fallback pair keeps both projections above `branch_margin` everywhere
-    (branch_uniform True); otherwise each point falls back independently and
-    frame-derivative quantities are refused.
+    The normal frame uses one seed pair for the whole grid (branch_uniform
+    True): seed_branch when given, else the first fallback pair whose
+    projections stay above _BRANCH_MARGIN everywhere; when no pair does, each
+    point falls back independently and frame-derivative quantities are
+    refused.
     """
 
     def __init__(self, surface: SurfaceDef, n: int, domain=None, *,
-                 seed_branch: Optional[int] = None,
-                 branch_margin: float = 1e-2,
-                 seed_tol: float = 1e-6,
-                 immersion_tol: float = 1e-12,
-                 isothermal_tol: float = 1e-8):
+                 seed_branch: Optional[int] = None):
         if n < 3:
             raise GridTooSmall(f"need at least a 3x3 grid, got n={n}")
         self.surface = surface
@@ -463,82 +446,33 @@ class FieldGrid:
         arrays, ok = _jet_fields(surface, U, V)
         require_finite(surface.components, ok, U, V)
         self.F, self.Fu, self.Fv, self.Fuu, self.Fuv, self.Fvv = arrays
-        _, Fu, Fv, Fuu, Fuv, Fvv = arrays
 
-        self.g11 = _dot(Fu, Fu)
-        self.g12 = _dot(Fu, Fv)
-        self.g22 = _dot(Fv, Fv)
+        self.g11, self.g12, self.g22 = _metric(self.Fu, self.Fv)
         self.det = self.g11 * self.g22 - self.g12 ** 2
-        if np.min(self.det) <= immersion_tol or np.min(self.g11) <= immersion_tol:
+        if np.min(self.det) <= IMMERSION_TOL or np.min(self.g11) <= IMMERSION_TOL:
             i, j = np.unravel_index(np.argmin(self.det), self.det.shape)
             raise NotImmersed(
                 f"degenerate point at (u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
 
         self.isothermal_mask = _isothermal_mask(self.g11, self.g12, self.g22,
-                                                isothermal_tol)
+                                                ISOTHERMAL_TOL)
         self.isothermal = bool(self.isothermal_mask.all())
         self.e2a = self.g11
         self.alpha = 0.5 * np.log(self.g11) if self.isothermal else None
 
-        self._build_frames(seed_branch, branch_margin, seed_tol)
-
-        b = np.empty((n, n, 2, 2, 2))
-        fab = ((0, 0, Fuu), (0, 1, Fuv), (1, 1, Fvv))
-        for k, nk in enumerate((self.n1, self.n2)):
-            for i, j, arr in fab:
-                b[..., k, i, j] = _dot(arr, nk)
-                b[..., k, j, i] = b[..., k, i, j]
+        fr = _seeded_frames(self.Fu, self.Fv, seed_branch, SEED_TOL, (U, V))
+        self.seed_branch = fr.seed_branch
+        self.branch_uniform = np.ndim(fr.seed_branch) == 0
+        self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
+        b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
         self.b = b
-        self.tr_a1 = (self.g22 * b[..., 0, 0, 0] - 2 * self.g12 * b[..., 0, 0, 1]
-                      + self.g11 * b[..., 0, 1, 1]) / self.det
-        self.tr_a2 = (self.g22 * b[..., 1, 0, 0] - 2 * self.g12 * b[..., 1, 0, 1]
-                      + self.g11 * b[..., 1, 1, 1]) / self.det
-        self.H = 0.5 * (self.tr_a1[..., None] * self.n1
-                        + self.tr_a2[..., None] * self.n2)
+        self.H = _mean_curvature(self.g11, self.g12, self.g22, b,
+                                 self.n1, self.n2)
         self.H_norm = np.sqrt(_dot(self.H, self.H))
 
-        self.psi = 0.5 * (Fu - 1j * Fv)
+        self.psi = 0.5 * (self.Fu - 1j * self.Fv)
         self.beta1 = 0.5 * (b[..., 0, 0, 0] - 1j * b[..., 0, 0, 1])
         self.beta2 = 0.5 * (b[..., 1, 0, 0] - 1j * b[..., 1, 0, 1])
-
-    def _build_frames(self, seed_branch, margin, seed_tol):
-        if seed_branch is not None:
-            fr, p1n, p2n = _frames(self.Fu, self.Fv, FALLBACK_SEEDS[seed_branch])
-            if min(p1n.min(), p2n.min()) <= seed_tol:
-                raise DegenerateSeed(
-                    f"seed branch {seed_branch} degenerates on the grid")
-            self.seed_branch = seed_branch
-            self.branch_uniform = True
-        else:
-            for k, pair in enumerate(FALLBACK_SEEDS):
-                fr, p1n, p2n = _frames(self.Fu, self.Fv, pair)
-                if min(p1n.min(), p2n.min()) > margin:
-                    self.seed_branch = k
-                    self.branch_uniform = True
-                    break
-            else:
-                fr, self.seed_branch = self._per_point_frames(seed_tol)
-                self.branch_uniform = False
-        self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
-
-    def _per_point_frames(self, seed_tol):
-        n = self.n
-        n1 = np.zeros((n, n, 4))
-        n2 = np.zeros((n, n, 4))
-        branch = np.full((n, n), -1, dtype=int)
-        for k, pair in enumerate(FALLBACK_SEEDS):
-            fr, p1n, p2n = _frames(self.Fu, self.Fv, pair)
-            ok = (p1n > seed_tol) & (p2n > seed_tol) & (branch < 0)
-            n1 = np.where(ok[..., None], fr.n1, n1)
-            n2 = np.where(ok[..., None], fr.n2, n2)
-            branch = np.where(ok, k, branch)
-            if (branch >= 0).all():
-                break
-        if (branch < 0).any():
-            i, j = np.argwhere(branch < 0)[0]
-            raise DegenerateSeed(
-                f"no seed pair works at (u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
-        return Frame(fr.t1, fr.t2, n1, n2), branch
 
     def sup_H(self) -> float:
         return float(self.H_norm.max())
@@ -557,8 +491,9 @@ class FieldGrid:
             raise NotMinimal(f"sup |H| = {self.sup_H():g} exceeds {tol:g}")
 
     def gamma_fields(self):
-        """Normal connection coefficients on the interior, from central
-        differences of the grid frame field.  Needs one smooth branch."""
+        """Normal connection coefficients on the interior, exact from the
+        2-jet by the pointwise formula.  Needs one smooth frame branch, since
+        the structure residuals differentiate these fields."""
         if not self.branch_uniform:
             raise SeedBranchFlip(
                 "no single seed branch covers the grid; frame-derivative "
@@ -567,21 +502,13 @@ class FieldGrid:
             if (_dot(arr[1:], arr[:-1]).min() <= 0.0
                     or _dot(arr[:, 1:], arr[:, :-1]).min() <= 0.0):
                 raise SeedBranchFlip("frame field is discontinuous on the grid")
-        inner = np.s_[1:-1, 1:-1]
-        dn1_u = (self.n1[2:, 1:-1] - self.n1[:-2, 1:-1]) / (2 * self.hu)
-        dn1_v = (self.n1[1:-1, 2:] - self.n1[1:-1, :-2]) / (2 * self.hv)
-        g1 = _dot(dn1_u, self.n2[inner])
-        g2 = _dot(dn1_v, self.n2[inner])
-        return g1, g2
+        g1, g2 = _connection(FALLBACK_SEEDS[self.seed_branch][0],
+                             Frame(self.t1, self.t2, self.n1, self.n2),
+                             self.g11, self.g12, self.g22, self.b)
+        return g1[1:-1, 1:-1], g2[1:-1, 1:-1]
 
 
 # --- finite-difference operators on grid fields ------------------------------
-
-def dw_field(f: np.ndarray, hu: float, hv: float) -> np.ndarray:
-    """(d/du - i d/dv)/2 of a field by central differences; interior values."""
-    return 0.5 * ((f[2:, 1:-1] - f[:-2, 1:-1]) / (2 * hu)
-                  - 1j * (f[1:-1, 2:] - f[1:-1, :-2]) / (2 * hv))
-
 
 def dwbar_field(f: np.ndarray, hu: float, hv: float) -> np.ndarray:
     """(d/du + i d/dv)/2 of a field by central differences; interior values."""
@@ -647,7 +574,7 @@ def structure_residuals(grid: FieldGrid, minimal_tol: float = 1e-8) -> Structure
     codazzi1 = float(np.abs(cod1).max())
     codazzi2 = float(np.abs(cod2).max())
 
-    dgamma = dw_field(gamma, hu, hv)
+    dgamma = np.conj(dwbar_field(np.conj(gamma), hu, hv))  # d/dw gamma
     ricci_term = (2.0 / e2a[inner2] * grid.beta1[inner2]
                   * np.conj(grid.beta2[inner2]))
     ricci = float(np.abs(np.imag(dgamma + ricci_term)).max())

@@ -12,7 +12,8 @@ A surface is four comma-separated expressions in the variables u, v:
 
 Functions: sin cos tan exp log sqrt sinh cosh atan.  The exponent of "^" must
 fold to a finite numeric constant at parse time.  Implicit multiplication is
-not recognized: write 2*u*v, not 2uv.
+not recognized: write 2*u*v, not 2uv.  Brackets, arguments and exponents may
+nest, and the expression tree may grow, at most MAX_DEPTH levels deep.
 
 Evaluation walks the tree once over numpy arrays of (u, v) (a single point is
 a 0-d batch) and returns a Jet2 carrying the value and all partial
@@ -25,7 +26,6 @@ the innermost such sub-expression and the first offending (u, v).
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -116,6 +116,10 @@ _FUNCTIONS = {
 
 # --- lexer / parser ---------------------------------------------------------
 
+# Parsing, evaluating and printing recurse once per level of nesting, so
+# deeper input would exhaust the interpreter's stack.
+MAX_DEPTH = 100
+
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -124,6 +128,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0  # 0-based scan position
+        self.depth = 0  # brackets, arguments and exponents open around pos
 
     def _offset(self) -> int:
         return self.pos + 1  # reported offsets are 1-based
@@ -145,6 +150,17 @@ class _Parser:
     def _expect(self, ch: str):
         if not self._take(ch):
             raise ExprSyntaxError(f"expected '{ch}'", self._offset())
+
+    def nested(self, parse) -> Expr:
+        """parse() one level deeper; refuse input nested, or a tree grown,
+        deeper than MAX_DEPTH."""
+        self.depth += 1
+        node = parse() if self.depth <= MAX_DEPTH else None
+        self.depth -= 1
+        if node is None or _height(node) > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", self._offset())
+        return node
 
     def at_end(self) -> bool:
         self._skip_ws()
@@ -171,9 +187,13 @@ class _Parser:
                 return node
 
     def parse_unary(self) -> Expr:
-        if self._take("-"):
-            return Neg(self.parse_unary())
-        return self.parse_power()
+        signs = 0
+        while self._take("-"):
+            signs += 1
+        node = self.parse_power()
+        for _ in range(signs):
+            node = Neg(node)
+        return node
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -182,7 +202,7 @@ class _Parser:
             # The evaluator folds the exponent: a sub-expression without u or v
             # evaluates to a plain number, which must also be finite.
             with np.errstate(all="ignore"):
-                value = _eval(self.parse_unary(), *np.zeros(2))
+                value = _eval(self.nested(self.parse_unary), *np.zeros(2))
             if isinstance(value, Jet2) or not np.isfinite(value):
                 raise ExprSyntaxError("exponent must be a finite constant", caret)
             return Pow(base, float(value))
@@ -195,7 +215,7 @@ class _Parser:
         c = self.text[self.pos]
         if c == "(":
             self.pos += 1
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr)
             self._expect(")")
             return node
         m = _NUMBER_RE.match(self.text, self.pos)
@@ -213,7 +233,7 @@ class _Parser:
                 self.pos += 1
                 if self._peek() == ")":
                     raise ArityError(f"{name} expects one argument, got none")
-                arg = self.parse_expr()
+                arg = self.nested(self.parse_expr)
                 if self._peek() == ",":
                     raise ArityError(f"{name} expects one argument")
                 self._expect(")")
@@ -229,10 +249,20 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse a single expression."""
     p = _Parser(text)
-    node = p.parse_expr()
+    node = p.nested(p.parse_expr)
     if not p.at_end():
         raise ExprSyntaxError(f"unexpected trailing input {p._peek()!r}", p._offset())
     return node
+
+
+def _height(node: Expr) -> int:
+    """Height of an expression tree (0 for a leaf), found without recursion."""
+    height, level = -1, [node]
+    while level:
+        height += 1
+        level = [x for n in level for x in vars(n).values()
+                 if not isinstance(x, (str, float))]
+    return height
 
 
 def expr_text(node: Expr) -> str:
@@ -274,10 +304,6 @@ class SurfaceDef:
     def text(self) -> str:
         return surface_text(self)
 
-    def domain_diameter(self) -> float:
-        u0, u1, v0, v1 = self.domain
-        return math.hypot(u1 - u0, v1 - v0)
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -297,10 +323,10 @@ def parse_surface(text: str, name: str = "unnamed",
                   domain=(-1.0, 1.0, -1.0, 1.0)) -> SurfaceDef:
     """Parse "f1, f2, f3, f4" into a SurfaceDef."""
     p = _Parser(text)
-    comps = [p.parse_expr()]
+    comps = [p.nested(p.parse_expr)]
     while p._peek() == ",":
         p.pos += 1
-        comps.append(p.parse_expr())
+        comps.append(p.nested(p.parse_expr))
     if not p.at_end():
         raise ExprSyntaxError(f"unexpected trailing input {p._peek()!r}", p._offset())
     if len(comps) != 4:

@@ -303,7 +303,7 @@ def _chart_dwbar_exact(grid: FieldGrid, cs):
         yield 0.5 * np.abs(gu + 1j * (s * eps) * gv)
 
 
-def _chart_dwbar_stencil(grid: FieldGrid, cs):
+def _chart_dwbar_central(grid: FieldGrid, cs):
     """|d/dwbar| of the holomorphic chart function of each lift on the
     interior, by central differences of the chart fields (O(h^2))."""
     for c, eps in zip(cs, (1, -1)):
@@ -337,7 +337,7 @@ def chart_residuals(grid: FieldGrid, method: str = "exact"):
         raise ValueError(f"unknown method {method!r}; use 'exact' or 'stencil'")
     if grid.n < 3:
         raise GridTooSmall("chart residuals need at least a 3x3 grid")
-    dwbar = _chart_dwbar_exact if method == "exact" else _chart_dwbar_stencil
+    dwbar = _chart_dwbar_exact if method == "exact" else _chart_dwbar_central
     rp, rm = (float(r.max()) for r in dwbar(grid, lift_sphere_fields(grid)))
     return rp, rm
 

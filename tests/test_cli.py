@@ -155,6 +155,12 @@ class TestHostileInput:
         ("u^((-8)^(1/3)), v, 0, 0", 2, "exponent"),
         ("u, v, 1e308*1e308*u, 0", 2, "undefined or infinite at (u, v)"),
         ("u, v, u*v, 0", 0, ""),
+        pytest.param("-" * 5000 + "u, v, 0, 0", 2, "nested deeper",
+                     id="5000-unary-minus"),
+        pytest.param("(" * 3000 + "u" + ")" * 3000 + ", v, 0, 0", 2,
+                     "nested deeper", id="3000-parentheses"),
+        pytest.param("u" + " + u" * 5000 + ", v, 0, 0", 2, "nested deeper",
+                     id="5000-term-sum"),
     ])
     def test_exit_cleanly(self, capsys, command, expr, code, message):
         # no traceback; an error prints nothing on stdout; success is strict JSON
@@ -165,6 +171,19 @@ class TestHostileInput:
             json.loads(out, parse_constant=_strict)
         else:
             assert out == "" and err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ("grid", "--n", "5", "--seed-normal", "9"),
+        ("isotropy", "--n", "5", "--seed-normal", "7"),
+        ("residuals", "--n", "5", "--seed-normal", "6"),
+        ("analyze", "--at", "0.1", "0.1", "--seed-normal", "-1"),
+    ])
+    def test_seed_branch_out_of_range(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--surface", "plane", *argv[1:]])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "invalid choice" in out.err and "Traceback" not in out.err
 
     def test_non_finite_result_is_a_numeric_breakdown(self, capsys, monkeypatch):
         import twistor4.cli as cli

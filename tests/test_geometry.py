@@ -88,8 +88,7 @@ class TestIsothermal:
         # the coordinates are not isothermal on any neighbourhood
         f = first_form(jets_of("nonisothermal_graph", 1.0, 1.0))
         assert is_isothermal(f)  # pointwise test alone is fooled
-        pd = surface_point_data(CATALOG["nonisothermal_graph"].surface, 1.0, 1.0,
-                                with_connection=False)
+        pd = surface_point_data(CATALOG["nonisothermal_graph"].surface, 1.0, 1.0)
         assert not pd.isothermal
         with pytest.raises(NotIsothermal):
             beta_gamma(pd)
@@ -303,25 +302,14 @@ class TestNormalConnection:
             u, v = rng.uniform(-0.9, 0.9, size=2)
             g = 1 + 4 * (u * u + v * v)
             nc = normal_connection(CATALOG["holo_square"].surface, u, v)
-            assert abs(nc.gamma1 - 4 * v / g) <= 1e-6
-            assert abs(nc.gamma2 + 4 * u / g) <= 1e-6
-
-    def test_richardson_improves(self):
-        u, v = 0.37, -0.21
-        g = 1 + 4 * (u * u + v * v)
-        exact = np.array([4 * v / g, -4 * u / g])
-        plain = normal_connection(CATALOG["holo_square"].surface, u, v, h=1e-2)
-        rich = normal_connection(CATALOG["holo_square"].surface, u, v, h=1e-2,
-                                 richardson=True)
-        err_plain = np.max(np.abs([plain.gamma1, plain.gamma2] - exact))
-        err_rich = np.max(np.abs([rich.gamma1, rich.gamma2] - exact))
-        assert err_rich < err_plain / 10
+            assert abs(nc.gamma1 - 4 * v / g) <= 1e-12
+            assert abs(nc.gamma2 + 4 * u / g) <= 1e-12
 
     def test_antisymmetry_of_gamma(self):
         # <d n_2 / da, n_1> = -gamma_a, via an independent stencil on n2
         surface = CATALOG["holo_square"].surface
         u, v, h = 0.3, 0.4, 1e-4
-        nc = normal_connection(surface, u, v, h=h, seeds=0)
+        nc = normal_connection(surface, u, v, seeds=0)
         def frame_at(uu, vv):
             return build_frame(eval_surface_jet(surface, uu, vv), FALLBACK_SEEDS[0])
         f0 = frame_at(u, v)
@@ -334,21 +322,42 @@ class TestNormalConnection:
         assert abs(dn1_u @ f0.n1) <= 1e-6
 
     def test_branch_flip_across_catenoid_waist(self):
+        # seed 0 = (e3, e4) is tangent on the waist v = 0, so its normals
+        # turn over there: a grid pinned to it across the waist is refused,
+        # with a node on the waist (n = 5) or without one (n = 4)
         s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
-        with pytest.raises(SeedBranchFlip):
-            normal_connection(s, 0.0, 0.05, h=0.1, seeds=0)
+        for n in (4, 5):
+            with pytest.raises((SeedBranchFlip, DegenerateSeed)):
+                FieldGrid(s, n, domain=(-0.1, 0.1, -0.05, 0.15),
+                          seed_branch=0).gamma_fields()
 
-    def test_grid_gamma_matches_pointwise_stencil(self, grids):
-        # the grid route (frame-field differences) and the pointwise route
-        # (fresh stencil frames) are the same arithmetic on square grids
+    def test_grid_gamma_matches_pointwise(self, grids):
+        # the grid and the pointwise route are the same exact formula
         g = grids("holo_square", 21)
         g1, g2 = g.gamma_fields()
         for i, j in ((5, 7), (12, 3)):
             nc = normal_connection(CATALOG["holo_square"].surface,
-                                   g.us[i], g.vs[j], h=g.hu,
-                                   seeds=g.seed_branch)
+                                   g.us[i], g.vs[j], seeds=g.seed_branch)
             assert abs(nc.gamma1 - g1[i - 1, j - 1]) <= 1e-12
             assert abs(nc.gamma2 - g2[i - 1, j - 1]) <= 1e-12
+
+    @pytest.mark.parametrize("text", [None, "u, v, u*v, u^2 - v^2"],
+                             ids=["holo_cube", "nondiagonal_metric"])
+    def test_second_order_agreement_with_frame_differences(self, text):
+        # central differences of the grid frame, taken here, approach the
+        # exact gamma like h^2: a wrong sign or a missing term cannot pass;
+        # holo_cube is isothermal, the second surface has g12 = -3uv
+        s = CATALOG["holo_cube"].surface if text is None else parse_surface(text)
+
+        def err(n):
+            g = FieldGrid(s, n)
+            dn1_u = (g.n1[2:, 1:-1] - g.n1[:-2, 1:-1]) / (2 * g.hu)
+            dn1_v = (g.n1[1:-1, 2:] - g.n1[1:-1, :-2]) / (2 * g.hv)
+            n2 = g.n2[1:-1, 1:-1]
+            g1, g2 = g.gamma_fields()
+            return max(np.abs(np.sum(dn1_u * n2, axis=-1) - g1).max(),
+                       np.abs(np.sum(dn1_v * n2, axis=-1) - g2).max())
+        assert 3.5 <= err(21) / err(41) <= 4.5
 
 
 class TestGaussWeingarten:
@@ -358,14 +367,14 @@ class TestGaussWeingarten:
         assert np.max(np.abs(s1)) <= 1e-12 and np.max(np.abs(s2)) <= 1e-12
 
     def _combined_frame(self, surface, u, v):
-        pd = surface_point_data(surface, u, v, with_connection=False)
+        pd = surface_point_data(surface, u, v)
         _, Fu, Fv, *_ = jet_arrays(pd.jets)
         return np.column_stack([Fu, Fv, pd.frame.n1, pd.frame.n2])
 
     def test_derivative_of_combined_frame(self):
         surface = CATALOG["holo_square"].surface
         u, v = 0.25, -0.35
-        pd = surface_point_data(surface, u, v, h=1e-5)
+        pd = surface_point_data(surface, u, v)
         s1, s2 = gauss_weingarten_matrices(pd)
         W0 = self._combined_frame(surface, u, v)
         errs = []
@@ -382,7 +391,7 @@ class TestGaussWeingarten:
         # same combined-frame identity on a surface with g12 != 0
         surface = parse_surface("u, v, u*v, 0")
         u, v = 0.4, 0.7
-        pd = surface_point_data(surface, u, v, h=1e-5)
+        pd = surface_point_data(surface, u, v)
         assert abs(pd.form.g12 - u * v) <= 1e-14
         s1, s2 = gauss_weingarten_matrices(pd)
         W0 = self._combined_frame(surface, u, v)
@@ -403,7 +412,7 @@ class TestGaussWeingarten:
 
         def S(uu, vv):
             return gauss_weingarten_matrices(
-                surface_point_data(surface, uu, vv, h=1e-5))
+                surface_point_data(surface, uu, vv))
 
         S1, S2 = S(u, v)
         errs = []
@@ -416,7 +425,7 @@ class TestGaussWeingarten:
 
 class TestPointData:
     def test_one_jet_evaluation_per_point(self, monkeypatch):
-        # point, stencil and isothermality probes come from a single batch
+        # the point and its isothermality probes come from a single batch
         import twistor4.geometry as geometry
         calls = []
 
@@ -433,18 +442,40 @@ class TestPointData:
 
     def test_undefined_probe_is_skipped(self):
         # a plane, defined for u >= 0.1 only: the probe at u - 0.002 is
-        # undefined, the stencil at u -+ 2.8e-4 is not
+        # undefined, the point itself is not
         s = parse_surface("u, v, 0, 0*sqrt(u - 0.1)")
         pd = surface_point_data(s, 0.1005, 0.0)
         assert pd.isothermal and pd.connection is not None
 
-    def test_undefined_stencil_point_is_a_domain_error(self):
+    def test_undefined_point_is_a_domain_error(self):
+        # no stencil: a point 1e-4 inside the domain has its connection,
+        # and only an undefined point itself is an error
         s = parse_surface("u, v, 0, 0*sqrt(u - 0.1)")
+        pd = surface_point_data(s, 0.1001, 0.0)
+        assert (pd.connection.gamma1, pd.connection.gamma2) == (0.0, 0.0)
         with pytest.raises(DomainError) as err:
-            surface_point_data(s, 0.1001, 0.0)
-        assert "sqrt" in str(err.value) and "(u, v) = (0.0998" in str(err.value)
-        pd = surface_point_data(s, 0.1001, 0.0, with_connection=False)
-        assert pd.connection is None
+            surface_point_data(s, 0.0999, 0.0)
+        assert "sqrt" in str(err.value) and "(u, v) = (0.0999" in str(err.value)
+
+    @pytest.mark.parametrize("name,n", [("holo_cube", 21),
+                                        ("nonisothermal_graph", 11)])
+    def test_point_equals_grid(self, grids, name, n):
+        # one kernel: a point is the grid's arithmetic on a 1-point batch
+        g = grids(name, n)
+        g1, g2 = g.gamma_fields()
+        for i, j in ((1, 1), (n // 2, 3), (n - 2, n // 3)):
+            pd = surface_point_data(g.surface, g.us[i], g.vs[j],
+                                    seed_branch=g.seed_branch)
+            pairs = [((pd.form.g11, pd.form.g12, pd.form.g22),
+                      (g.g11[i, j], g.g12[i, j], g.g22[i, j])),
+                     (frame_matrix(pd.frame),
+                      np.column_stack([g.t1[i, j], g.t2[i, j],
+                                       g.n1[i, j], g.n2[i, j]])),
+                     (pd.second, g.b[i, j]), (pd.H, g.H[i, j]),
+                     ((pd.connection.gamma1, pd.connection.gamma2),
+                      (g1[i - 1, j - 1], g2[i - 1, j - 1]))]
+            for a, b in pairs:
+                assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
 
     def test_holo_square_origin_betas(self):
         pd = surface_point_data(CATALOG["holo_square"].surface, 0.0, 0.0)

@@ -167,7 +167,7 @@ class TestGaussMap:
     def test_recovers_oriented_tangent_plane(self, rng):
         for _ in range(40):
             _, surface, u, v = random_catalog_point(rng, names=list(ISOTHERMAL))
-            pd = surface_point_data(surface, u, v, with_connection=False)
+            pd = surface_point_data(surface, u, v)
             lp = gauss_map(pd)
             plane = pair_to_plane(lp.fplus, lp.fminus)
             tangent = OrientedPlane(pd.frame.t1, pd.frame.t2)
