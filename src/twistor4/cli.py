@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 expression/input error, 3 hypothesis failure
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -21,6 +20,7 @@ from . import __version__
 from .catalog import catalog_entries, get_surface
 from .errors import (
     ExpressionError,
+    GridTooSmall,
     HypothesisError,
     NotIsothermal,
     NotMinimal,
@@ -50,6 +50,9 @@ from .twistor import (
     psi,
 )
 
+_EXIT_CODES = {ExpressionError: 2, HypothesisError: 3, NumericError: 4,
+               OSError: 1}
+
 _DEFAULTS = {
     "isothermal_tol": ISOTHERMAL_TOL,
     "minimal_tol": 1e-8,
@@ -57,10 +60,6 @@ _DEFAULTS = {
     "seed_tol": SEED_TOL,
     "isotropy_tol": 1e-6,
 }
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _c(z) -> list:
@@ -73,11 +72,7 @@ def _vec(a) -> list:
 
 
 def _mat(a) -> list:
-    return [[float(x) for x in row] for row in np.asarray(a)]
-
-
-def _chart_json(cv) -> dict:
-    return {"value": _c(cv.value), "antipode": cv.antipode}
+    return np.asarray(a, float).tolist()
 
 
 def _resolve_surface(args):
@@ -122,10 +117,11 @@ def _emit(args, text: str):
 
 
 def _emit_json(args, doc):
-    """Write doc as strict JSON: a nan or inf anywhere is a numeric breakdown,
-    refused before anything is written."""
+    """Write doc as strict, compact JSON: a nan or inf anywhere is a numeric
+    breakdown, refused before anything is written.  Without indent, CPython
+    encodes in C."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"the result is not finite ({exc})") from None
     _emit(args, text)
@@ -146,12 +142,10 @@ def cmd_catalog(args) -> int:
         _emit_json(args, doc)
         return 0
     rows = [("name", "isothermal", "minimal", "isotropic", "lift", "domain")]
+    yes = {True: "yes", False: "no", None: "-"}
     for e in catalog_entries():
-        iso = {True: "yes", False: "no", None: "-"}[e.isotropic]
-        rows.append((e.name,
-                     "yes" if e.isothermal else "no",
-                     "yes" if e.minimal else "no",
-                     iso, e.constant_lift,
+        rows.append((e.name, yes[e.isothermal], yes[e.minimal], yes[e.isotropic],
+                     e.constant_lift,
                      "[{:g}, {:g}] x [{:g}, {:g}]".format(*e.surface.domain)))
     widths = [max(len(r[k]) for r in rows) for k in range(len(rows[0]))]
     lines = ["  ".join(f"{c:<{w}}" for c, w in zip(r, widths)).rstrip()
@@ -182,16 +176,10 @@ def cmd_analyze(args) -> int:
             "n1": _vec(pd.frame.n1), "n2": _vec(pd.frame.n2),
             "seed_branch": pd.frame.seed_branch,
         },
-        "second_form": {
-            "b111": pd.second[0, 0, 0], "b112": pd.second[0, 0, 1],
-            "b122": pd.second[0, 1, 1], "b211": pd.second[1, 0, 0],
-            "b212": pd.second[1, 0, 1], "b222": pd.second[1, 1, 1],
-        },
+        "second_form": {f"b{k + 1}{i + 1}{j + 1}": pd.second[k, i, j]
+                        for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))},
         "shape_operators": {"a1": _mat(pd.shape.a1), "a2": _mat(pd.shape.a2)},
-        "christoffel": [
-            [[pd.christoffel[k, i, j] for j in (0, 1)] for i in (0, 1)]
-            for k in (0, 1)
-        ],
+        "christoffel": _mat(pd.christoffel),
         "normal_connection": {"gamma1": pd.connection.gamma1,
                               "gamma2": pd.connection.gamma2},
         "mean_curvature": {
@@ -210,19 +198,11 @@ def cmd_analyze(args) -> int:
         doc["psi"] = [_c(z) for z in ps]
         lp = gauss_map(pd)
         doc["lifts"] = {
-            "plus": {
-                "chirality": "+",
-                "coords": _vec(lp.cplus),
-                "matrix": _mat(lp.fplus.matrix),
-                "chart": _chart_json(lp.gplus),
-            },
-            "minus": {
-                "chirality": "-",
-                "coords": _vec(lp.cminus),
-                "matrix": _mat(lp.fminus.matrix),
-                "chart": _chart_json(lp.gminus),
-            },
-        }
+            name: {"chirality": sign, "coords": _vec(c), "matrix": _mat(f.matrix),
+                   "chart": {"value": _c(g.value), "antipode": g.antipode}}
+            for name, sign, c, f, g in (
+                ("plus", "+", lp.cplus, lp.fplus, lp.gplus),
+                ("minus", "-", lp.cminus, lp.fminus, lp.gminus))}
         try:
             doc["g_plus_closed_form"] = _c(g_plus_closed_form(ps))
         except PoleOfChart:
@@ -242,9 +222,10 @@ _GRID_COLUMNS = (
 )
 
 
-def _grid_rows(grid: FieldGrid):
-    """Per-point rows over the grid, u-major; lift, chart and isotropy
-    columns are absent (None) unless the grid is isothermal."""
+def _grid_columns(grid: FieldGrid) -> list:
+    """The export's columns in _GRID_COLUMNS order, flattened u-major; lift,
+    chart and isotropy columns are absent (None) unless the grid is
+    isothermal."""
     us, vs = np.meshgrid(grid.us, grid.vs, indexing="ij")
     cols = {"u": us, "v": vs, "g11": grid.g11, "g12": grid.g12,
             "g22": grid.g22, "H_norm": grid.H_norm}
@@ -256,9 +237,25 @@ def _grid_rows(grid: FieldGrid):
                          f"g{sign}_antipode": g.antipode})
         cols.update(zip(("res_a", "res_b", "res_c", "res_d"),
                         isotropy_fields(grid)))
-    empty = [None] * us.size
-    return zip(*(np.ravel(cols[c]).tolist() if c in cols else empty
-                 for c in _GRID_COLUMNS))
+    return [np.ravel(cols[c]) if c in cols else None for c in _GRID_COLUMNS]
+
+
+def _grid_csv(columns) -> str:
+    """The columns as CSV, formatted a column at a time: floats to 17
+    significant digits, flags as True/False, absent cells empty; rows end in
+    CRLF, as csv.writer writes them.  A nan or inf cell is refused."""
+    cells = []
+    for name, col in zip(_GRID_COLUMNS, columns):
+        if col is None:
+            cells.append([""] * len(columns[0]))
+        elif col.dtype != bool and not np.isfinite(col).all():
+            raise NumericError(f"the result is not finite (column {name} "
+                               f"holds {col[~np.isfinite(col)][0]})")
+        else:
+            cells.append(map(str if col.dtype == bool else "{:.17g}".format,
+                             col.tolist()))
+    lines = [",".join(_GRID_COLUMNS), *map(",".join, zip(*cells)), ""]
+    return "\r\n".join(lines)
 
 
 def _grid_summary(grid: FieldGrid) -> dict:
@@ -272,17 +269,15 @@ def _grid_summary(grid: FieldGrid) -> dict:
     }
     if grid.isothermal:
         from .twistor import lift_gradient_sups
-        gp, gm = lift_gradient_sups(grid)
-        summary["sup_grad_lift_plus"] = gp
-        summary["sup_grad_lift_minus"] = gm
+        (summary["sup_grad_lift_plus"],
+         summary["sup_grad_lift_minus"]) = lift_gradient_sups(grid)
         summary["lift_formula_agreement"] = lift_agreement_residual(grid)
-        rp, rm = chart_residuals(grid)
-        summary["holo_residual_gplus"] = rp
-        summary["holo_residual_gminus_conj"] = rm
+        (summary["holo_residual_gplus"],
+         summary["holo_residual_gminus_conj"]) = chart_residuals(grid)
     if grid.isothermal and summary["minimal"]:
         try:
             summary["structure_residuals"] = structure_residuals(grid).as_dict()
-        except NumericError as exc:
+        except (GridTooSmall, NumericError) as exc:
             summary["structure_residuals"] = f"unavailable: {exc}"
         rep = isotropy_report(grid, tol=_DEFAULTS["isotropy_tol"],
                               minimal_tol=_DEFAULTS["minimal_tol"])
@@ -305,23 +300,18 @@ def cmd_grid(args) -> int:
                 f"grid is square, so give --n or a domain with equal extents")
     grid = FieldGrid(surface, n, domain=domain, seed_branch=args.seed_normal)
     if args.format == "csv":
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_GRID_COLUMNS)
-        for row in _grid_rows(grid):
-            writer.writerow([_fmt(x) if isinstance(x, float)
-                             else "" if x is None else str(x) for x in row])
-        _emit(args, buf.getvalue())
+        _emit(args, _grid_csv(_grid_columns(grid)))
         return 0
+    summary = _grid_summary(grid)
+    empty = [None] * grid.n ** 2
     doc = {
         "config": _config(surface, n=grid.n, h=[grid.hu, grid.hv],
                           domain=list(grid.domain),
-                          seed_branch=(int(grid.seed_branch)
-                                       if grid.branch_uniform else "per-point")),
-        "summary": _grid_summary(grid),
+                          seed_branch=summary["seed_branch"]),
+        "summary": summary,
         "columns": list(_GRID_COLUMNS),
-        "rows": [list(row) for row in _grid_rows(grid)],
+        "rows": list(zip(*(empty if c is None else c.tolist()
+                           for c in _grid_columns(grid)))),
     }
     _emit_json(args, doc)
     return 0
@@ -346,14 +336,10 @@ def cmd_isotropy(args) -> int:
     try:
         rep = isotropy_report(grid, tol=args.tol,
                               minimal_tol=_DEFAULTS["minimal_tol"])
-    except NotMinimal as exc:
-        raise NotMinimal(
-            f"refused: the hypothesis 'minimal' fails for {surface.name} "
-            f"({exc})") from None
-    except NotIsothermal as exc:
-        raise NotIsothermal(
-            f"refused: the hypothesis 'isothermal' fails for {surface.name} "
-            f"({exc})") from None
+    except (NotMinimal, NotIsothermal) as exc:
+        what = "minimal" if isinstance(exc, NotMinimal) else "isothermal"
+        raise type(exc)(f"refused: the hypothesis '{what}' fails for "
+                        f"{surface.name} ({exc})") from None
     if args.json:
         doc = {
             "config": _config(surface, n=grid.n, h=[grid.hu, grid.hv],
@@ -389,11 +375,8 @@ def cmd_residuals(args) -> int:
                      seed_branch=args.seed_normal)
     rc = structure_residuals(coarse, minimal_tol=_DEFAULTS["minimal_tol"])
     rf = structure_residuals(fine, minimal_tol=_DEFAULTS["minimal_tol"])
-    table = []
-    for key in ("gauss", "codazzi1", "codazzi2", "ricci", "beta_sq_holo"):
-        c = rc.as_dict()[key]
-        f = rf.as_dict()[key]
-        table.append((key, c, f, convergence_order(c, f)))
+    table = [(k, c, f, convergence_order(c, f))
+             for (k, c), f in zip(rc.as_dict().items(), rf.as_dict().values())]
     if args.json:
         doc = {
             "config": _config(surface, n=coarse.n, n_fine=fine.n,
@@ -487,18 +470,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args) or 0
-    except ExpressionError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -62,9 +62,6 @@ class OrthogonalComplexStructure:
     def sign(self) -> str:
         return "+" if self.chirality == 1 else "-"
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, float)
-
 
 @dataclass(frozen=True, eq=False)
 class OrientedPlane:

@@ -26,6 +26,7 @@ from .errors import (
     NotImmersed,
     NotIsothermal,
     NotMinimal,
+    NumericError,
     SeedBranchFlip,
 )
 from .surface_expr import Jet2, SurfaceDef, eval_surface_jet, finite_mask, require_finite
@@ -167,12 +168,27 @@ def _jet_fields(surface: SurfaceDef, u, v):
 # --- array functions: one point or a whole grid (broadcasting over "...") ----
 
 def _metric(Fu, Fv):
-    """First fundamental form (g11, g12, g22)."""
-    return _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
+    """First fundamental form (g11, g12, g22) and det g.  Where products of
+    finite jets overflow these are inf or nan, without a warning; det g is
+    then not finite, whichever of them overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g11, g12, g22 = _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
+        return g11, g12, g22, g11 * g22 - g12 ** 2
 
 
-def _immersed(g11, g12, g22, tol):
-    return (g11 > tol) & (g22 > tol) & (g11 * g22 - g12 ** 2 > tol)
+def _require_finite_metric(det, u, v):
+    """Raise NumericError at the first of the points (u, v) where det g, and
+    so the metric, is not finite."""
+    bad = ~np.isfinite(det)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        uu, vv = (float(np.broadcast_to(x, bad.shape).flat[i]) for x in (u, v))
+        raise NumericError(f"the metric overflows at (u, v) = ({uu:g}, {vv:g}):"
+                           f" g11, g12, g22 or det g is not finite")
+
+
+def _immersed(g11, g22, det, tol):
+    return (g11 > tol) & (g22 > tol) & (det > tol)
 
 
 def _isothermal_mask(g11, g12, g22, tol):
@@ -240,19 +256,17 @@ def _second_form(Fuu, Fuv, Fvv, n1, n2):
     return b
 
 
-def _mean_curvature(g11, g12, g22, b, n1, n2):
+def _mean_curvature(g11, g12, g22, det, b, n1, n2):
     """Mean curvature vector H = (tr(g^-1 b_1) n_1 + tr(g^-1 b_2) n_2) / 2."""
-    det = g11 * g22 - g12 ** 2
     tr1, tr2 = ((g22 * b[..., k, 0, 0] - 2 * g12 * b[..., k, 0, 1]
                  + g11 * b[..., k, 1, 1]) / det for k in (0, 1))
     return 0.5 * (tr1[..., None] * n1 + tr2[..., None] * n2)
 
 
-def _christoffel(arrays, g11, g12, g22):
+def _christoffel(arrays, g11, g12, g22, det):
     """Christoffel symbols Gamma[..., k, i, j], solving for each F_ab the 2x2
     Gram system <F_ab, F_c> = sum_k Gamma^k_ab g_kc directly."""
     _, Fu, Fv, Fuu, Fuv, Fvv = arrays
-    det = g11 * g22 - g12 ** 2
     out = np.empty(np.shape(det) + (2, 2, 2))
     for i, j, Fab in ((0, 0, Fuu), (0, 1, Fuv), (1, 1, Fvv)):
         r1, r2 = _dot(Fab, Fu), _dot(Fab, Fv)
@@ -261,7 +275,7 @@ def _christoffel(arrays, g11, g12, g22):
     return out
 
 
-def _connection(s1, frame: Frame, g11, g12, g22, b):
+def _connection(s1, frame: Frame, g11, g12, g22, det, b):
     """Normal connection (gamma_1, gamma_2), gamma_a = <d n_1/da, n_2>, exact
     from the 2-jet for a frame whose n_1 was built from the seed s1.
 
@@ -271,10 +285,10 @@ def _connection(s1, frame: Frame, g11, g12, g22, b):
     b2_1a/|F_u|)/|w| for w = F_v - <F_v,t_1> t_1, b2_ia = <F_ia, n_2>,
     |F_u|^2 = g11, <F_v,t_1> = g12/|F_u|, |w|^2 = det/g11, |p_1| = <s_1,n_1>.
     """
-    g11, g12, g22 = (np.asarray(x)[..., None] for x in (g11, g12, g22))
+    g11, g12, det = (np.asarray(x)[..., None] for x in (g11, g12, det))
     fu = np.sqrt(g11)
     dt1 = b[..., 1, 0, :] / fu
-    dt2 = (b[..., 1, 1, :] - g12 / fu * dt1) / np.sqrt((g11 * g22 - g12 ** 2) / g11)
+    dt2 = (b[..., 1, 1, :] - g12 / fu * dt1) / np.sqrt(det / g11)
     gamma = -(_dot(s1, frame.t1)[..., None] * dt1
               + _dot(s1, frame.t2)[..., None] * dt2) / _dot(s1, frame.n1)[..., None]
     return gamma[..., 0], gamma[..., 1]
@@ -282,11 +296,10 @@ def _connection(s1, frame: Frame, g11, g12, g22, b):
 
 # --- pointwise adapters --------------------------------------------------------
 
-def _point_form(g11, g12, g22, tol) -> FirstForm:
-    if not _immersed(g11, g12, g22, tol):
-        raise NotImmersed(
-            f"tangent vectors are dependent (g11={g11:g}, g22={g22:g}, "
-            f"det={g11 * g22 - g12 ** 2:g})")
+def _point_form(g11, g12, g22, det, tol) -> FirstForm:
+    if not _immersed(g11, g22, det, tol):
+        raise NotImmersed(f"tangent vectors are dependent (g11={g11:g}, "
+                          f"g22={g22:g}, det={det:g})")
     return FirstForm(float(g11), float(g12), float(g22))
 
 
@@ -302,7 +315,8 @@ def is_isothermal(form: FirstForm, tol: float = ISOTHERMAL_TOL) -> bool:
 
 def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] from the tangential projections."""
-    return _christoffel(jet_arrays(jets), form.g11, form.g12, form.g22)
+    return _christoffel(jet_arrays(jets), form.g11, form.g12, form.g22,
+                        form.det)
 
 
 def build_frame(jets, seeds, tol: float = SEED_TOL) -> Frame:
@@ -342,7 +356,7 @@ def shape_operators(form: FirstForm, second: np.ndarray) -> ShapeOperators:
 
 def mean_curvature(form: FirstForm, second: np.ndarray, frame: Frame) -> np.ndarray:
     """Mean curvature vector H = ((tr A_1) n_1 + (tr A_2) n_2) / 2."""
-    return _mean_curvature(form.g11, form.g12, form.g22, second,
+    return _mean_curvature(form.g11, form.g12, form.g22, form.det, second,
                            frame.n1, frame.n2)
 
 
@@ -394,11 +408,14 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     _, Fu, Fv, Fuu, Fuv, Fvv = point
     g = _metric(arrays[1], arrays[2])
     g0 = tuple(x[0] for x in g)
+    _require_finite_metric(g0[3], u, v)
     form = _point_form(*g0, IMMERSION_TOL)
     # The probes must be isothermal too, lest a pointwise coincidence g11 = g22
-    # pass for isothermal coordinates; undefined or non-immersed ones are skipped.
-    probes = ok & _immersed(*g, IMMERSION_TOL)
-    iso = bool(_isothermal_mask(*g, isothermal_tol)[probes].all())
+    # pass for isothermal coordinates; undefined, overflowing or non-immersed
+    # ones are skipped.
+    probes = ok & np.isfinite(g[3]) & _immersed(g[0], g[2], g[3], IMMERSION_TOL)
+    iso = bool(_isothermal_mask(*(x[probes] for x in g[:3]),
+                                isothermal_tol).all())
     frame = _seeded_frames(Fu, Fv, seed_branch, SEED_TOL, (u, v))
     b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
     conn = NormalConnection(*map(float, _connection(
@@ -447,8 +464,8 @@ class FieldGrid:
         require_finite(surface.components, ok, U, V)
         self.F, self.Fu, self.Fv, self.Fuu, self.Fuv, self.Fvv = arrays
 
-        self.g11, self.g12, self.g22 = _metric(self.Fu, self.Fv)
-        self.det = self.g11 * self.g22 - self.g12 ** 2
+        self.g11, self.g12, self.g22, self.det = g = _metric(self.Fu, self.Fv)
+        _require_finite_metric(self.det, U, V)
         if np.min(self.det) <= IMMERSION_TOL or np.min(self.g11) <= IMMERSION_TOL:
             i, j = np.unravel_index(np.argmin(self.det), self.det.shape)
             raise NotImmersed(
@@ -466,8 +483,7 @@ class FieldGrid:
         self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
         b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
         self.b = b
-        self.H = _mean_curvature(self.g11, self.g12, self.g22, b,
-                                 self.n1, self.n2)
+        self.H = _mean_curvature(*g, b, self.n1, self.n2)
         self.H_norm = np.sqrt(_dot(self.H, self.H))
 
         self.psi = 0.5 * (self.Fu - 1j * self.Fv)
@@ -504,7 +520,7 @@ class FieldGrid:
                 raise SeedBranchFlip("frame field is discontinuous on the grid")
         g1, g2 = _connection(FALLBACK_SEEDS[self.seed_branch][0],
                              Frame(self.t1, self.t2, self.n1, self.n2),
-                             self.g11, self.g12, self.g22, self.b)
+                             self.g11, self.g12, self.g22, self.det, self.b)
         return g1[1:-1, 1:-1], g2[1:-1, 1:-1]
 
 

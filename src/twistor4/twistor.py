@@ -247,30 +247,43 @@ def holomorphicity_residual(field: np.ndarray, hu: float,
 
 # --- grid-level lift machinery ------------------------------------------------
 
-def lift_sphere_fields(grid: FieldGrid):
-    """Sphere coordinates of both lifts over a grid (isothermal required)."""
+def _kept(grid: FieldGrid, make):
+    """make(grid), a pair of fields built once per grid and kept on it,
+    read-only; a module-level cache would keep every grid alive."""
+    kept = vars(grid).setdefault("_kept", {})
+    if make not in kept:
+        kept[make] = make(grid)
+        for field in kept[make]:
+            field.flags.writeable = False
+    return kept[make]
+
+
+def _sphere_fields(grid: FieldGrid):
     grid.require_isothermal()
-    cp = sphere_coords(grid.psi, grid.e2a, 1)
-    cm = sphere_coords(grid.psi, grid.e2a, -1)
-    return cp, cm
+    return tuple(sphere_coords(grid.psi, grid.e2a, eps) for eps in (1, -1))
+
+
+def lift_sphere_fields(grid: FieldGrid):
+    """Sphere coordinates of both lifts over a grid (isothermal required),
+    built once per grid."""
+    return _kept(grid, _sphere_fields)
 
 
 def lift_matrix_fields(grid: FieldGrid):
     """Lift matrices over a grid from the frame field (works regardless of
-    isothermality and of per-point seed branches)."""
-    Mp = lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, 1)
-    Mm = lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, -1)
-    return Mp, Mm
+    isothermality and of per-point seed branches).  The reports of this
+    module keep them on the grid."""
+    return tuple(lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, eps)
+                 for eps in (1, -1))
 
 
 def lift_agreement_residual(grid: FieldGrid) -> float:
     """Sup distance between the psi-based and the frame-based lift, both
     chiralities, over all grid points."""
-    cp, cm = lift_sphere_fields(grid)
-    Ap = np.einsum("...k,kij->...ij", cp, basis_I_stack(1))
-    Am = np.einsum("...k,kij->...ij", cm, basis_I_stack(-1))
-    Mp, Mm = lift_matrix_fields(grid)
-    return float(max(np.abs(Ap - Mp).max(), np.abs(Am - Mm).max()))
+    return float(max(
+        np.abs(np.einsum("...k,kij->...ij", c, basis_I_stack(eps)) - M).max()
+        for c, M, eps in zip(_kept(grid, _sphere_fields),
+                             _kept(grid, lift_matrix_fields), (1, -1))))
 
 
 def _chart_dwbar_exact(grid: FieldGrid, cs):
@@ -338,7 +351,7 @@ def chart_residuals(grid: FieldGrid, method: str = "exact"):
     if grid.n < 3:
         raise GridTooSmall("chart residuals need at least a 3x3 grid")
     dwbar = _chart_dwbar_exact if method == "exact" else _chart_dwbar_central
-    rp, rm = (float(r.max()) for r in dwbar(grid, lift_sphere_fields(grid)))
+    rp, rm = (float(r.max()) for r in dwbar(grid, _kept(grid, _sphere_fields)))
     return rp, rm
 
 
@@ -405,9 +418,8 @@ def _sup_gradient(M: np.ndarray, hu: float, hv: float) -> float:
 
 def lift_gradient_sups(grid: FieldGrid):
     """Sup discrete gradient of each lift matrix field over the interior."""
-    Mp, Mm = lift_matrix_fields(grid)
-    return (_sup_gradient(Mp, grid.hu, grid.hv),
-            _sup_gradient(Mm, grid.hu, grid.hv))
+    return tuple(_sup_gradient(M, grid.hu, grid.hv)
+                 for M in _kept(grid, lift_matrix_fields))
 
 
 def isotropy_fields(grid: FieldGrid):

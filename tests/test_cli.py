@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, round trips, determinism."""
 
 import csv
+import io
 import json
 import math
 
@@ -172,6 +173,42 @@ class TestHostileInput:
         else:
             assert out == "" and err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("command", [("grid", "--n", "5"),
+                                         ("grid", "--n", "5", "--format", "csv"),
+                                         ("analyze", "--at", "1", "0")])
+    def test_overflowing_metric_is_a_numeric_breakdown(self, capsys, tmp_path,
+                                                       command):
+        # the jets of exp(400 u) are finite on [0, 1], but g11 = |F_u|^2
+        # overflows at u = 1: refused with the point, no warning, no output
+        path = tmp_path / "out"
+        code, out, err = run(capsys, command[0], "--expr", "exp(400*u), v, 0, 0",
+                             "--domain", "0", "1", "0", "1", *command[1:],
+                             "--out", str(path))
+        assert code == 4 and out == "" and not path.exists()
+        assert err == ("error: the metric overflows at (u, v) = (1, 0): "
+                       "g11, g12, g22 or det g is not finite\n")
+
+    def test_overflowing_determinant_is_a_numeric_breakdown(self, capsys):
+        # g11 and g22 are finite everywhere; det g = g11 g22 first overflows
+        # at (0.25, 1) in u-major order
+        code, out, err = run(capsys, "grid", "--expr", "exp(300*u), exp(300*v), 0, 0",
+                             "--domain", "0", "1", "0", "1", "--n", "5")
+        assert code == 4 and out == ""
+        assert err.startswith("error: the metric overflows at (u, v) = (0.25, 1)")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_cell_is_refused(self, capsys, tmp_path, monkeypatch, fmt):
+        # both formats refuse a nan or inf cell the same way, writing nothing
+        import twistor4.cli as cli
+        fields = cli.isotropy_fields
+        monkeypatch.setattr(cli, "isotropy_fields", lambda grid: (
+            *fields(grid)[:3], np.full(grid.g11.shape, math.inf)))
+        path = tmp_path / f"grid.{fmt}"
+        code, out, err = run(capsys, "grid", "--surface", "holo_square", "--n", "5",
+                             "--format", fmt, "--out", str(path))
+        assert code == 4 and out == "" and not path.exists()
+        assert err.startswith("error: the result is not finite (")
+
     @pytest.mark.parametrize("argv", [
         ("grid", "--n", "5", "--seed-normal", "9"),
         ("isotropy", "--n", "5", "--seed-normal", "7"),
@@ -255,6 +292,67 @@ class TestGrid:
                              "--domain", "-1", "1", "-3", "3", "--h", "0.5")
         assert code == 2 and out == ""
         assert "5 points on u but 13 on v" in err
+
+    @pytest.mark.parametrize("n", ["3", "4"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_small_grid_exports(self, capsys, n, fmt):
+        # FieldGrid takes n >= 3; only the structure residuals need n >= 5
+        code, out, err = run(capsys, "grid", "--surface", "plane", "--n", n,
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "csv":
+            assert len(out.splitlines()) == 1 + int(n) ** 2
+            return
+        summary = json.loads(out)["summary"]
+        assert summary["structure_residuals"].startswith(
+            "unavailable: structure residuals need at least a 5x5 grid")
+        assert summary["isotropy"]["constant_lift"] == "both"
+
+    @pytest.mark.parametrize("surface", ["holo_square", "round_sphere",
+                                         "nonisothermal_graph"])
+    def test_csv_bytes_match_a_csv_writer(self, capsys, surface):
+        # the column-wise writer gives the bytes that csv.writer gives for
+        # the same rows, cell by cell: .17g floats, True/False, "" for absent
+        argv = ("grid", "--surface", surface, "--n", "9")
+        _, text, _ = run(capsys, *argv, "--format", "csv")
+        _, doc, _ = run(capsys, *argv)
+        doc = json.loads(doc)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(doc["columns"])
+        for row in doc["rows"]:
+            writer.writerow(["" if x is None else format(x, ".17g")
+                             if isinstance(x, float) else str(x) for x in row])
+        assert text == buf.getvalue()
+        body = list(csv.reader(io.StringIO(text)))[1:]
+        assert len(body) == len(doc["rows"]) == 81
+        for cells, row in zip(body, doc["rows"]):
+            for cell, x in zip(cells, row):
+                if isinstance(x, float):
+                    assert float(cell) == x
+                else:
+                    assert cell == ("" if x is None else str(x))
+        flags = [x for row in doc["rows"] for x in row if isinstance(x, bool)]
+        if surface == "round_sphere":
+            assert True in flags      # a point in the antipodal chart
+        assert (not flags) == (surface == "nonisothermal_graph")
+
+    def test_json_is_compact(self, capsys):
+        code, out, _ = run(capsys, "grid", "--surface", "plane", "--n", "3")
+        assert code == 0 and out.count("\n") == 1 and ", " not in out
+
+    def test_one_lift_pass_per_export(self, capsys, monkeypatch):
+        # the rows and every summary residual share one build of each lift
+        # field: two chiralities of sphere coordinates and of lift matrices
+        import twistor4.twistor as tw
+        calls = []
+        for name in ("sphere_coords", "lift_matrix"):
+            fn = getattr(tw, name)
+            monkeypatch.setattr(tw, name, lambda *a, fn=fn, name=name: (
+                calls.append(name), fn(*a))[1])
+        code, _, _ = run(capsys, "grid", "--surface", "holo_square", "--n", "7")
+        assert code == 0
+        assert sorted(calls) == ["lift_matrix"] * 2 + ["sphere_coords"] * 2
 
     def test_non_isothermal_grid_still_exports(self, capsys):
         code, out, _ = run(capsys, "grid", "--surface", "nonisothermal_graph",
