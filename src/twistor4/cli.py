@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import (
     IMMERSION_TOL,
     ISOTHERMAL_TOL,
+    MINIMAL_TOL,
     SEED_TOL,
     FieldGrid,
     convergence_order,
@@ -55,7 +56,7 @@ _EXIT_CODES = {ExpressionError: 2, HypothesisError: 3, NumericError: 4,
 
 _DEFAULTS = {
     "isothermal_tol": ISOTHERMAL_TOL,
-    "minimal_tol": 1e-8,
+    "minimal_tol": MINIMAL_TOL,
     "immersion_tol": IMMERSION_TOL,
     "seed_tol": SEED_TOL,
     "isotropy_tol": 1e-6,
@@ -279,8 +280,7 @@ def _grid_summary(grid: FieldGrid) -> dict:
             summary["structure_residuals"] = structure_residuals(grid).as_dict()
         except (GridTooSmall, NumericError) as exc:
             summary["structure_residuals"] = f"unavailable: {exc}"
-        rep = isotropy_report(grid, tol=_DEFAULTS["isotropy_tol"],
-                              minimal_tol=_DEFAULTS["minimal_tol"])
+        rep = isotropy_report(grid, tol=_DEFAULTS["isotropy_tol"])
         summary["isotropy"] = rep.as_dict()
     return summary
 
@@ -334,8 +334,7 @@ def cmd_isotropy(args) -> int:
     grid = FieldGrid(surface, args.n, domain=domain,
                      seed_branch=args.seed_normal)
     try:
-        rep = isotropy_report(grid, tol=args.tol,
-                              minimal_tol=_DEFAULTS["minimal_tol"])
+        rep = isotropy_report(grid, tol=args.tol)
     except (NotMinimal, NotIsothermal) as exc:
         what = "minimal" if isinstance(exc, NotMinimal) else "isothermal"
         raise type(exc)(f"refused: the hypothesis '{what}' fails for "
@@ -373,8 +372,8 @@ def cmd_residuals(args) -> int:
                        seed_branch=args.seed_normal)
     fine = FieldGrid(surface, 2 * args.n - 1, domain=domain,
                      seed_branch=args.seed_normal)
-    rc = structure_residuals(coarse, minimal_tol=_DEFAULTS["minimal_tol"])
-    rf = structure_residuals(fine, minimal_tol=_DEFAULTS["minimal_tol"])
+    rc = structure_residuals(coarse)
+    rf = structure_residuals(fine)
     table = [(k, c, f, convergence_order(c, f))
              for (k, c), f in zip(rc.as_dict().items(), rf.as_dict().values())]
     if args.json:

@@ -62,10 +62,12 @@ __all__ = [
 _E = np.eye(4)
 
 # Default tolerances (the CLI reports them in its JSON config): of g11, g22
-# and det g; of a seed's projection norm; of |g11 - g22|, |g12| per mean g.
+# and det g; of a seed's projection norm; of |g11 - g22|, |g12| per mean g;
+# of sup |H| for a minimal surface.
 IMMERSION_TOL = 1e-12
 SEED_TOL = 1e-6
 ISOTHERMAL_TOL = 1e-8
+MINIMAL_TOL = 1e-8
 # A batch of points (a grid, or one point) uses one seed pair throughout when
 # both of its projections stay above this margin, well clear of SEED_TOL.
 _BRANCH_MARGIN = 1e-2
@@ -176,15 +178,18 @@ def _metric(Fu, Fv):
         return g11, g12, g22, g11 * g22 - g12 ** 2
 
 
-def _require_finite_metric(det, u, v):
-    """Raise NumericError at the first of the points (u, v) where det g, and
-    so the metric, is not finite."""
-    bad = ~np.isfinite(det)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        uu, vv = (float(np.broadcast_to(x, bad.shape).flat[i]) for x in (u, v))
-        raise NumericError(f"the metric overflows at (u, v) = ({uu:g}, {vv:g}):"
-                           f" g11, g12, g22 or det g is not finite")
+def _require_finite(u, v, layer, fields):
+    """Raise NumericError where one of the fields {name: array over the
+    points (u, v), maybe with trailing axes} is not finite: at the first such
+    point of the first such field, naming both."""
+    for name, x in fields.items():
+        finite = np.isfinite(x)
+        if not finite.all():
+            bad = ~finite.reshape(np.shape(u) + (-1,)).all(axis=-1)
+            i = np.flatnonzero(bad)[0]
+            uu, vv = (float(np.ravel(w)[i]) for w in (u, v))
+            raise NumericError(f"the {layer} overflows at (u, v) = "
+                               f"({uu:g}, {vv:g}): {name} is not finite")
 
 
 def _immersed(g11, g22, det, tol):
@@ -196,24 +201,35 @@ def _isothermal_mask(g11, g12, g22, tol):
     return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
 
 
-def _frames(Fu, Fv, pair):
-    """Adapted frames: unit tangents, Gram-Schmidt of the seed pair off them,
-    n2 negated where needed for det [t1 t2 n1 n2] = +1; plus the norms of the
-    two seed projections, on which a seed is judged degenerate."""
+# n2_l = det[t1 t2 n1 e_l] expanded along n1: sum over rows k != l of +-n1_k
+# times the minor of [t1 t2] on the rows left over, by pair (_MINOR_I, _MINOR_J).
+_MINOR_I, _MINOR_J = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+_COF_ROW = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+_COF_MINOR = [[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]]
+_COF_SIGN = np.array([[-1, 1, -1], [1, -1, 1], [-1, 1, -1], [1, -1, 1]], float)
+
+
+def _tangent_plane(Fu, Fv):
+    """Unit tangents t1, t2 (Gram-Schmidt of F_u, F_v) and the 2x2 minors of
+    [t1 t2], which every normal frame shares."""
     t1 = Fu / np.sqrt(_dot(Fu, Fu))[..., None]
     w = Fv - _dot(Fv, t1)[..., None] * t1
     t2 = w / np.sqrt(_dot(w, w))[..., None]
-    s1, s2 = pair
+    return t1, t2, (t1[..., _MINOR_I] * t2[..., _MINOR_J]
+                    - t1[..., _MINOR_J] * t2[..., _MINOR_I])
+
+
+def _frames(plane, s1):
+    """Frame of the first seed s1 and |p1|: n1 = p1/|p1| for the projection
+    p1 of s1 off the tangent plane (0 where p1 = 0), n2 the cofactor vector
+    of [t1 t2 n1], so det [t1 t2 n1 n2] = +1 by construction."""
+    t1, t2, minors = plane
     p1 = s1 - _dot(s1, t1)[..., None] * t1 - _dot(s1, t2)[..., None] * t2
     p1n = np.sqrt(_dot(p1, p1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n1 = p1 / p1n[..., None]
-        p2 = (s2 - _dot(s2, t1)[..., None] * t1 - _dot(s2, t2)[..., None] * t2
-              - _dot(s2, n1)[..., None] * n1)
-        p2n = np.sqrt(_dot(p2, p2))
-        n2 = p2 / p2n[..., None]
-        flip = np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1)) < 0
-    return Frame(t1, t2, n1, np.where(flip[..., None], -n2, n2)), p1n, p2n
+    n1 = np.divide(p1, p1n[..., None], out=np.zeros(np.shape(p1)),
+                   where=p1n[..., None] > 0)
+    n2 = np.sum(_COF_SIGN * n1[..., _COF_ROW] * minors[..., _COF_MINOR], axis=-1)
+    return Frame(t1, t2, n1, n2), p1n
 
 
 def _seeded_frames(Fu, Fv, branch, tol, at=None) -> Frame:
@@ -221,23 +237,28 @@ def _seeded_frames(Fu, Fv, branch, tol, at=None) -> Frame:
     fallback pair whose seed projections exceed _BRANCH_MARGIN at every point
     (a smooth frame field), else per point of the first whose projections
     exceed tol (seed_branch an array then).  Raises DegenerateSeed where the
-    branch, or every pair, degenerates, at the first such point of at = (U, V)."""
-    if branch is None:
-        for k, pair in enumerate(FALLBACK_SEEDS):
-            fr, p1n, p2n = _frames(Fu, Fv, pair)
-            if min(p1n.min(), p2n.min()) > _BRANCH_MARGIN:
-                return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
+    branch, or every pair, degenerates, at the first such point of at = (U, V).
+    A frame depends on its first seed only, so it is built once per first
+    seed; the second seed s2 only gates it, by its projection |<s2, n2>|."""
+    plane, built = _tangent_plane(Fu, Fv), {}
     n1 = n2 = np.zeros(np.shape(Fu))
     got = np.full(np.shape(Fu)[:-1], -1)
     for k in range(len(FALLBACK_SEEDS)) if branch is None else [branch]:
-        fr, p1n, p2n = _frames(Fu, Fv, FALLBACK_SEEDS[k])
-        ok = (p1n > tol) & (p2n > tol) & (got < 0)
+        s1, s2 = FALLBACK_SEEDS[k]
+        if s1.tobytes() not in built:
+            built[s1.tobytes()] = _frames(plane, s1)
+        fr, p1n = built[s1.tobytes()]
+        # where p1 = 0, n2 = 0 as well: the smaller projection is 0 there
+        proj = np.minimum(p1n, np.abs(_dot(s2, fr.n2)))
+        if branch is None and proj.min() > _BRANCH_MARGIN:
+            return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
+        ok = (proj > tol) & (got < 0)
         n1 = np.where(ok[..., None], fr.n1, n1)
         n2 = np.where(ok[..., None], fr.n2, n2)
         got = np.where(ok, k, got)
-        if (got >= 0).all():
-            return Frame(fr.t1, fr.t2, n1, n2, seed_branch=(
-                branch if branch is not None else got if got.ndim else int(got)))
+    if (got >= 0).all():
+        return Frame(fr.t1, fr.t2, n1, n2, seed_branch=(
+            branch if branch is not None else got if got.ndim else int(got)))
     what = ("no seed pair works" if branch is None
             else f"seed branch {branch} degenerates")
     if at is not None:
@@ -320,17 +341,17 @@ def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
 
 
 def build_frame(jets, seeds, tol: float = SEED_TOL) -> Frame:
-    """Orthonormal frame from unit tangents plus Gram-Schmidt on two seed
-    vectors; the second normal is flipped if needed to make det = +1.
+    """Orthonormal frame from unit tangents, the first seed vector's unit
+    projection off them as n1, and the n2 that makes det = +1.
 
     Raises DegenerateSeed when a seed's projection off the previously built
-    vectors has norm <= tol.
+    vectors has norm <= tol (for the second seed, |<s2, n2>|).
     """
     _, Fu, Fv, *_ = jet_arrays(jets)
-    frame, p1n, p2n = _frames(Fu, Fv, seeds)
+    frame, p1n = _frames(_tangent_plane(Fu, Fv), seeds[0])
     if p1n <= tol:
         raise DegenerateSeed("first seed vector is tangent within tolerance")
-    if p2n <= tol:
+    if abs(_dot(seeds[1], frame.n2)) <= tol:
         raise DegenerateSeed("second seed vector degenerates within tolerance")
     return frame
 
@@ -408,7 +429,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     _, Fu, Fv, Fuu, Fuv, Fvv = point
     g = _metric(arrays[1], arrays[2])
     g0 = tuple(x[0] for x in g)
-    _require_finite_metric(g0[3], u, v)
+    _require_finite(u, v, "metric", {"g11, g12, g22 or det g": g0[3]})
     form = _point_form(*g0, IMMERSION_TOL)
     # The probes must be isothermal too, lest a pointwise coincidence g11 = g22
     # pass for isothermal coordinates; undefined, overflowing or non-immersed
@@ -417,9 +438,15 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     iso = bool(_isothermal_mask(*(x[probes] for x in g[:3]),
                                 isothermal_tol).all())
     frame = _seeded_frames(Fu, Fv, seed_branch, SEED_TOL, (u, v))
-    b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
-    conn = NormalConnection(*map(float, _connection(
-        FALLBACK_SEEDS[frame.seed_branch][0], frame, *g0, b)))
+    # products of finite 2-jets can overflow where the metric does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
+        christoffel = _christoffel(point, *g0)
+        H = _mean_curvature(*g0, b, frame.n1, frame.n2)
+        gammas = _connection(FALLBACK_SEEDS[frame.seed_branch][0], frame, *g0, b)
+    _require_finite(u, v, "second-order geometry",
+                    {"b": b, "Gamma": christoffel, "H": H, "gamma": gammas})
+    conn = NormalConnection(*map(float, gammas))
     alpha = 0.5 * math.log(form.g11) if iso else None
     beta1 = beta2 = gamma = None
     if iso:
@@ -428,10 +455,8 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
         gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
     jets = tuple(Jet2(*(a[k] for a in point)) for k in range(4))
     return SurfacePointData(u, v, jets, form, iso, alpha,
-                            frame, b, shape_operators(form, b),
-                            _christoffel(point, *g0),
-                            _mean_curvature(*g0, b, frame.n1, frame.n2),
-                            conn, beta1, beta2, gamma)
+                            frame, b, shape_operators(form, b), christoffel,
+                            H, conn, beta1, beta2, gamma)
 
 
 # --- grids -------------------------------------------------------------------
@@ -465,7 +490,7 @@ class FieldGrid:
         self.F, self.Fu, self.Fv, self.Fuu, self.Fuv, self.Fvv = arrays
 
         self.g11, self.g12, self.g22, self.det = g = _metric(self.Fu, self.Fv)
-        _require_finite_metric(self.det, U, V)
+        _require_finite(U, V, "metric", {"g11, g12, g22 or det g": self.det})
         if np.min(self.det) <= IMMERSION_TOL or np.min(self.g11) <= IMMERSION_TOL:
             i, j = np.unravel_index(np.argmin(self.det), self.det.shape)
             raise NotImmersed(
@@ -502,12 +527,12 @@ class FieldGrid:
                 f"coordinates are not isothermal, e.g. at "
                 f"(u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
 
-    def require_minimal(self, tol: float = 1e-8):
-        if self.sup_H() > tol:
-            raise NotMinimal(f"sup |H| = {self.sup_H():g} exceeds {tol:g}")
+    def require_minimal(self):
+        if self.sup_H() > MINIMAL_TOL:
+            raise NotMinimal(f"sup |H| = {self.sup_H():g} exceeds {MINIMAL_TOL:g}")
 
     def gamma_fields(self):
-        """Normal connection coefficients on the interior, exact from the
+        """Normal connection coefficients on the whole grid, exact from the
         2-jet by the pointwise formula.  Needs one smooth frame branch, since
         the structure residuals differentiate these fields."""
         if not self.branch_uniform:
@@ -518,10 +543,9 @@ class FieldGrid:
             if (_dot(arr[1:], arr[:-1]).min() <= 0.0
                     or _dot(arr[:, 1:], arr[:, :-1]).min() <= 0.0):
                 raise SeedBranchFlip("frame field is discontinuous on the grid")
-        g1, g2 = _connection(FALLBACK_SEEDS[self.seed_branch][0],
-                             Frame(self.t1, self.t2, self.n1, self.n2),
-                             self.g11, self.g12, self.g22, self.det, self.b)
-        return g1[1:-1, 1:-1], g2[1:-1, 1:-1]
+        return _connection(FALLBACK_SEEDS[self.seed_branch][0],
+                           Frame(self.t1, self.t2, self.n1, self.n2),
+                           self.g11, self.g12, self.g22, self.det, self.b)
 
 
 # --- finite-difference operators on grid fields ------------------------------
@@ -560,7 +584,7 @@ class StructureResiduals:
         }
 
 
-def structure_residuals(grid: FieldGrid, minimal_tol: float = 1e-8) -> StructureResiduals:
+def structure_residuals(grid: FieldGrid) -> StructureResiduals:
     """Residual sup-norms of the Gauss, Codazzi and Ricci equations plus the
     holomorphicity of (beta^1)^2 + (beta^2)^2, for a minimal surface in
     isothermal coordinates.
@@ -571,11 +595,10 @@ def structure_residuals(grid: FieldGrid, minimal_tol: float = 1e-8) -> Structure
     if grid.n < 5:
         raise GridTooSmall("structure residuals need at least a 5x5 grid")
     grid.require_isothermal()
-    grid.require_minimal(minimal_tol)
+    grid.require_minimal()
 
     hu, hv = grid.hu, grid.hv
     inner = np.s_[1:-1, 1:-1]
-    inner2 = np.s_[2:-2, 2:-2]
 
     e2a = grid.e2a
     lap_alpha = laplacian_field(grid.alpha, hu, hv)
@@ -585,14 +608,14 @@ def structure_residuals(grid: FieldGrid, minimal_tol: float = 1e-8) -> Structure
 
     g1, g2 = grid.gamma_fields()
     gamma = 0.5 * (g1 + 1j * g2)
-    cod1 = dwbar_field(grid.beta1, hu, hv) - grid.beta2[inner] * gamma
-    cod2 = dwbar_field(grid.beta2, hu, hv) + grid.beta1[inner] * gamma
+    cod1 = dwbar_field(grid.beta1, hu, hv) - grid.beta2[inner] * gamma[inner]
+    cod2 = dwbar_field(grid.beta2, hu, hv) + grid.beta1[inner] * gamma[inner]
     codazzi1 = float(np.abs(cod1).max())
     codazzi2 = float(np.abs(cod2).max())
 
     dgamma = np.conj(dwbar_field(np.conj(gamma), hu, hv))  # d/dw gamma
-    ricci_term = (2.0 / e2a[inner2] * grid.beta1[inner2]
-                  * np.conj(grid.beta2[inner2]))
+    ricci_term = (2.0 / e2a[inner] * grid.beta1[inner]
+                  * np.conj(grid.beta2[inner]))
     ricci = float(np.abs(np.imag(dgamma + ricci_term)).max())
 
     beta_sq = grid.beta1 ** 2 + grid.beta2 ** 2

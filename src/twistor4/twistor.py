@@ -271,8 +271,8 @@ def lift_sphere_fields(grid: FieldGrid):
 
 def lift_matrix_fields(grid: FieldGrid):
     """Lift matrices over a grid from the frame field (works regardless of
-    isothermality and of per-point seed branches).  The reports of this
-    module keep them on the grid."""
+    isothermality and of per-point seed branches), built on each call and
+    not kept on the grid."""
     return tuple(lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, eps)
                  for eps in (1, -1))
 
@@ -283,18 +283,18 @@ def lift_agreement_residual(grid: FieldGrid) -> float:
     return float(max(
         np.abs(np.einsum("...k,kij->...ij", c, basis_I_stack(eps)) - M).max()
         for c, M, eps in zip(_kept(grid, _sphere_fields),
-                             _kept(grid, lift_matrix_fields), (1, -1))))
+                             lift_matrix_fields(grid), (1, -1))))
 
 
-def _chart_dwbar_exact(grid: FieldGrid, cs):
-    """|d/dwbar| of the holomorphic chart function of each lift on the
-    interior, by forward mode over the 2-jet (no truncation error).
+def _lift_derivatives(grid: FieldGrid):
+    """dc[a, ..., k] = d c_k / d(u, v)_a of the sphere coordinates of each
+    lift on the interior, by forward mode over the 2-jet (no truncation
+    error).
 
     psi_u = (F_uu - i F_uv)/2, psi_v = (F_uv - i F_vv)/2 and
     (e2a)_a = 2 <F_u, F_ua>.  Psi is sesquilinear in psi and
     B(psi, d psi) = -conj(B(d psi, psi)), so Re(-2i d Psi) = 4 Im B(d psi, psi)
-    and dc = 4 Im B(d psi, psi) / e2a - c d(e2a) / e2a; the chart derivative
-    follows by the quotient rule.
+    and dc = 4 Im B(d psi, psi) / e2a - c d(e2a) / e2a.
     """
     inner = np.s_[1:-1, 1:-1]
     psi, e2a = grid.psi[inner], grid.e2a[inner]
@@ -302,10 +302,16 @@ def _chart_dwbar_exact(grid: FieldGrid, cs):
     dpsi = 0.5 * np.stack([Fuu - 1j * Fuv, Fuv - 1j * Fvv])
     dlog_e2a = 2.0 * np.stack([np.sum(Fu * Fuu, axis=-1),
                                np.sum(Fu * Fuv, axis=-1)]) / e2a
-    for c, eps in zip(cs, (1, -1)):
-        c = c[inner]
-        dc = (4.0 * np.imag(big_psi(dpsi, eps, psi)) / e2a[..., None]
-              - c * dlog_e2a[..., None])
+    return tuple(4.0 * np.imag(big_psi(dpsi, eps, psi)) / e2a[..., None]
+                 - c[inner] * dlog_e2a[..., None]
+                 for c, eps in zip(_kept(grid, _sphere_fields), (1, -1)))
+
+
+def _chart_dwbar_exact(grid: FieldGrid, cs):
+    """|d/dwbar| of the holomorphic chart function of each lift on the
+    interior, from the exact _lift_derivatives by the quotient rule."""
+    for c, dc, eps in zip(cs, _kept(grid, _lift_derivatives), (1, -1)):
+        c = c[1:-1, 1:-1]
         # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
         s = np.where(c[..., 2] <= 0.0, 1.0, -1.0)
         den = 1.0 - s * c[..., 2]
@@ -363,9 +369,10 @@ class IsotropyReport:
     (b)/(c) the two quadratic second-form identities;
     (d) theta-independence of the rotated shape operator's eigenvalues,
         tested through the two theta-dependent Fourier coefficients;
-    (e) one twistor lift is constant, tested through the sup of the discrete
-        gradient of each lift field, cross-checked against the closed-form
-        coefficients of the lift derivatives.
+    (e) one twistor lift is constant, tested through the sup over the
+        interior of each lift's exact gradient (lift_gradient_sups),
+        cross-checked against the closed-form coefficients of the lift
+        derivatives.
     """
 
     res_a: float
@@ -410,16 +417,13 @@ class IsotropyReport:
         }
 
 
-def _sup_gradient(M: np.ndarray, hu: float, hv: float) -> float:
-    gu = np.abs(M[2:, 1:-1] - M[:-2, 1:-1]).max() / (2 * hu)
-    gv = np.abs(M[1:-1, 2:] - M[1:-1, :-2]).max() / (2 * hv)
-    return float(max(gu, gv))
-
-
 def lift_gradient_sups(grid: FieldGrid):
-    """Sup discrete gradient of each lift matrix field over the interior."""
-    return tuple(_sup_gradient(M, grid.hu, grid.hv)
-                 for M in _kept(grid, lift_matrix_fields))
+    """Sup over the interior of |dc/du| and |dc/dv| for the sphere
+    coordinates c of each lift (isothermal required), exact from the 2-jet.
+    The I[eps, k] have their entries +-1 at disjoint positions, so this is
+    also the sup of the lift matrix's entrywise gradient."""
+    return tuple(float(np.abs(dc).max())
+                 for dc in _kept(grid, _lift_derivatives))
 
 
 def isotropy_fields(grid: FieldGrid):
@@ -438,12 +442,11 @@ def isotropy_fields(grid: FieldGrid):
             np.maximum(0.5 * cos_abs, sin_abs))
 
 
-def isotropy_report(grid: FieldGrid, tol: float = 1e-6,
-                    minimal_tol: float = 1e-8) -> IsotropyReport:
+def isotropy_report(grid: FieldGrid, tol: float = 1e-6) -> IsotropyReport:
     """Evaluate the five isotropy conditions for a minimal surface in
     isothermal coordinates over a grid."""
     grid.require_isothermal()
-    grid.require_minimal(minimal_tol)
+    grid.require_minimal()
 
     res_a, res_b, res_c, res_d = (float(f.max()) for f in isotropy_fields(grid))
     b = grid.b

@@ -196,6 +196,14 @@ class TestHostileInput:
         assert code == 4 and out == ""
         assert err.startswith("error: the metric overflows at (u, v) = (0.25, 1)")
 
+    def test_overflowing_christoffel_symbols_are_a_numeric_breakdown(self, capsys):
+        # the metric is finite at u = 0.872, but <F_uu, F_u> = 400 g11 is not
+        code, out, err = run(capsys, "analyze", "--expr", "exp(400*u), v, 0, 0",
+                             "--domain", "0", "1", "0", "1", "--at", "0.872", "0")
+        assert code == 4 and out == ""
+        assert err == ("error: the second-order geometry overflows at "
+                       "(u, v) = (0.872, 0): Gamma is not finite\n")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_cell_is_refused(self, capsys, tmp_path, monkeypatch, fmt):
         # both formats refuse a nan or inf cell the same way, writing nothing

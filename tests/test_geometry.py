@@ -17,6 +17,7 @@ from twistor4.errors import (
 )
 from twistor4.geometry import (
     FALLBACK_SEEDS,
+    SEED_TOL,
     FieldGrid,
     Frame,
     beta_gamma,
@@ -47,6 +48,21 @@ def jets_of(name, u, v):
 
 def frame_matrix(fr):
     return np.column_stack([fr.t1, fr.t2, fr.n1, fr.n2])
+
+
+def gram_schmidt_frame(Fu, Fv, s1, s2):
+    """Reference frame: Gram-Schmidt of F_u, F_v, s1 and s2 in turn, n2
+    negated where det [t1 t2 n1 n2] < 0; plus the norms of the two seed
+    projections."""
+    basis, norms = [], []
+    for x in (Fu, Fv, s1, s2):
+        p = x - sum((x @ e) * e for e in basis)
+        norms.append(np.linalg.norm(p))
+        basis.append(p / norms[-1])
+    M = np.column_stack(basis)
+    if np.linalg.det(M) < 0:
+        M[:, 3] = -M[:, 3]
+    return M, norms[2], norms[3]
 
 
 class TestFirstForm:
@@ -164,6 +180,46 @@ class TestFrame:
             M = frame_matrix(fr)
             assert np.max(np.abs(M.T @ M - np.eye(4))) <= 1e-12
             assert abs(np.linalg.det(M) - 1.0) <= 1e-10
+
+    def test_matches_gram_schmidt_reference(self, rng):
+        # n2 by cofactors is the reference's second Gram-Schmidt with its det
+        # flip, for every pinned branch where both seed projections survive;
+        # where one does not, the branch is refused
+        for _ in range(60):
+            _, surface, u, v = random_catalog_point(rng)
+            jets = eval_surface_jet(surface, u, v)
+            _, Fu, Fv, *_ = jet_arrays(jets)
+            for k, (s1, s2) in enumerate(FALLBACK_SEEDS):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    M, p1n, p2n = gram_schmidt_frame(Fu, Fv, s1, s2)
+                if min(p1n, p2n) > SEED_TOL:
+                    for fr in (build_frame(jets, (s1, s2)), surface_point_data(
+                            surface, u, v, seed_branch=k).frame):
+                        assert np.abs(frame_matrix(fr) - M).max() <= 1e-12
+                else:
+                    with pytest.raises(DegenerateSeed):
+                        build_frame(jets, (s1, s2))
+                    with pytest.raises(DegenerateSeed):
+                        surface_point_data(surface, u, v, seed_branch=k)
+
+    def test_round_sphere_branches(self, grids):
+        # no pair stays clear of the tangent plane everywhere, so each point
+        # takes the first pair that works there
+        g = grids("round_sphere", 41)
+        branches, counts = np.unique(g.seed_branch, return_counts=True)
+        assert branches.tolist() == [0, 1, 3]
+        assert counts.tolist() == [1669, 10, 2]
+
+    def test_one_frame_per_first_seed(self, monkeypatch):
+        # the six pairs have three first seeds; a seed search on a grid that
+        # needs every pair builds each of their frames once
+        import twistor4.geometry as geometry
+        calls = []
+        frames = geometry._frames
+        monkeypatch.setattr(geometry, "_frames",
+                            lambda *a: (calls.append(a), frames(*a))[1])
+        FieldGrid(CATALOG["round_sphere"].surface, 21)
+        assert 0 < len(calls) <= 3
 
     def test_catenoid_waist_degenerates_first_seed(self):
         s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
@@ -338,8 +394,8 @@ class TestNormalConnection:
         for i, j in ((5, 7), (12, 3)):
             nc = normal_connection(CATALOG["holo_square"].surface,
                                    g.us[i], g.vs[j], seeds=g.seed_branch)
-            assert abs(nc.gamma1 - g1[i - 1, j - 1]) <= 1e-12
-            assert abs(nc.gamma2 - g2[i - 1, j - 1]) <= 1e-12
+            assert abs(nc.gamma1 - g1[i, j]) <= 1e-12
+            assert abs(nc.gamma2 - g2[i, j]) <= 1e-12
 
     @pytest.mark.parametrize("text", [None, "u, v, u*v, u^2 - v^2"],
                              ids=["holo_cube", "nondiagonal_metric"])
@@ -354,7 +410,7 @@ class TestNormalConnection:
             dn1_u = (g.n1[2:, 1:-1] - g.n1[:-2, 1:-1]) / (2 * g.hu)
             dn1_v = (g.n1[1:-1, 2:] - g.n1[1:-1, :-2]) / (2 * g.hv)
             n2 = g.n2[1:-1, 1:-1]
-            g1, g2 = g.gamma_fields()
+            g1, g2 = (x[1:-1, 1:-1] for x in g.gamma_fields())
             return max(np.abs(np.sum(dn1_u * n2, axis=-1) - g1).max(),
                        np.abs(np.sum(dn1_v * n2, axis=-1) - g2).max())
         assert 3.5 <= err(21) / err(41) <= 4.5
@@ -473,7 +529,7 @@ class TestPointData:
                                        g.n1[i, j], g.n2[i, j]])),
                      (pd.second, g.b[i, j]), (pd.H, g.H[i, j]),
                      ((pd.connection.gamma1, pd.connection.gamma2),
-                      (g1[i - 1, j - 1], g2[i - 1, j - 1]))]
+                      (g1[i, j], g2[i, j]))]
             for a, b in pairs:
                 assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
 
@@ -547,12 +603,27 @@ class TestStructureResiduals:
         from twistor4.geometry import dwbar_field
         g = grids("holo_square", 41)
         g1, g2 = g.gamma_fields()
-        gamma = 0.5 * (g1 + 1j * g2)
-        lhs = dwbar_field(g.beta1, g.hu, g.hv)
         inner = np.s_[1:-1, 1:-1]
+        gamma = 0.5 * (g1[inner] + 1j * g2[inner])
+        lhs = dwbar_field(g.beta1, g.hu, g.hv)
         good = np.abs(lhs - g.beta2[inner] * gamma).max()
         bad = np.abs(lhs + g.beta2[inner] * gamma).max()
         assert good < bad / 100
+
+    def test_ricci_covers_the_whole_interior(self):
+        # Im d(gamma)/dw + 2 beta1 conj(beta2) / e2a on every node with a
+        # central difference, here computed directly; on this domain its sup
+        # lies on the ring next to the boundary
+        from twistor4.geometry import dwbar_field
+        g = FieldGrid(CATALOG["holo_cube"].surface, 11, domain=(0.2, 1, 0.2, 1))
+        g1, g2 = g.gamma_fields()
+        inner = np.s_[1:-1, 1:-1]
+        dgamma = np.conj(dwbar_field(0.5 * (g1 - 1j * g2), g.hu, g.hv))
+        field = np.abs(np.imag(dgamma + 2.0 / g.e2a[inner] * g.beta1[inner]
+                               * np.conj(g.beta2[inner])))
+        ricci = structure_residuals(g).ricci
+        assert abs(ricci - field.max()) <= 1e-12 * ricci
+        assert field[1:-1, 1:-1].max() < 0.95 * ricci
 
     def test_refuses_non_minimal(self, grids):
         with pytest.raises(NotMinimal):

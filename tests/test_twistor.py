@@ -30,6 +30,7 @@ from twistor4.twistor import (
     isotropy_report,
     lift_agreement_residual,
     lift_frame,
+    lift_gradient_sups,
     lift_isothermal,
     lift_sphere_fields,
     psi,
@@ -307,6 +308,30 @@ class TestChartResiduals:
     def test_clifford_control_stays_large(self, grids):
         rp, rm = chart_residuals(grids("clifford_torus", 21))
         assert rp >= 1e-2 and rm >= 1e-2
+
+
+class TestLiftGradientSups:
+    @staticmethod
+    def central(grid):
+        # sup over the interior of the central differences of each lift's
+        # sphere coordinates along u and along v
+        return [max(np.abs(c[2:, 1:-1] - c[:-2, 1:-1]).max() / (2 * grid.hu),
+                    np.abs(c[1:-1, 2:] - c[1:-1, :-2]).max() / (2 * grid.hv))
+                for c in lift_sphere_fields(grid)]
+
+    @pytest.mark.parametrize("name", ["catenoid_E3", "clifford_torus"])
+    def test_central_differences_approach_the_exact_sups(self, grids, name):
+        # the stencil's O(h^2) error quarters when h halves; a dropped term
+        # or a wrong factor in the exact gradient would leave an O(1) gap
+        def err(n):
+            g = grids(name, n)
+            return max(abs(e - c) for e, c in
+                       zip(lift_gradient_sups(g), self.central(g)))
+        assert 3.5 <= err(21) / err(41) <= 4.5
+
+    def test_constant_lift_reads_roundoff(self, grids):
+        grad_plus, grad_minus = lift_gradient_sups(grids("holo_cube", 21))
+        assert grad_plus <= 1e-12 and grad_minus >= 1.0
 
 
 class TestIsotropyReport:
