@@ -40,6 +40,7 @@ from .geometry import (
 )
 from .surface_expr import parse_surface, surface_from_json
 from .twistor import (
+    ISOTROPY_TOL,
     chart,
     chart_residuals,
     g_plus_closed_form,
@@ -59,7 +60,7 @@ _DEFAULTS = {
     "minimal_tol": MINIMAL_TOL,
     "immersion_tol": IMMERSION_TOL,
     "seed_tol": SEED_TOL,
-    "isotropy_tol": 1e-6,
+    "isotropy_tol": ISOTROPY_TOL,
 }
 
 
@@ -185,7 +186,7 @@ def cmd_analyze(args) -> int:
                               "gamma2": pd.connection.gamma2},
         "mean_curvature": {
             "vector": _vec(pd.H),
-            "norm": float(np.linalg.norm(pd.H)),
+            "norm": pd.H_norm,
         },
         "gauss_weingarten": {"S1": _mat(s1), "S2": _mat(s2)},
         "beta1": None, "beta2": None, "gamma": None,

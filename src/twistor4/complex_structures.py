@@ -15,7 +15,7 @@ SO(4) and the two double covers onto SO(3) and SO(3) x SO(3) built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .errors import (
     NotAComplexStructure,
     NotSO4,
 )
-from .linalg4 import E4, basis_I_stack, det4, is_special_orthogonal
+from .linalg4 import (DERIVED_TOL, E4, EXACT_TOL, basis_I_stack, det4,
+                      is_special_orthogonal)
 
 __all__ = [
     "OrthogonalComplexStructure",
@@ -73,15 +74,13 @@ class OrientedPlane:
 
     a: np.ndarray
     b: np.ndarray
-    tol: float = field(default=1e-8, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, float)
         b = np.asarray(self.b, float)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if (abs(a @ a - 1.0) > self.tol or abs(b @ b - 1.0) > self.tol
-                or abs(a @ b) > self.tol):
+        if max(abs(a @ a - 1.0), abs(b @ b - 1.0), abs(a @ b)) > DERIVED_TOL:
             raise DegeneratePair(
                 "representative pair is not orthonormal within tolerance")
 
@@ -96,7 +95,7 @@ def _check_structure_matrix(A: np.ndarray, tol: float) -> None:
         raise NotAComplexStructure("matrix squared is not minus the identity")
 
 
-def classify_ocs(A, tol: float = 1e-10) -> OrthogonalComplexStructure:
+def classify_ocs(A) -> OrthogonalComplexStructure:
     """Recover (chirality, coords) of an orthogonal complex structure.
 
     The matrix is necessarily alternating, so the coordinates can be read off
@@ -105,7 +104,7 @@ def classify_ocs(A, tol: float = 1e-10) -> OrthogonalComplexStructure:
     is too small, from the sign pattern tying entry (4,3) to entry (2,1)).
     """
     A = np.asarray(A, float)
-    _check_structure_matrix(A, tol)
+    _check_structure_matrix(A, EXACT_TOL)
     c = np.array([A[1, 0], A[2, 0], A[3, 0]])
     if A[2, 0] ** 2 + A[3, 0] ** 2 >= 0.5:
         s = A[2, 1] * A[3, 0] - A[3, 1] * A[2, 0]
@@ -113,14 +112,19 @@ def classify_ocs(A, tol: float = 1e-10) -> OrthogonalComplexStructure:
     else:
         eps = 1 if A[3, 2] * A[1, 0] > 0 else -1
     recon = np.einsum("k,kij->ij", c, basis_I_stack(eps))
-    if np.max(np.abs(recon - A)) > 20 * tol:
+    if np.max(np.abs(recon - A)) > 20 * EXACT_TOL:
         raise NotAComplexStructure(
             "matrix does not decompose over a single chirality basis")
     return OrthogonalComplexStructure(A.copy(), eps, c)
 
 
-def compose_ocs(eps: int, coords, tol: float = 1e-10) -> OrthogonalComplexStructure:
+def compose_ocs(eps: int, coords) -> OrthogonalComplexStructure:
     """Build the structure with given chirality and unit sphere coordinates."""
+    return _compose_ocs(eps, coords, EXACT_TOL)
+
+
+def _compose_ocs(eps, coords, tol) -> OrthogonalComplexStructure:
+    # plane_to_pair and the twistor lifts pass coordinates unit to DERIVED_TOL
     c = np.asarray(coords, float)
     if c.shape != (3,):
         raise ValueError("coords must have shape (3,)")
@@ -132,7 +136,7 @@ def compose_ocs(eps: int, coords, tol: float = 1e-10) -> OrthogonalComplexStruct
     return OrthogonalComplexStructure(A, eps, c.copy())
 
 
-def plane_to_pair(plane: OrientedPlane, tol: float = 1e-8):
+def plane_to_pair(plane: OrientedPlane):
     """The unique pair (A+, A-) of structures mapping plane.a to plane.b.
 
     For a = (a^i), b = (b^i) the sphere coordinates are
@@ -151,13 +155,12 @@ def plane_to_pair(plane: OrientedPlane, tol: float = 1e-8):
             a[0] * b[2] - a[2] * b[0] + eps * (a[3] * b[1] - a[1] * b[3]),
             a[0] * b[3] - a[3] * b[0] + eps * (a[1] * b[2] - a[2] * b[1]),
         ])
-        out.append(compose_ocs(eps, c, tol=max(tol, 1e-10)))
+        out.append(_compose_ocs(eps, c, DERIVED_TOL))
     return out[0], out[1]
 
 
 def pair_to_plane(plus: OrthogonalComplexStructure,
-                  minus: OrthogonalComplexStructure,
-                  rank_tol: float = 1e-8) -> OrientedPlane:
+                  minus: OrthogonalComplexStructure) -> OrientedPlane:
     """Common oriented plane of a (+, -) pair of structures.
 
     The plane is the set of x with A+ x = A- x, i.e. the kernel of
@@ -168,22 +171,21 @@ def pair_to_plane(plus: OrthogonalComplexStructure,
         raise ValueError("expected a (+, -) pair of structures")
     K = minus.matrix @ plus.matrix + E4
     _, s, vt = np.linalg.svd(K)
-    if not (s[2] <= rank_tol and s[1] > rank_tol):
+    if not (s[2] <= DERIVED_TOL and s[1] > DERIVED_TOL):
         raise NoCommonPlane(
             f"kernel of the pair is not 2-dimensional (singular values {s})")
     u = vt[3]
     return OrientedPlane(u, plus.matrix @ u)
 
 
-def same_oriented_plane(p: OrientedPlane, q: OrientedPlane,
-                        tol: float = 1e-10) -> bool:
+def same_oriented_plane(p: OrientedPlane, q: OrientedPlane) -> bool:
     """Equality of oriented planes: same projector and same structure pair."""
-    if np.max(np.abs(p.projector() - q.projector())) > tol:
+    if np.max(np.abs(p.projector() - q.projector())) > EXACT_TOL:
         return False
     pp, pm = plane_to_pair(p)
     qp, qm = plane_to_pair(q)
-    return (np.max(np.abs(pp.matrix - qp.matrix)) <= tol
-            and np.max(np.abs(pm.matrix - qm.matrix)) <= tol)
+    return (np.max(np.abs(pp.matrix - qp.matrix)) <= EXACT_TOL
+            and np.max(np.abs(pm.matrix - qm.matrix)) <= EXACT_TOL)
 
 
 # --- SO(4) = H1 . H2 and the double covers ---------------------------------
@@ -220,35 +222,35 @@ class SO4Factorization:
         return h2_matrix(self.c_block)
 
 
-def h1h2_factorize(A, tol: float = 1e-10) -> SO4Factorization:
+def h1h2_factorize(A) -> SO4Factorization:
     """Unique factorization A = B C with B in H1 and C in H2.
 
     B is pinned by the first column of A (which equals B e1 = b), then
     C = B^T A must fix e1 on both sides.
     """
     A = np.asarray(A, float)
-    if not is_special_orthogonal(A, tol):
+    if not is_special_orthogonal(A):
         raise NotSO4("matrix is not in SO(4) within tolerance")
     b = A[:, 0].copy()
     B = h1_matrix(b)
     C = B.T @ A
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    if max(np.max(np.abs(C[0] - e1)), np.max(np.abs(C[:, 0] - e1))) > 10 * tol:
+    if max(np.max(np.abs(C[0] - e1)), np.max(np.abs(C[:, 0] - e1))) > 10 * EXACT_TOL:
         raise FactorizationFailed("H2 factor does not stabilize e1")
     c_block = C[1:, 1:].copy()
-    if np.max(np.abs(c_block.T @ c_block - np.eye(3))) > 10 * tol:
+    if np.max(np.abs(c_block.T @ c_block - np.eye(3))) > 10 * EXACT_TOL:
         raise FactorizationFailed("H2 block is not orthogonal")
     return SO4Factorization(b, c_block)
 
 
-def phi(b_quat, tol: float = 1e-10) -> np.ndarray:
+def phi(b_quat) -> np.ndarray:
     """Double cover H1 -> SO(3); phi(b) = phi(-b).
 
     The image describes how the H1 element with first column b rotates the
     minus-chirality bivector triple.
     """
     b = np.asarray(b_quat, float)
-    if abs(np.linalg.norm(b) - 1.0) > tol:
+    if abs(np.linalg.norm(b) - 1.0) > EXACT_TOL:
         raise NonUnitQuaternion(f"|b| = {np.linalg.norm(b)!r} is not 1")
     b1, b2, b3, b4 = b
     return np.array([
@@ -264,29 +266,29 @@ def phi(b_quat, tol: float = 1e-10) -> np.ndarray:
     ])
 
 
-def phi_tilde(A, tol: float = 1e-10):
+def phi_tilde(A):
     """Double cover SO(4) -> SO(3) x SO(3) through the H1 . H2 factorization.
 
     The two components are the actions of A, by conjugation, on the plus and
     minus bivector triples: (C, phi(b) C) for A = B C.
     """
-    f = h1h2_factorize(A, tol)
-    return f.c_block.copy(), phi(f.b_quat, tol=10 * tol) @ f.c_block
+    f = h1h2_factorize(A)
+    return f.c_block.copy(), phi(f.b_quat) @ f.c_block
 
 
-def chirality_via_frame(A, u, uprime, tol: float = 1e-8) -> int:
+def chirality_via_frame(A, u, uprime) -> int:
     """Chirality of a structure A read off det [u  Au  u'  Au'].
 
     u, u' must be unit with u' orthogonal to both u and Au; the determinant
     is then +-1 independently of the choice of u, u'.
     """
     A = np.asarray(A, float)
-    _check_structure_matrix(A, max(tol, 1e-10))
+    _check_structure_matrix(A, DERIVED_TOL)
     u = np.asarray(u, float)
     up = np.asarray(uprime, float)
     Au = A @ u
-    if (abs(u @ u - 1.0) > tol or abs(up @ up - 1.0) > tol
-            or abs(up @ u) > tol or abs(up @ Au) > tol):
+    if max(abs(u @ u - 1.0), abs(up @ up - 1.0), abs(up @ u),
+           abs(up @ Au)) > DERIVED_TOL:
         raise FrameConditionViolated(
             "u, u' do not satisfy the frame conditions")
     X = np.column_stack([u, Au, up, A @ up])

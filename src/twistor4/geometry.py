@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     SeedBranchFlip,
 )
+from .linalg4 import E4
 from .surface_expr import Jet2, SurfaceDef, eval_surface_jet, finite_mask, require_finite
 
 __all__ = [
@@ -59,8 +60,6 @@ __all__ = [
     "convergence_order",
 ]
 
-_E = np.eye(4)
-
 # Default tolerances (the CLI reports them in its JSON config): of g11, g22
 # and det g; of a seed's projection norm; of |g11 - g22|, |g12| per mean g;
 # of sup |H| for a minimal surface.
@@ -74,12 +73,12 @@ _BRANCH_MARGIN = 1e-2
 
 # Normal-frame seed pairs, tried in order until both projections survive.
 FALLBACK_SEEDS = (
-    (_E[2], _E[3]),
-    (_E[1], _E[3]),
-    (_E[1], _E[2]),
-    (_E[0], _E[3]),
-    (_E[0], _E[2]),
-    (_E[0], _E[1]),
+    (E4[2], E4[3]),
+    (E4[1], E4[3]),
+    (E4[1], E4[2]),
+    (E4[0], E4[3]),
+    (E4[0], E4[2]),
+    (E4[0], E4[1]),
 )
 
 
@@ -139,6 +138,7 @@ class SurfacePointData:
     shape: ShapeOperators
     christoffel: np.ndarray   # Gamma[k, i, j]
     H: np.ndarray
+    H_norm: float
     connection: NormalConnection
     beta1: Optional[complex]
     beta2: Optional[complex]
@@ -192,8 +192,19 @@ def _require_finite(u, v, layer, fields):
                                f"({uu:g}, {vv:g}): {name} is not finite")
 
 
-def _immersed(g11, g22, det, tol):
-    return (g11 > tol) & (g22 > tol) & (det > tol)
+def _immersed(g11, g22, det):
+    return (g11 > IMMERSION_TOL) & (g22 > IMMERSION_TOL) & (det > IMMERSION_TOL)
+
+
+def _require_immersed(g11, g22, det, at=()):
+    """Raise NotImmersed at the first point where g11, g22 or det g is not
+    above IMMERSION_TOL, naming the three and, given at = (u, v), the point."""
+    bad = np.flatnonzero(~_immersed(g11, g22, det))
+    if bad.size:
+        a, b, d, *uv = (np.ravel(x)[bad[0]] for x in (g11, g22, det, *at))
+        where = " at (u, v) = ({:g}, {:g})".format(*uv) if uv else ""
+        raise NotImmersed(f"tangent vectors are dependent{where} "
+                          f"(g11={a:g}, g22={b:g}, det={d:g})")
 
 
 def _isothermal_mask(g11, g12, g22, tol):
@@ -232,12 +243,12 @@ def _frames(plane, s1):
     return Frame(t1, t2, n1, n2), p1n
 
 
-def _seeded_frames(Fu, Fv, branch, tol, at=None) -> Frame:
+def _seeded_frames(Fu, Fv, branch, at=None) -> Frame:
     """Frames of seed branch `branch` or, when it is None, of the first
     fallback pair whose seed projections exceed _BRANCH_MARGIN at every point
     (a smooth frame field), else per point of the first whose projections
-    exceed tol (seed_branch an array then).  Raises DegenerateSeed where the
-    branch, or every pair, degenerates, at the first such point of at = (U, V).
+    exceed SEED_TOL (seed_branch an array then).  Raises DegenerateSeed at the
+    first point of at = (U, V) where the branch, or every pair, degenerates.
     A frame depends on its first seed only, so it is built once per first
     seed; the second seed s2 only gates it, by its projection |<s2, n2>|."""
     plane, built = _tangent_plane(Fu, Fv), {}
@@ -252,7 +263,7 @@ def _seeded_frames(Fu, Fv, branch, tol, at=None) -> Frame:
         proj = np.minimum(p1n, np.abs(_dot(s2, fr.n2)))
         if branch is None and proj.min() > _BRANCH_MARGIN:
             return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
-        ok = (proj > tol) & (got < 0)
+        ok = (proj > SEED_TOL) & (got < 0)
         n1 = np.where(ok[..., None], fr.n1, n1)
         n2 = np.where(ok[..., None], fr.n2, n2)
         got = np.where(ok, k, got)
@@ -278,10 +289,12 @@ def _second_form(Fuu, Fuv, Fvv, n1, n2):
 
 
 def _mean_curvature(g11, g12, g22, det, b, n1, n2):
-    """Mean curvature vector H = (tr(g^-1 b_1) n_1 + tr(g^-1 b_2) n_2) / 2."""
+    """H = (tr(g^-1 b_1) n_1 + tr(g^-1 b_2) n_2) / 2 and |H| = hypot(tr_1,
+    tr_2) / 2, which unlike sqrt(<H, H>) is finite wherever H is."""
     tr1, tr2 = ((g22 * b[..., k, 0, 0] - 2 * g12 * b[..., k, 0, 1]
                  + g11 * b[..., k, 1, 1]) / det for k in (0, 1))
-    return 0.5 * (tr1[..., None] * n1 + tr2[..., None] * n2)
+    return (0.5 * (tr1[..., None] * n1 + tr2[..., None] * n2),
+            0.5 * np.hypot(tr1, tr2))
 
 
 def _christoffel(arrays, g11, g12, g22, det):
@@ -317,21 +330,16 @@ def _connection(s1, frame: Frame, g11, g12, g22, det, b):
 
 # --- pointwise adapters --------------------------------------------------------
 
-def _point_form(g11, g12, g22, det, tol) -> FirstForm:
-    if not _immersed(g11, g22, det, tol):
-        raise NotImmersed(f"tangent vectors are dependent (g11={g11:g}, "
-                          f"g22={g22:g}, det={det:g})")
+def first_form(jets) -> FirstForm:
+    """Induced metric coefficients; raises NotImmersed at degenerate points."""
+    _, Fu, Fv, *_ = jet_arrays(jets)
+    g11, g12, g22, det = _metric(Fu, Fv)
+    _require_immersed(g11, g22, det)
     return FirstForm(float(g11), float(g12), float(g22))
 
 
-def first_form(jets, tol: float = IMMERSION_TOL) -> FirstForm:
-    """Induced metric coefficients; raises NotImmersed at degenerate points."""
-    _, Fu, Fv, *_ = jet_arrays(jets)
-    return _point_form(*_metric(Fu, Fv), tol)
-
-
-def is_isothermal(form: FirstForm, tol: float = ISOTHERMAL_TOL) -> bool:
-    return bool(_isothermal_mask(form.g11, form.g12, form.g22, tol))
+def is_isothermal(form: FirstForm) -> bool:
+    return bool(_isothermal_mask(form.g11, form.g12, form.g22, ISOTHERMAL_TOL))
 
 
 def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
@@ -340,27 +348,27 @@ def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
                         form.det)
 
 
-def build_frame(jets, seeds, tol: float = SEED_TOL) -> Frame:
+def build_frame(jets, seeds) -> Frame:
     """Orthonormal frame from unit tangents, the first seed vector's unit
     projection off them as n1, and the n2 that makes det = +1.
 
     Raises DegenerateSeed when a seed's projection off the previously built
-    vectors has norm <= tol (for the second seed, |<s2, n2>|).
+    vectors has norm <= SEED_TOL (for the second seed, |<s2, n2>|).
     """
     _, Fu, Fv, *_ = jet_arrays(jets)
     frame, p1n = _frames(_tangent_plane(Fu, Fv), seeds[0])
-    if p1n <= tol:
+    if p1n <= SEED_TOL:
         raise DegenerateSeed("first seed vector is tangent within tolerance")
-    if abs(_dot(seeds[1], frame.n2)) <= tol:
+    if abs(_dot(seeds[1], frame.n2)) <= SEED_TOL:
         raise DegenerateSeed("second seed vector degenerates within tolerance")
     return frame
 
 
-def build_frame_auto(jets, tol: float = SEED_TOL) -> Frame:
+def build_frame_auto(jets) -> Frame:
     """Frame from the fallback seed pairs as a FieldGrid picks them (see
     _seeded_frames); records the branch used."""
     _, Fu, Fv, *_ = jet_arrays(jets)
-    return _seeded_frames(Fu, Fv, None, tol)
+    return _seeded_frames(Fu, Fv, None)
 
 
 def second_form(jets, frame: Frame) -> np.ndarray:
@@ -378,7 +386,7 @@ def shape_operators(form: FirstForm, second: np.ndarray) -> ShapeOperators:
 def mean_curvature(form: FirstForm, second: np.ndarray, frame: Frame) -> np.ndarray:
     """Mean curvature vector H = ((tr A_1) n_1 + (tr A_2) n_2) / 2."""
     return _mean_curvature(form.g11, form.g12, form.g22, form.det, second,
-                           frame.n1, frame.n2)
+                           frame.n1, frame.n2)[0]
 
 
 def normal_connection(surface: SurfaceDef, u: float, v: float,
@@ -430,19 +438,20 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     g = _metric(arrays[1], arrays[2])
     g0 = tuple(x[0] for x in g)
     _require_finite(u, v, "metric", {"g11, g12, g22 or det g": g0[3]})
-    form = _point_form(*g0, IMMERSION_TOL)
+    _require_immersed(g0[0], g0[2], g0[3], (u, v))
+    form = FirstForm(*map(float, g0[:3]))
     # The probes must be isothermal too, lest a pointwise coincidence g11 = g22
     # pass for isothermal coordinates; undefined, overflowing or non-immersed
     # ones are skipped.
-    probes = ok & np.isfinite(g[3]) & _immersed(g[0], g[2], g[3], IMMERSION_TOL)
+    probes = ok & np.isfinite(g[3]) & _immersed(g[0], g[2], g[3])
     iso = bool(_isothermal_mask(*(x[probes] for x in g[:3]),
                                 isothermal_tol).all())
-    frame = _seeded_frames(Fu, Fv, seed_branch, SEED_TOL, (u, v))
+    frame = _seeded_frames(Fu, Fv, seed_branch, (u, v))
     # products of finite 2-jets can overflow where the metric does not
     with np.errstate(over="ignore", invalid="ignore"):
         b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
         christoffel = _christoffel(point, *g0)
-        H = _mean_curvature(*g0, b, frame.n1, frame.n2)
+        H, H_norm = _mean_curvature(*g0, b, frame.n1, frame.n2)
         gammas = _connection(FALLBACK_SEEDS[frame.seed_branch][0], frame, *g0, b)
     _require_finite(u, v, "second-order geometry",
                     {"b": b, "Gamma": christoffel, "H": H, "gamma": gammas})
@@ -456,7 +465,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     jets = tuple(Jet2(*(a[k] for a in point)) for k in range(4))
     return SurfacePointData(u, v, jets, form, iso, alpha,
                             frame, b, shape_operators(form, b), christoffel,
-                            H, conn, beta1, beta2, gamma)
+                            H, float(H_norm), conn, beta1, beta2, gamma)
 
 
 # --- grids -------------------------------------------------------------------
@@ -491,10 +500,7 @@ class FieldGrid:
 
         self.g11, self.g12, self.g22, self.det = g = _metric(self.Fu, self.Fv)
         _require_finite(U, V, "metric", {"g11, g12, g22 or det g": self.det})
-        if np.min(self.det) <= IMMERSION_TOL or np.min(self.g11) <= IMMERSION_TOL:
-            i, j = np.unravel_index(np.argmin(self.det), self.det.shape)
-            raise NotImmersed(
-                f"degenerate point at (u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
+        _require_immersed(self.g11, self.g22, self.det, (U, V))
 
         self.isothermal_mask = _isothermal_mask(self.g11, self.g12, self.g22,
                                                 ISOTHERMAL_TOL)
@@ -502,14 +508,13 @@ class FieldGrid:
         self.e2a = self.g11
         self.alpha = 0.5 * np.log(self.g11) if self.isothermal else None
 
-        fr = _seeded_frames(self.Fu, self.Fv, seed_branch, SEED_TOL, (U, V))
+        fr = _seeded_frames(self.Fu, self.Fv, seed_branch, (U, V))
         self.seed_branch = fr.seed_branch
         self.branch_uniform = np.ndim(fr.seed_branch) == 0
         self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
         b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
         self.b = b
-        self.H = _mean_curvature(*g, b, self.n1, self.n2)
-        self.H_norm = np.sqrt(_dot(self.H, self.H))
+        self.H, self.H_norm = _mean_curvature(*g, b, self.n1, self.n2)
 
         self.psi = 0.5 * (self.Fu - 1j * self.Fv)
         self.beta1 = 0.5 * (b[..., 0, 0, 0] - 1j * b[..., 0, 0, 1])

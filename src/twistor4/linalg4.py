@@ -7,8 +7,7 @@ of such matrices is 6-dimensional and carries the quarter-trace inner product
 (eps = +1/-1, k = 1..3) are orthonormal.  The +1 triple spans a 3-space
 orthogonal to the -1 triple.
 
-Everything here is a pure function of its arguments; tolerances default to
-1e-10 because inputs come from exact formulas.
+Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -34,6 +33,12 @@ __all__ = [
 E4 = np.eye(4)
 
 CHIRALITIES = (1, -1)
+
+# Tolerances of the algebraic checks: EXACT_TOL of identities that exact
+# formulas hold to roundoff; DERIVED_TOL where roundoff compounds (a
+# determinant, an SVD's rank, unit vectors or pairs from jets or a caller).
+EXACT_TOL = 1e-10
+DERIVED_TOL = 1e-8
 
 _I_PLUS = np.array([
     [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
@@ -102,7 +107,7 @@ def basis_I_stack(eps: int) -> np.ndarray:
     return (_I_PLUS if eps == 1 else _I_MINUS).copy()
 
 
-def bivector_coords(m, tol: float = 1e-10):
+def bivector_coords(m):
     """Coordinates of an alternating matrix in the orthonormal basis
     {I[+,k]} u {I[-,k]}.
 
@@ -112,7 +117,7 @@ def bivector_coords(m, tol: float = 1e-10):
     m = np.asarray(m, float)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if np.max(np.abs(m + m.T)) > tol:
+    if np.max(np.abs(m + m.T)) > EXACT_TOL:
         raise ValueError("matrix is not alternating")
     cplus = np.array([mat_inner(_I_PLUS[k], m) for k in range(3)])
     cminus = np.array([mat_inner(_I_MINUS[k], m) for k in range(3)])
@@ -131,10 +136,10 @@ def det4(A) -> float:
     return float(np.linalg.det(np.asarray(A, float)))
 
 
-def is_orthogonal(A, tol: float = 1e-10) -> bool:
+def is_orthogonal(A) -> bool:
     A = np.asarray(A, float)
-    return bool(np.max(np.abs(A.T @ A - E4)) <= tol)
+    return bool(np.max(np.abs(A.T @ A - E4)) <= EXACT_TOL)
 
 
-def is_special_orthogonal(A, tol: float = 1e-10) -> bool:
-    return is_orthogonal(A, tol) and abs(det4(A) - 1.0) <= max(tol, 1e-8)
+def is_special_orthogonal(A) -> bool:
+    return is_orthogonal(A) and abs(det4(A) - 1.0) <= DERIVED_TOL

@@ -483,7 +483,8 @@ def _jets(exprs, u, v):
     u, v = np.asarray(u, float), np.asarray(v, float)
     with np.errstate(all="ignore"):
         jets = [_eval(e, np.atleast_1d(u), np.atleast_1d(v)) for e in exprs]
-    jets = [j if isinstance(j, Jet2) else Jet2(j) for j in jets]
+    # a component without u or v is a plain number: give it the points' shape
+    jets = [j if isinstance(j, Jet2) else Jet2(np.full(u.shape, j)) for j in jets]
     if u.ndim == v.ndim == 0:
         # A point is evaluated as a 1-point batch and unwrapped: numpy's
         # scalar arithmetic can differ from its array loops in the last bit.

@@ -21,8 +21,8 @@ import numpy as np
 
 from .complex_structures import (
     OrthogonalComplexStructure,
+    _compose_ocs,
     classify_ocs,
-    compose_ocs,
 )
 from .errors import (
     GridTooSmall,
@@ -30,8 +30,8 @@ from .errors import (
     NotIsothermal,
     PoleOfChart,
 )
-from .geometry import FieldGrid, Frame, SurfacePointData, dwbar_field
-from .linalg4 import basis_I_stack
+from .geometry import ISOTHERMAL_TOL, FieldGrid, Frame, SurfacePointData, dwbar_field
+from .linalg4 import DERIVED_TOL, basis_I_stack
 
 __all__ = [
     "ChartValue",
@@ -57,6 +57,9 @@ __all__ = [
     "isotropy_fields",
     "isotropy_report",
 ]
+
+# Default tolerance of the five isotropy residuals (isotropy --tol).
+ISOTROPY_TOL = 1e-6
 
 
 def psi(jets) -> np.ndarray:
@@ -95,16 +98,15 @@ def sphere_coords(ps, e2a, eps: int) -> np.ndarray:
     return np.real(-2j * bp / np.asarray(e2a)[..., None])
 
 
-def lift_isothermal(ps, e2a: float, eps: int,
-                    tol: float = 1e-8) -> OrthogonalComplexStructure:
+def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
     """Twistor lift from psi at an isothermal point."""
     ps = np.asarray(ps)
-    if abs(np.sum(ps * ps)) > tol * e2a:
+    if abs(np.sum(ps * ps)) > ISOTHERMAL_TOL * e2a:
         raise NotIsothermal(
             "sum (psi^i)^2 does not vanish; the point is not isothermal")
     c = sphere_coords(ps, e2a, eps)
     try:
-        return compose_ocs(eps, c, tol=max(tol, 1e-10))
+        return _compose_ocs(eps, c, DERIVED_TOL)
     except NonUnitCoords as exc:
         raise NonUnitCoords(f"lift coordinates are not unit: {exc}") from None
 
@@ -137,7 +139,7 @@ class ChartValue:
     antipode: bool = False
 
 
-def chart(c, tol: float = 1e-8) -> ChartValue:
+def chart(c) -> ChartValue:
     """Stereographic chart of unit vectors c[..., 3] on S^2.
 
     A single vector gives a complex value and a bool; a field of vectors
@@ -145,11 +147,11 @@ def chart(c, tol: float = 1e-8) -> ChartValue:
     """
     c1, c2, c3 = np.moveaxis(np.asarray(c, float), -1, 0)
     norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    bad = np.abs(norm - 1.0) > max(tol, 1e-8)
+    bad = np.abs(norm - 1.0) > DERIVED_TOL
     if np.any(bad):
         raise NonUnitCoords(f"|c| = {np.ravel(norm)[np.ravel(bad)][0]!r} is not 1")
-    antipode = 1.0 - c3 <= tol
-    # the chosen projection's denominator is at least tol, or about 2
+    antipode = 1.0 - c3 <= DERIVED_TOL
+    # the chosen projection's denominator is at least DERIVED_TOL, or about 2
     value = (c1 + 1j * c2) / np.where(antipode, 1.0 + c3, 1.0 - c3)
     if np.ndim(value) == 0:
         return ChartValue(complex(value), bool(antipode))
@@ -171,16 +173,16 @@ def inverse_chart(g) -> np.ndarray:
     return c
 
 
-def g_plus_closed_form(ps, tol: float = 1e-8) -> complex:
+def g_plus_closed_form(ps) -> complex:
     """Closed form of the plus chart directly from psi at one point;
     raises PoleOfChart at the chart pole (see g_plus_closed_field)."""
-    g = g_plus_closed_field(ps, tol)
+    g = g_plus_closed_field(ps)
     if np.isnan(g):
         raise PoleOfChart("plus lift is at the chart pole (c3 = 1)")
     return complex(g)
 
 
-def g_plus_closed_field(psi_field, tol: float = 1e-8) -> np.ndarray:
+def g_plus_closed_field(psi_field) -> np.ndarray:
     """Closed form of the plus chart from psi[..., 4]; NaN at chart poles.
 
     Two algebraically equivalent branches exist,
@@ -200,7 +202,7 @@ def g_plus_closed_field(psi_field, tol: float = 1e-8) -> np.ndarray:
         branch1 = (p1 + 1j * p4) / (1j * d1)
         branch2 = 1j * (p2 + 1j * p3) / d2
     out = np.where(np.abs(d1) >= np.abs(d2), branch1, branch2)
-    pole = np.abs(d1) ** 2 + np.abs(d2) ** 2 <= tol * scale
+    pole = np.abs(d1) ** 2 + np.abs(d2) ** 2 <= DERIVED_TOL * scale
     return np.where(pole, np.nan + 0j, out)
 
 
@@ -307,10 +309,23 @@ def _lift_derivatives(grid: FieldGrid):
                  for c, eps in zip(_kept(grid, _sphere_fields), (1, -1)))
 
 
-def _chart_dwbar_exact(grid: FieldGrid, cs):
-    """|d/dwbar| of the holomorphic chart function of each lift on the
-    interior, from the exact _lift_derivatives by the quotient rule."""
-    for c, dc, eps in zip(cs, _kept(grid, _lift_derivatives), (1, -1)):
+def chart_residuals(grid: FieldGrid):
+    """Holomorphicity residuals (sup |d/dwbar|) of g+ and of conj(g-).
+
+    Each interior point is evaluated in whichever chart covers it: the
+    standard one where c3 <= 0, the antipodal one where c3 > 0.  Swapping
+    charts replaces the holomorphic function by its reciprocal, so the
+    residual keeps testing the same statement on the pole's chart too.
+
+    g+- depend only on F_u and F_v, so their first derivatives are
+    second-order quantities that the 2-jet holds exactly; they are pushed
+    through the sphere coordinates and the chart, with no truncation error.
+    """
+    if grid.n < 3:
+        raise GridTooSmall("chart residuals need at least a 3x3 grid")
+    out = []
+    for c, dc, eps in zip(_kept(grid, _sphere_fields),
+                          _kept(grid, _lift_derivatives), (1, -1)):
         c = c[1:-1, 1:-1]
         # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
         s = np.where(c[..., 2] <= 0.0, 1.0, -1.0)
@@ -319,46 +334,8 @@ def _chart_dwbar_exact(grid: FieldGrid, cs):
         gu, gv = (dc[..., 0] + 1j * dc[..., 1] + s * g * dc[..., 2]) / den
         # g+ is holomorphic in the standard chart, g- antiholomorphic, and the
         # antipodal chart swaps the two: d/dwbar of conj(g) is conj(dg/dw).
-        yield 0.5 * np.abs(gu + 1j * (s * eps) * gv)
-
-
-def _chart_dwbar_central(grid: FieldGrid, cs):
-    """|d/dwbar| of the holomorphic chart function of each lift on the
-    interior, by central differences of the chart fields (O(h^2))."""
-    for c, eps in zip(cs, (1, -1)):
-        z = c[..., 0] + 1j * c[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            north, south = z / (1.0 - c[..., 2]), z / (1.0 + c[..., 2])
-        if eps < 0:
-            holo_n, holo_s = np.conj(north), south
-        else:
-            holo_n, holo_s = north, np.conj(south)
-        res_n = np.abs(dwbar_field(holo_n, grid.hu, grid.hv))
-        res_s = np.abs(dwbar_field(holo_s, grid.hu, grid.hv))
-        yield np.where(c[1:-1, 1:-1, 2] <= 0.0, res_n, res_s)
-
-
-def chart_residuals(grid: FieldGrid, method: str = "exact"):
-    """Holomorphicity residuals (sup |d/dwbar|) of g+ and of conj(g-).
-
-    Each interior point is evaluated in whichever chart covers it: the
-    standard one where c3 <= 0, the antipodal one where c3 > 0.  Swapping
-    charts replaces the holomorphic function by its reciprocal, so the
-    residual keeps testing the same statement on the pole's chart too.
-
-    method "exact" (default): g+- depend only on F_u and F_v, so their first
-    derivatives are second-order quantities that the 2-jet holds exactly;
-    they are pushed through the sphere coordinates and the chart, with no
-    truncation error.  method "stencil": central differences of the chart
-    fields, an independent O(h^2) cross-check.
-    """
-    if method not in ("exact", "stencil"):
-        raise ValueError(f"unknown method {method!r}; use 'exact' or 'stencil'")
-    if grid.n < 3:
-        raise GridTooSmall("chart residuals need at least a 3x3 grid")
-    dwbar = _chart_dwbar_exact if method == "exact" else _chart_dwbar_central
-    rp, rm = (float(r.max()) for r in dwbar(grid, _kept(grid, _sphere_fields)))
-    return rp, rm
+        out.append(0.5 * float(np.abs(gu + 1j * (s * eps) * gv).max()))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -442,7 +419,7 @@ def isotropy_fields(grid: FieldGrid):
             np.maximum(0.5 * cos_abs, sin_abs))
 
 
-def isotropy_report(grid: FieldGrid, tol: float = 1e-6) -> IsotropyReport:
+def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyReport:
     """Evaluate the five isotropy conditions for a minimal surface in
     isothermal coordinates over a grid."""
     grid.require_isothermal()

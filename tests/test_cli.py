@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, round trips, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistor4.cli import main
+from twistor4.surface_expr import expr_text
+from test_surface_expr import _trees
 
 
 def run(capsys, *argv):
@@ -156,6 +161,9 @@ class TestHostileInput:
         ("u^((-8)^(1/3)), v, 0, 0", 2, "exponent"),
         ("u, v, 1e308*1e308*u, 0", 2, "undefined or infinite at (u, v)"),
         ("u, v, u*v, 0", 0, ""),
+        # no component holds u or v: refused as not immersed, no traceback
+        ("0, 0, 0, 0", 3, "tangent vectors are dependent"),
+        ("cos(e), pi, 1, 0", 3, "tangent vectors are dependent"),
         pytest.param("-" * 5000 + "u, v, 0, 0", 2, "nested deeper",
                      id="5000-unary-minus"),
         pytest.param("(" * 3000 + "u" + ")" * 3000 + ", v, 0, 0", 2,
@@ -203,6 +211,35 @@ class TestHostileInput:
         assert code == 4 and out == ""
         assert err == ("error: the second-order geometry overflows at "
                        "(u, v) = (0.872, 0): Gamma is not finite\n")
+
+    @pytest.mark.parametrize("command,point", [
+        (("analyze", "--at", "0.3", "0.2"), "(0.3, 0.2)"),
+        (("grid", "--n", "5"), "(-1, -1)"),
+    ])
+    def test_one_immersion_rule_for_points_and_grids(self, capsys, command, point):
+        # g22 = 9e-14 is below IMMERSION_TOL although g11 and det g are not:
+        # a point and a grid both refuse it, naming the first such point
+        code, out, err = run(capsys, command[0], "--expr", "1000*u, 3e-7*v, 0, 0",
+                             *command[1:])
+        assert code == 3 and out == ""
+        assert err == (f"error: tangent vectors are dependent at (u, v) = {point} "
+                       "(g11=1e+06, g22=9e-14, det=9e-08)\n")
+
+    @pytest.mark.parametrize("command", [("analyze", "--at", "0", "0"),
+                                         ("grid", "--n", "5"),
+                                         ("grid", "--n", "5", "--format", "csv")])
+    def test_mean_curvature_norm_does_not_overflow(self, capsys, command):
+        # |H| = 1e200 at u = 0 is finite although |H|^2 is not
+        code, out, err = run(capsys, command[0], "--expr", "u, v, 1e200*u^2, 0",
+                             "--domain", "0", "1e-180", "0", "1", *command[1:])
+        assert code == 0 and err == ""
+        if command[0] == "analyze":
+            norm = json.loads(out, parse_constant=_strict)["mean_curvature"]["norm"]
+        elif "csv" in command:
+            norm = float(next(csv.DictReader(io.StringIO(out)))["H_norm"])
+        else:
+            norm = json.loads(out, parse_constant=_strict)["summary"]["sup_H"]
+        assert math.isclose(norm, 1e200, rel_tol=1e-15)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_cell_is_refused(self, capsys, tmp_path, monkeypatch, fmt):
@@ -426,3 +463,28 @@ class TestResidualsCommand:
         code, _, _ = run(capsys, "residuals", "--surface", "clifford_torus",
                          "--n", "11")
         assert code == 3
+
+
+class TestFuzz:
+    @staticmethod
+    def call(argv):
+        # cli.main in-process, with stdout and stderr captured (hypothesis
+        # does not reset function-scoped fixtures such as capsys per example)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(_trees, _trees, _trees, _trees))
+    def test_random_surfaces_exit_cleanly(self, trees):
+        # any exception, RuntimeWarning included, escapes main and fails here
+        expr = ", ".join(map(expr_text, trees))
+        for command in (("analyze", "--at", "0.3", "0.2"), ("grid", "--n", "5"),
+                        ("grid", "--n", "5", "--format", "csv")):
+            code, out, err = self.call([command[0], "--expr", expr, *command[1:]])
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert out == "" and err.startswith("error:")
+            elif "csv" not in command:
+                json.loads(out, parse_constant=_strict)

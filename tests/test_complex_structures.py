@@ -161,7 +161,7 @@ class TestPairToPlane:
             p, m = plane_to_pair(plane)
             back = pair_to_plane(p, m)
             assert np.max(np.abs(back.projector() - plane.projector())) <= 1e-10
-            assert same_oriented_plane(back, plane, tol=1e-10)
+            assert same_oriented_plane(back, plane)
 
     def test_round_trip_pair_plane_pair(self, rng):
         for _ in range(100):

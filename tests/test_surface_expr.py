@@ -287,7 +287,7 @@ def test_batch_matches_points_one_by_one(tree, points):
                          (-2.0, 2.0, -2.0, 2.0))
     us, vs = np.array(points).T
     batch = eval_surface_jet(surface, us, vs)[0]
-    # a constant tree gives plain numbers, which broadcast over the batch
+    # a constant tree has plain-number partials, which broadcast over the batch
     ok = np.broadcast_to(finite_mask((batch,)), us.shape)
     parts = np.broadcast_arrays(*batch.as_tuple(), us)[:6]
     for i, (u, v) in enumerate(points):

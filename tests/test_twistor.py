@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistor4.catalog import CATALOG
 from twistor4.complex_structures import OrientedPlane, pair_to_plane, plane_to_pair
@@ -14,7 +16,13 @@ from twistor4.errors import (
     NotMinimal,
     PoleOfChart,
 )
-from twistor4.geometry import build_frame_auto, first_form, surface_point_data
+from twistor4.geometry import (
+    FieldGrid,
+    build_frame_auto,
+    dwbar_field,
+    first_form,
+    surface_point_data,
+)
 from twistor4.linalg4 import basis_I
 from twistor4.surface_expr import eval_surface_jet, parse_surface
 from twistor4.twistor import (
@@ -275,10 +283,28 @@ class TestHolomorphicityResidual:
 
 
 class TestChartResiduals:
+    @staticmethod
+    def stencil(grid):
+        # the residuals of g+ and conj(g-) by central differences of the chart
+        # fields, each interior point in the chart that chart_residuals uses
+        out = []
+        for c, eps in zip(lift_sphere_fields(grid), (1, -1)):
+            z = c[..., 0] + 1j * c[..., 1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                north, south = z / (1.0 - c[..., 2]), z / (1.0 + c[..., 2])
+            if eps < 0:
+                north = np.conj(north)
+            else:
+                south = np.conj(south)
+            res_n, res_s = (np.abs(dwbar_field(f, grid.hu, grid.hv))
+                            for f in (north, south))
+            out.append(float(np.where(c[1:-1, 1:-1, 2] <= 0.0, res_n, res_s).max()))
+        return out
+
     def test_holo_square_minus_chart_second_order(self, grids):
-        # The stencil's truncation error is O(h^2); the exact default is not.
-        rp_c, rm_c = chart_residuals(grids("holo_square", 21), method="stencil")
-        rp_f, rm_f = chart_residuals(grids("holo_square", 41), method="stencil")
+        # The stencil's truncation error is O(h^2); the exact residuals' is not.
+        rp_c, rm_c = self.stencil(grids("holo_square", 21))
+        rp_f, rm_f = self.stencil(grids("holo_square", 41))
         assert rp_c <= 1e-12 and rp_f <= 1e-12  # g+ constant
         assert 3.5 <= rm_c / rm_f <= 4.5
         for n in (21, 41):
@@ -292,7 +318,7 @@ class TestChartResiduals:
         for n in (21, 41):
             g = grids("clifford_torus", n)
             exact = chart_residuals(g)
-            stencil = chart_residuals(g, method="stencil")
+            stencil = self.stencil(g)
             diffs.append([abs(e - s) for e, s in zip(exact, stencil)])
         for coarse, fine in zip(*diffs):
             assert 3.5 <= coarse / fine <= 4.5
@@ -300,10 +326,6 @@ class TestChartResiduals:
     def test_catenoid_exact_residuals_vanish(self, grids):
         # minimal, with non-constant g+ and g-; the stencil gives ~1e-4 here
         assert max(chart_residuals(grids("catenoid_E3", 41))) <= 1e-12
-
-    def test_unknown_method(self, grids):
-        with pytest.raises(ValueError):
-            chart_residuals(grids("plane", 11), method="spectral")
 
     def test_clifford_control_stays_large(self, grids):
         rp, rm = chart_residuals(grids("clifford_torus", 21))
@@ -373,3 +395,42 @@ class TestIsotropyReport:
         field = g.beta1 ** 2 + g.beta2 ** 2
         assert np.abs(field).min() >= 1e-2      # nowhere zero
         assert holomorphicity_residual(field, g.hu, g.hv) <= 1e-10
+
+
+# (rho_k, theta_k) for k = 2..d, d in 2..5
+_polar = st.tuples(st.floats(0.2, 1.0), st.floats(0.0, 2 * math.pi))
+_weierstrass = st.integers(2, 5).flatmap(
+    lambda d: st.lists(_polar, min_size=d - 1, max_size=d - 1))
+
+
+class TestWeierstrassFamily:
+    """Graphs F = (u, v, Re f, Im f) of polynomials f = sum_{k=2..d} a_k w^k
+    are isotropic minimal surfaces whose + lift is constant, the lift
+    (1, 0, 0) of the coordinate plane; their mirrors (u, v, Re f, -Im f)
+    have the - lift constant instead (Hoffman-Osserman)."""
+
+    @staticmethod
+    def surface(polar, sign):
+        # a_k = 0.3 rho_k e^(i theta_k) / (k r^(k-1) (d-1)) with r = sup |w| on
+        # [-1, 1]^2 keeps sup |f'| <= 0.3; w^k expands into C(k, j) u^(k-j) (iv)^j
+        d, r = len(polar) + 1, math.sqrt(2.0)
+        re, im = [], []
+        for k, (rho, theta) in enumerate(polar, start=2):
+            a = 0.3 * rho * complex(math.cos(theta), math.sin(theta)) / (
+                k * r ** (k - 1) * (d - 1))
+            for j in range(k + 1):
+                c = math.comb(k, j) * a * 1j ** j
+                re.append(f"{c.real!r}*u^{k - j}*v^{j}")
+                im.append(f"{sign * c.imag!r}*u^{k - j}*v^{j}")
+        return parse_surface(f"u, v, {' + '.join(re)}, {' + '.join(im)}",
+                             domain=(-1.0, 1.0, -1.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_weierstrass)
+    def test_graphs_lift_plus_and_mirrors_lift_minus(self, polar):
+        for sign, lift, k in ((1, "+", 0), (-1, "-", 1)):
+            grid = FieldGrid(self.surface(polar, sign), 21)
+            rep = isotropy_report(grid)
+            assert rep.consensus is True and rep.constant_lift == lift
+            c = lift_sphere_fields(grid)[k]
+            assert np.abs(c - [1.0, 0.0, 0.0]).max() <= 1e-12
