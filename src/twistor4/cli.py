@@ -97,6 +97,13 @@ def _resolve_surface(args):
         raise ExpressionError(f"invalid surface JSON: {exc}") from None
 
 
+def _checked_tol(args) -> float:
+    if not 0 <= args.tol < math.inf:
+        raise ExpressionError(
+            f"--tol must be finite and non-negative, got {args.tol:g}")
+    return args.tol
+
+
 def _config(surface, **extra) -> dict:
     cfg = {
         "tool": "twistor4",
@@ -160,15 +167,15 @@ def cmd_catalog(args) -> int:
 
 def cmd_analyze(args) -> int:
     surface = _resolve_surface(args)
+    tol = _checked_tol(args)
     u, v = args.at
-    pd = surface_point_data(
-        surface, u, v,
-        seed_branch=args.seed_normal,
-        isothermal_tol=args.tol if args.tol else _DEFAULTS["isothermal_tol"],
-    )
+    pd = surface_point_data(surface, u, v, seed_branch=args.seed_normal,
+                            isothermal_tol=tol)
     s1, s2 = gauss_weingarten_matrices(pd)
     doc = {
-        "config": _config(surface, seed_branch=pd.frame.seed_branch),
+        "config": _config(surface,
+                          tolerances={**_DEFAULTS, "isothermal_tol": tol},
+                          seed_branch=pd.frame.seed_branch),
         "point": {"u": u, "v": v},
         "first_form": {"g11": pd.form.g11, "g12": pd.form.g12, "g22": pd.form.g22},
         "isothermal": pd.isothermal,
@@ -331,26 +338,29 @@ _CONDITION_LABELS = {
 
 def cmd_isotropy(args) -> int:
     surface = _resolve_surface(args)
+    tol = _checked_tol(args)
     domain = tuple(args.domain) if args.domain else surface.domain
     grid = FieldGrid(surface, args.n, domain=domain,
                      seed_branch=args.seed_normal)
     try:
-        rep = isotropy_report(grid, tol=args.tol)
+        rep = isotropy_report(grid, tol=tol)
     except (NotMinimal, NotIsothermal) as exc:
         what = "minimal" if isinstance(exc, NotMinimal) else "isothermal"
         raise type(exc)(f"refused: the hypothesis '{what}' fails for "
                         f"{surface.name} ({exc})") from None
     if args.json:
         doc = {
-            "config": _config(surface, n=grid.n, h=[grid.hu, grid.hv],
-                              domain=list(grid.domain), tol=args.tol),
+            "config": _config(surface,
+                              tolerances={**_DEFAULTS, "isotropy_tol": tol},
+                              n=grid.n, h=[grid.hu, grid.hv],
+                              domain=list(grid.domain), tol=tol),
             "report": rep.as_dict(),
         }
         _emit_json(args, doc)
         return 0
     lines = [f"isotropy analysis: {surface.name}  "
              f"(n={grid.n}, domain=[{domain[0]:g}, {domain[1]:g}] x "
-             f"[{domain[2]:g}, {domain[3]:g}], tol={args.tol:g})"]
+             f"[{domain[2]:g}, {domain[3]:g}], tol={tol:g})"]
     for key, res, ok in rep.conditions():
         lines.append(f"  ({key}) {_CONDITION_LABELS[key]:<55} "
                      f"residual {res:12.5e}  {'pass' if ok else 'fail'}")
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     p.add_argument("--at", type=float, nargs=2, required=True,
                    metavar=("U", "V"))
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=_DEFAULTS["isothermal_tol"],
                    help="isothermality tolerance")
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)

@@ -30,7 +30,7 @@ from .errors import (
     NotSO4,
 )
 from .linalg4 import (DERIVED_TOL, E4, EXACT_TOL, basis_I_stack, det4,
-                      is_special_orthogonal)
+                      is_special_orthogonal, pair_coords)
 
 __all__ = [
     "OrthogonalComplexStructure",
@@ -80,7 +80,7 @@ class OrientedPlane:
         b = np.asarray(self.b, float)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if max(abs(a @ a - 1.0), abs(b @ b - 1.0), abs(a @ b)) > DERIVED_TOL:
+        if not np.max(np.abs([a @ a - 1.0, b @ b - 1.0, a @ b])) <= DERIVED_TOL:
             raise DegeneratePair(
                 "representative pair is not orthonormal within tolerance")
 
@@ -89,9 +89,9 @@ class OrientedPlane:
 
 
 def _check_structure_matrix(A: np.ndarray, tol: float) -> None:
-    if np.max(np.abs(A.T @ A - E4)) > tol:
+    if not np.max(np.abs(A.T @ A - E4)) <= tol:
         raise NotAComplexStructure("matrix is not orthogonal")
-    if np.max(np.abs(A @ A + E4)) > tol:
+    if not np.max(np.abs(A @ A + E4)) <= tol:
         raise NotAComplexStructure("matrix squared is not minus the identity")
 
 
@@ -99,20 +99,16 @@ def classify_ocs(A) -> OrthogonalComplexStructure:
     """Recover (chirality, coords) of an orthogonal complex structure.
 
     The matrix is necessarily alternating, so the coordinates can be read off
-    the first column; the chirality comes from the orientation of the lower
-    2x2 pair of the second column relative to the first (or, when that pair
-    is too small, from the sign pattern tying entry (4,3) to entry (2,1)).
+    the first column, where each I[eps, k] holds its e_1 ^ e_(k+1) part.  The
+    entries (4,3), (2,4), (3,2) hold the eps halves, eps c, in either basis,
+    so their inner product with c is eps |c|^2 = eps.
     """
     A = np.asarray(A, float)
     _check_structure_matrix(A, EXACT_TOL)
     c = np.array([A[1, 0], A[2, 0], A[3, 0]])
-    if A[2, 0] ** 2 + A[3, 0] ** 2 >= 0.5:
-        s = A[2, 1] * A[3, 0] - A[3, 1] * A[2, 0]
-        eps = 1 if s > 0 else -1
-    else:
-        eps = 1 if A[3, 2] * A[1, 0] > 0 else -1
+    eps = 1 if c @ [A[3, 2], A[1, 3], A[2, 1]] > 0 else -1
     recon = np.einsum("k,kij->ij", c, basis_I_stack(eps))
-    if np.max(np.abs(recon - A)) > 20 * EXACT_TOL:
+    if not np.max(np.abs(recon - A)) <= 20 * EXACT_TOL:
         raise NotAComplexStructure(
             "matrix does not decompose over a single chirality basis")
     return OrthogonalComplexStructure(A.copy(), eps, c)
@@ -128,10 +124,8 @@ def _compose_ocs(eps, coords, tol) -> OrthogonalComplexStructure:
     c = np.asarray(coords, float)
     if c.shape != (3,):
         raise ValueError("coords must have shape (3,)")
-    if abs(np.linalg.norm(c) - 1.0) > tol:
+    if not abs(np.linalg.norm(c) - 1.0) <= tol:
         raise NonUnitCoords(f"|coords| = {np.linalg.norm(c)!r} is not 1")
-    if eps not in (1, -1):
-        raise ValueError("chirality must be +1 or -1")
     A = np.einsum("k,kij->ij", c, basis_I_stack(eps))
     return OrthogonalComplexStructure(A, eps, c.copy())
 
@@ -139,24 +133,12 @@ def _compose_ocs(eps, coords, tol) -> OrthogonalComplexStructure:
 def plane_to_pair(plane: OrientedPlane):
     """The unique pair (A+, A-) of structures mapping plane.a to plane.b.
 
-    For a = (a^i), b = (b^i) the sphere coordinates are
-
-        c_eps^1 = a^1 b^2 - a^2 b^1 + eps (a^3 b^4 - a^4 b^3)
-        c_eps^2 = a^1 b^3 - a^3 b^1 + eps (a^4 b^2 - a^2 b^4)
-        c_eps^3 = a^1 b^4 - a^4 b^1 + eps (a^2 b^3 - a^3 b^2)
-
-    and come out unit automatically.
+    The sphere coordinates are c_eps = pair_coords(a, b, eps), the
+    coordinates 2 <I[eps, k], a ^ b> of the plane's bivector, and come out
+    unit automatically.
     """
-    a, b = plane.a, plane.b
-    out = []
-    for eps in (1, -1):
-        c = np.array([
-            a[0] * b[1] - a[1] * b[0] + eps * (a[2] * b[3] - a[3] * b[2]),
-            a[0] * b[2] - a[2] * b[0] + eps * (a[3] * b[1] - a[1] * b[3]),
-            a[0] * b[3] - a[3] * b[0] + eps * (a[1] * b[2] - a[2] * b[1]),
-        ])
-        out.append(_compose_ocs(eps, c, DERIVED_TOL))
-    return out[0], out[1]
+    return tuple(_compose_ocs(eps, pair_coords(plane.a, plane.b, eps),
+                              DERIVED_TOL) for eps in (1, -1))
 
 
 def pair_to_plane(plus: OrthogonalComplexStructure,
@@ -235,10 +217,10 @@ def h1h2_factorize(A) -> SO4Factorization:
     B = h1_matrix(b)
     C = B.T @ A
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    if max(np.max(np.abs(C[0] - e1)), np.max(np.abs(C[:, 0] - e1))) > 10 * EXACT_TOL:
+    if not np.max(np.abs([C[0] - e1, C[:, 0] - e1])) <= 10 * EXACT_TOL:
         raise FactorizationFailed("H2 factor does not stabilize e1")
     c_block = C[1:, 1:].copy()
-    if np.max(np.abs(c_block.T @ c_block - np.eye(3))) > 10 * EXACT_TOL:
+    if not np.max(np.abs(c_block.T @ c_block - np.eye(3))) <= 10 * EXACT_TOL:
         raise FactorizationFailed("H2 block is not orthogonal")
     return SO4Factorization(b, c_block)
 
@@ -250,7 +232,7 @@ def phi(b_quat) -> np.ndarray:
     minus-chirality bivector triple.
     """
     b = np.asarray(b_quat, float)
-    if abs(np.linalg.norm(b) - 1.0) > EXACT_TOL:
+    if not abs(np.linalg.norm(b) - 1.0) <= EXACT_TOL:
         raise NonUnitQuaternion(f"|b| = {np.linalg.norm(b)!r} is not 1")
     b1, b2, b3, b4 = b
     return np.array([
@@ -287,8 +269,8 @@ def chirality_via_frame(A, u, uprime) -> int:
     u = np.asarray(u, float)
     up = np.asarray(uprime, float)
     Au = A @ u
-    if max(abs(u @ u - 1.0), abs(up @ up - 1.0), abs(up @ u),
-           abs(up @ Au)) > DERIVED_TOL:
+    if not np.max(np.abs([u @ u - 1.0, up @ up - 1.0, up @ u,
+                          up @ Au])) <= DERIVED_TOL:
         raise FrameConditionViolated(
             "u, u' do not satisfy the frame conditions")
     X = np.column_stack([u, Au, up, A @ up])

@@ -512,9 +512,12 @@ class FieldGrid:
         self.seed_branch = fr.seed_branch
         self.branch_uniform = np.ndim(fr.seed_branch) == 0
         self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
-        b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
+        # products of finite 2-jets can overflow where the metric does not
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
+            self.H, self.H_norm = _mean_curvature(*g, b, self.n1, self.n2)
+        _require_finite(U, V, "second-order geometry", {"b": b, "H": self.H})
         self.b = b
-        self.H, self.H_norm = _mean_curvature(*g, b, self.n1, self.n2)
 
         self.psi = 0.5 * (self.Fu - 1j * self.Fv)
         self.beta1 = 0.5 * (b[..., 0, 0, 0] - 1j * b[..., 0, 0, 1])

@@ -7,6 +7,10 @@ of such matrices is 6-dimensional and carries the quarter-trace inner product
 (eps = +1/-1, k = 1..3) are orthonormal.  The +1 triple spans a 3-space
 orthogonal to the -1 triple.
 
+This module is the one home of the I[eps, k] layout: it builds their tables
+from the definition and holds `pair_coords`, the one kernel for coordinates
+of a wedge in that basis (a plane's structure pair, the lifts from psi).
+
 Everything here is a pure function of its arguments.
 """
 
@@ -20,6 +24,7 @@ __all__ = [
     "basis_vector",
     "inner4",
     "wedge",
+    "pair_coords",
     "mat_inner",
     "basis_I",
     "basis_I_stack",
@@ -40,24 +45,6 @@ CHIRALITIES = (1, -1)
 EXACT_TOL = 1e-10
 DERIVED_TOL = 1e-8
 
-_I_PLUS = np.array([
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
-    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
-    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
-], dtype=float)
-
-_I_MINUS = np.array([
-    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
-    [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
-    [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
-], dtype=float)
-
-
-def _check_chirality(eps: int) -> int:
-    if eps not in (1, -1):
-        raise ValueError(f"chirality must be +1 or -1, got {eps!r}")
-    return eps
-
 
 def basis_vector(i: int) -> np.ndarray:
     """Standard basis vector e_i, i in 1..4."""
@@ -74,10 +61,31 @@ def inner4(a, b) -> float:
 
 
 def wedge(a, b) -> np.ndarray:
-    """Wedge product a ^ b = b a^T - a b^T (an alternating matrix)."""
+    """Wedge product a ^ b = b a^T - a b^T (an alternating matrix),
+    broadcasting over leading axes of a[..., 4] and b[..., 4]."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    return np.outer(b, a) - np.outer(a, b)
+    return b[..., :, None] * a[..., None, :] - a[..., :, None] * b[..., None, :]
+
+
+# I[eps, k] = e_i ^ e_j + eps e_l ^ e_m for (i, j, l, m) = _PAIRS[k - 1], 0-based
+_PAIRS = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+_I_PLUS, _I_MINUS = (
+    np.array([wedge(E4[i], E4[j]) + eps * wedge(E4[l], E4[m])
+              for i, j, l, m in _PAIRS]) for eps in CHIRALITIES)
+
+
+def pair_coords(p, q, eps: int) -> np.ndarray:
+    """B_eps(p, q)[..., k] = 2 <I[eps, k], p ^ q>, bilinear in p[..., 4] and
+    q[..., 4] (real or complex), broadcasting over leading axes; e.g.
+    B^1 = p^1 q^2 - p^2 q^1 + eps (p^3 q^4 - p^4 q^3)."""
+    p, q = np.asarray(p), np.asarray(q)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape)[:-1] + (3,),
+                   np.result_type(p, q))
+    for k, (i, j, l, m) in enumerate(_PAIRS):
+        out[..., k] = (p[..., i] * q[..., j] - p[..., j] * q[..., i]
+                       + eps * (p[..., l] * q[..., m] - p[..., m] * q[..., l]))
+    return out
 
 
 def mat_inner(A, B) -> float:
@@ -94,16 +102,15 @@ def basis_I(eps: int, k: int) -> np.ndarray:
     I[eps, 2] = e1 ^ e3 + eps e4 ^ e2,
     I[eps, 3] = e1 ^ e4 + eps e2 ^ e3.
     """
-    _check_chirality(eps)
     if not 1 <= k <= 3:
         raise ValueError("basis index k must be in 1..3")
-    table = _I_PLUS if eps == 1 else _I_MINUS
-    return table[k - 1].copy()
+    return basis_I_stack(eps)[k - 1]
 
 
 def basis_I_stack(eps: int) -> np.ndarray:
     """The three I[eps, k] stacked into shape (3, 4, 4)."""
-    _check_chirality(eps)
+    if eps not in CHIRALITIES:
+        raise ValueError(f"chirality must be +1 or -1, got {eps!r}")
     return (_I_PLUS if eps == 1 else _I_MINUS).copy()
 
 
@@ -117,7 +124,7 @@ def bivector_coords(m):
     m = np.asarray(m, float)
     if m.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if np.max(np.abs(m + m.T)) > EXACT_TOL:
+    if not np.max(np.abs(m + m.T)) <= EXACT_TOL:
         raise ValueError("matrix is not alternating")
     cplus = np.array([mat_inner(_I_PLUS[k], m) for k in range(3)])
     cminus = np.array([mat_inner(_I_MINUS[k], m) for k in range(3)])

@@ -31,7 +31,7 @@ from .errors import (
     PoleOfChart,
 )
 from .geometry import ISOTHERMAL_TOL, FieldGrid, Frame, SurfacePointData, dwbar_field
-from .linalg4 import DERIVED_TOL, basis_I_stack
+from .linalg4 import DERIVED_TOL, basis_I_stack, pair_coords, wedge
 
 __all__ = [
     "ChartValue",
@@ -50,7 +50,6 @@ __all__ = [
     "g_plus_closed_field",
     "holomorphicity_residual",
     "lift_sphere_fields",
-    "lift_matrix_fields",
     "lift_agreement_residual",
     "lift_gradient_sups",
     "chart_residuals",
@@ -67,25 +66,16 @@ def psi(jets) -> np.ndarray:
     return np.array([0.5 * (j.du - 1j * j.dv) for j in jets])
 
 
-def big_psi(ps, eps: int, qs=None) -> np.ndarray:
-    """Quadratic lift components; broadcasts over leading axes of ps[..., 4].
+def big_psi(ps, eps: int) -> np.ndarray:
+    """Quadratic lift components Psi = pair_coords(psi, conj(psi), eps);
+    broadcasts over leading axes of ps[..., 4].
 
     Psi^1 = psi^1 conj(psi^2) - psi^2 conj(psi^1)
             + eps (psi^3 conj(psi^4) - psi^4 conj(psi^3)),
-    and cyclically for Psi^2, Psi^3 following the bivector basis pattern.
-    With `qs` given, the sesquilinear form B(ps, qs) is returned instead
-    (conj(psi) replaced by conj(qs)); Psi = B(psi, psi).
+    and likewise Psi^2, Psi^3 following the bivector basis pattern.
     """
     ps = np.asarray(ps)
-    qs = ps if qs is None else np.asarray(qs)
-    p1, p2, p3, p4 = (ps[..., k] for k in range(4))
-    q1, q2, q3, q4 = (np.conj(qs[..., k]) for k in range(4))
-    out = np.empty(np.broadcast_shapes(ps.shape, qs.shape)[:-1] + (3,),
-                   dtype=complex)
-    out[..., 0] = p1 * q2 - p2 * q1 + eps * (p3 * q4 - p4 * q3)
-    out[..., 1] = p1 * q3 - p3 * q1 + eps * (p4 * q2 - p2 * q4)
-    out[..., 2] = p1 * q4 - p4 * q1 + eps * (p2 * q3 - p3 * q2)
-    return out
+    return pair_coords(ps, np.conj(ps), eps)
 
 
 def sphere_coords(ps, e2a, eps: int) -> np.ndarray:
@@ -101,7 +91,7 @@ def sphere_coords(ps, e2a, eps: int) -> np.ndarray:
 def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
     """Twistor lift from psi at an isothermal point."""
     ps = np.asarray(ps)
-    if abs(np.sum(ps * ps)) > ISOTHERMAL_TOL * e2a:
+    if not abs(np.sum(ps * ps)) <= ISOTHERMAL_TOL * e2a:
         raise NotIsothermal(
             "sum (psi^i)^2 does not vanish; the point is not isothermal")
     c = sphere_coords(ps, e2a, eps)
@@ -113,10 +103,7 @@ def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
 
 def lift_matrix(t1, t2, n1, n2, eps: int) -> np.ndarray:
     """t1 ^ t2 + eps n1 ^ n2, broadcasting over leading axes."""
-    def w(a, b):
-        return (np.asarray(b)[..., :, None] * np.asarray(a)[..., None, :]
-                - np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :])
-    return w(t1, t2) + eps * w(n1, n2)
+    return wedge(t1, t2) + eps * wedge(n1, n2)
 
 
 def lift_frame(frame: Frame, eps: int) -> OrthogonalComplexStructure:
@@ -147,7 +134,7 @@ def chart(c) -> ChartValue:
     """
     c1, c2, c3 = np.moveaxis(np.asarray(c, float), -1, 0)
     norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    bad = np.abs(norm - 1.0) > DERIVED_TOL
+    bad = ~(np.abs(norm - 1.0) <= DERIVED_TOL)
     if np.any(bad):
         raise NonUnitCoords(f"|c| = {np.ravel(norm)[np.ravel(bad)][0]!r} is not 1")
     antipode = 1.0 - c3 <= DERIVED_TOL
@@ -271,21 +258,15 @@ def lift_sphere_fields(grid: FieldGrid):
     return _kept(grid, _sphere_fields)
 
 
-def lift_matrix_fields(grid: FieldGrid):
-    """Lift matrices over a grid from the frame field (works regardless of
-    isothermality and of per-point seed branches), built on each call and
-    not kept on the grid."""
-    return tuple(lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, eps)
-                 for eps in (1, -1))
-
-
 def lift_agreement_residual(grid: FieldGrid) -> float:
     """Sup distance between the psi-based and the frame-based lift, both
-    chiralities, over all grid points."""
+    chiralities, over all grid points.  The frame-based lift matrices work
+    regardless of per-point seed branches; they are built on each call and
+    not kept on the grid."""
     return float(max(
-        np.abs(np.einsum("...k,kij->...ij", c, basis_I_stack(eps)) - M).max()
-        for c, M, eps in zip(_kept(grid, _sphere_fields),
-                             lift_matrix_fields(grid), (1, -1))))
+        np.abs(np.einsum("...k,kij->...ij", c, basis_I_stack(eps))
+               - lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, eps)).max()
+        for c, eps in zip(_kept(grid, _sphere_fields), (1, -1))))
 
 
 def _lift_derivatives(grid: FieldGrid):
@@ -294,7 +275,8 @@ def _lift_derivatives(grid: FieldGrid):
     error).
 
     psi_u = (F_uu - i F_uv)/2, psi_v = (F_uv - i F_vv)/2 and
-    (e2a)_a = 2 <F_u, F_ua>.  Psi is sesquilinear in psi and
+    (e2a)_a = 2 <F_u, F_ua>.  For B(p, q) = pair_coords(p, conj(q), eps),
+    Psi = B(psi, psi) is sesquilinear in psi and
     B(psi, d psi) = -conj(B(d psi, psi)), so Re(-2i d Psi) = 4 Im B(d psi, psi)
     and dc = 4 Im B(d psi, psi) / e2a - c d(e2a) / e2a.
     """
@@ -304,7 +286,8 @@ def _lift_derivatives(grid: FieldGrid):
     dpsi = 0.5 * np.stack([Fuu - 1j * Fuv, Fuv - 1j * Fvv])
     dlog_e2a = 2.0 * np.stack([np.sum(Fu * Fuu, axis=-1),
                                np.sum(Fu * Fuv, axis=-1)]) / e2a
-    return tuple(4.0 * np.imag(big_psi(dpsi, eps, psi)) / e2a[..., None]
+    return tuple(4.0 * np.imag(pair_coords(dpsi, np.conj(psi), eps))
+                 / e2a[..., None]
                  - c[inner] * dlog_e2a[..., None]
                  for c, eps in zip(_kept(grid, _sphere_fields), (1, -1)))
 

@@ -242,6 +242,46 @@ class TestHostileInput:
         assert math.isclose(norm, 1e200, rel_tol=1e-15)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_mean_curvature_is_a_numeric_breakdown(self, capsys, fmt):
+        # the metric is finite, but g22 b_11 = 1e300 * 1e200 is not: a grid
+        # names the point and the quantity, as analyze does, with no warning
+        code, out, err = run(capsys, "grid", "--expr",
+                             "1e75*u, 1e75*v, 0.5e200*u^2, 0",
+                             "--domain", "0", "1e-126", "0", "1", "--n", "5",
+                             "--format", fmt)
+        assert code == 4 and out == ""
+        assert err == ("error: the second-order geometry overflows at "
+                       "(u, v) = (0, 0): H is not finite\n")
+
+    @pytest.mark.parametrize("command", [("isotropy", "--n", "5"),
+                                         ("analyze", "--at", "0.1", "0.1")])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_tol_must_be_finite_and_non_negative(self, capsys, command, tol):
+        code, out, err = run(capsys, command[0], "--surface", "plane",
+                             *command[1:], f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tol must be finite and non-negative")
+
+    def test_zero_isothermality_tol_is_honoured(self, capsys):
+        # |g11 - g22| = 4e-10 u^2: isothermal at the default 1e-8, not at 0
+        args = ("analyze", "--expr", "u, v, 0, 1e-5*u^2", "--at", "0.5", "0.5")
+        for tol, isothermal in (("1e-8", True), ("0", False)):
+            code, out, _ = run(capsys, *args, "--tol", tol)
+            doc = json.loads(out)
+            assert code == 0 and doc["isothermal"] is isothermal
+            assert doc["config"]["tolerances"]["isothermal_tol"] == float(tol)
+
+    @pytest.mark.parametrize("command,key", [
+        (("analyze", "--at", "0.1", "0.1", "--tol", "1"), "isothermal_tol"),
+        (("isotropy", "--n", "5", "--json", "--tol", "0.5"), "isotropy_tol"),
+    ])
+    def test_config_reports_the_tol_used(self, capsys, command, key):
+        code, out, _ = run(capsys, command[0], "--surface", "holo_square",
+                           *command[1:])
+        tolerances = json.loads(out)["config"]["tolerances"]
+        assert code == 0 and tolerances[key] == float(command[-1])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_cell_is_refused(self, capsys, tmp_path, monkeypatch, fmt):
         # both formats refuse a nan or inf cell the same way, writing nothing
         import twistor4.cli as cli

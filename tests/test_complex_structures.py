@@ -28,8 +28,10 @@ from twistor4.errors import (
     NonUnitQuaternion,
     NotAComplexStructure,
     NotSO4,
+    NumericError,
 )
 from twistor4.linalg4 import E4, basis_I, basis_vector, bivector_coords, mat_inner, wedge
+from twistor4.twistor import chart
 from helpers import (
     random_h1,
     random_ocs,
@@ -77,6 +79,18 @@ class TestClassifyCompose:
             back = compose_ocs(s.chirality, s.coords)
             assert np.max(np.abs(back.matrix - compose_ocs(eps, c).matrix)) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("c", [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1],
+        # c2^2 + c3^2 = 1/2, the boundary of an earlier chirality heuristic
+        [math.sqrt(0.5), 0.5, -0.5], [-math.sqrt(0.5), math.sqrt(0.5), 0],
+        [math.sqrt(0.5), 0, -math.sqrt(0.5)],
+    ])
+    def test_classify_reads_chirality_and_coords(self, eps, c):
+        s = classify_ocs(compose_ocs(eps, c).matrix)
+        assert s.chirality == eps
+        assert np.array_equal(s.coords, c)
+
     def test_structure_rotates_every_vector(self, rng):
         s = random_ocs(rng, -1)
         for _ in range(100):
@@ -94,6 +108,20 @@ class TestClassifyCompose:
     def test_compose_rejects_non_unit(self):
         with pytest.raises(NonUnitCoords):
             compose_ocs(1, [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: OrientedPlane(np.full(4, np.nan), np.full(4, np.nan)),
+         DegeneratePair),
+        (lambda: OrientedPlane(E(1), [0.0, np.nan, 1.0, 0.0]), DegeneratePair),
+        (lambda: compose_ocs(1, [np.nan] * 3), NonUnitCoords),
+        (lambda: classify_ocs(np.full((4, 4), np.nan)), NotAComplexStructure),
+        (lambda: chart([np.nan] * 3), NonUnitCoords),
+    ], ids=["plane", "plane-one-nan", "compose", "classify", "chart"])
+    def test_nan_is_refused(self, make, error):
+        # a tolerance check that NaN fails, not one it slips through
+        with pytest.raises(error) as exc:
+            make()
+        assert isinstance(exc.value, NumericError)
 
 
 class TestPlaneToPair:

@@ -24,8 +24,6 @@ ALLOWED = {
     # the name and domain of a parsed surface, set by the catalog and the CLI
     "surface_expr.parse_surface(name)",
     "surface_expr.parse_surface(domain)",
-    # the second argument of the sesquilinear form, Psi = B(psi, psi)
-    "twistor.big_psi(qs)",
     # the v step of a grid whose steps differ, as FieldGrid's may
     "twistor.holomorphicity_residual(hv)",
     # set by isotropy --tol

@@ -15,6 +15,7 @@ from twistor4.linalg4 import (
     is_orthogonal,
     is_special_orthogonal,
     mat_inner,
+    pair_coords,
     wedge,
 )
 from helpers import random_so4, random_unit4
@@ -25,6 +26,21 @@ vec4 = st.tuples(finite, finite, finite, finite)
 
 def E(i):
     return basis_vector(i)
+
+
+# The six I[eps, k] written out by hand: the reference the tables, which are
+# built from wedges, are checked against.
+I_PLUS_REF = np.array([
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
+], dtype=float)
+
+I_MINUS_REF = np.array([
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+], dtype=float)
 
 
 class TestInner4:
@@ -55,14 +71,52 @@ class TestWedge:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_basis_identity(self, eps):
-        # I[eps,1] = e1^e2 + eps e3^e4 and the two siblings
-        combos = [
-            wedge(E(1), E(2)) + eps * wedge(E(3), E(4)),
-            wedge(E(1), E(3)) + eps * wedge(E(4), E(2)),
-            wedge(E(1), E(4)) + eps * wedge(E(2), E(3)),
-        ]
-        for k, m in enumerate(combos, start=1):
-            assert np.array_equal(m, basis_I(eps, k))
+        # I[eps,1] = e1^e2 + eps e3^e4 and the two siblings: the tables are
+        # built from wedges, so they must equal the hand-written entries
+        ref = I_PLUS_REF if eps == 1 else I_MINUS_REF
+        for k in (1, 2, 3):
+            assert basis_I(eps, k).tobytes() == ref[k - 1].tobytes()
+
+    def test_broadcasts_over_leading_axes(self, rng):
+        a, b = rng.normal(size=(2, 5, 3, 4))
+        m = wedge(a, b)
+        assert m.shape == (5, 3, 4, 4)
+        for i in range(5):
+            for j in range(3):
+                assert np.array_equal(m[i, j], wedge(a[i, j], b[i, j]))
+
+
+class TestPairCoords:
+    @staticmethod
+    def reference(p, q, eps):
+        # 2 <I[eps, k], p ^ q>, from the definition
+        return np.array([2 * mat_inner(basis_I(eps, k), wedge(p, q))
+                         for k in (1, 2, 3)])
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_matches_definition(self, rng, eps):
+        for _ in range(100):
+            p, q = rng.normal(size=(2, 4))
+            assert np.max(np.abs(pair_coords(p, q, eps)
+                                 - self.reference(p, q, eps))) <= 1e-14 * (
+                1 + np.linalg.norm(p) * np.linalg.norm(q))
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_broadcasts_over_a_batch(self, rng, eps):
+        p, q = rng.normal(size=(2, 7, 4))
+        got = pair_coords(p, q, eps)
+        assert got.shape == (7, 3)
+        for i in range(7):
+            assert np.max(np.abs(got[i] - self.reference(p[i], q[i], eps))) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_bilinear_over_complex(self, rng, eps):
+        p, q = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        expect = (self.reference(p.real, q.real, eps)
+                  - self.reference(p.imag, q.imag, eps)
+                  + 1j * (self.reference(p.real, q.imag, eps)
+                          + self.reference(p.imag, q.real, eps)))
+        assert np.max(np.abs(pair_coords(p, q, eps) - expect)) <= 1e-13
 
 
 class TestBasisI:
