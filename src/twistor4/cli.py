@@ -10,9 +10,11 @@ Exit codes: 0 success, 2 expression/input error, 3 hypothesis failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -88,13 +90,20 @@ def _resolve_surface(args):
         except KeyError as exc:
             raise ExpressionError(str(exc)) from None
     if args.expr is not None:
-        domain = tuple(args.domain) if args.domain else (-1.0, 1.0, -1.0, 1.0)
-        return parse_surface(args.expr, name="cli-expr", domain=domain)
+        return _sampled(args, parse_surface(args.expr, name="cli-expr"))
     try:
         with open(args.surface_json, "r", encoding="utf-8") as fh:
             return surface_from_json(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ExpressionError(f"invalid surface JSON: {exc}") from None
+
+
+def _sampled(args, surface):
+    """surface on --domain, held to SurfaceDef's rule, or on its own domain."""
+    try:
+        return replace(surface, domain=tuple(args.domain or surface.domain))
+    except ExpressionError as exc:
+        raise ExpressionError(f"--domain: {exc}") from None
 
 
 def _checked_tol(args) -> float:
@@ -166,9 +175,13 @@ def cmd_catalog(args) -> int:
 # --- analyze -------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    surface = _resolve_surface(args)
+    surface = _sampled(args, _resolve_surface(args))
     tol = _checked_tol(args)
     u, v = args.at
+    u0, u1, v0, v1 = surface.domain
+    if not (u0 <= u <= u1 and v0 <= v <= v1):
+        raise ExpressionError(f"--at {u:g} {v:g} is outside the domain "
+                              f"[{u0:g}, {u1:g}] x [{v0:g}, {v1:g}]")
     pd = surface_point_data(surface, u, v, seed_branch=args.seed_normal,
                             isothermal_tol=tol)
     s1, s2 = gauss_weingarten_matrices(pd)
@@ -295,7 +308,7 @@ def _grid_summary(grid: FieldGrid) -> dict:
 
 def cmd_grid(args) -> int:
     surface = _resolve_surface(args)
-    domain = tuple(args.domain) if args.domain else surface.domain
+    domain = _sampled(args, surface).domain
     n = args.n
     if args.h is not None:
         if not args.h > 0:
@@ -339,7 +352,7 @@ _CONDITION_LABELS = {
 def cmd_isotropy(args) -> int:
     surface = _resolve_surface(args)
     tol = _checked_tol(args)
-    domain = tuple(args.domain) if args.domain else surface.domain
+    domain = _sampled(args, surface).domain
     grid = FieldGrid(surface, args.n, domain=domain,
                      seed_branch=args.seed_normal)
     try:
@@ -378,7 +391,7 @@ def cmd_isotropy(args) -> int:
 
 def cmd_residuals(args) -> int:
     surface = _resolve_surface(args)
-    domain = tuple(args.domain) if args.domain else surface.domain
+    domain = _sampled(args, surface).domain
     coarse = FieldGrid(surface, args.n, domain=domain,
                        seed_branch=args.seed_normal)
     fine = FieldGrid(surface, 2 * args.n - 1, domain=domain,
@@ -475,9 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One per process, built at the first main(): parse_args keeps no state in
+# it.  build_parser is looked up at that call, so that it can be replaced.
+_parser = functools.cache(lambda: build_parser())
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args) or 0
     except tuple(_EXIT_CODES) as exc:

@@ -42,7 +42,6 @@ __all__ = [
     "parse_surface",
     "surface_from_json",
     "expr_text",
-    "surface_text",
     "eval_jet2",
     "eval_surface_jet",
     "finite_mask",
@@ -129,6 +128,12 @@ class _Parser:
         self.text = text
         self.pos = 0  # 0-based scan position
         self.depth = 0  # brackets, arguments and exponents open around pos
+        # powers and calls built so far: equal ones are made one object,
+        # which the evaluator computes once per batch
+        self.shared = {}
+
+    def share(self, node: Expr) -> Expr:
+        return self.shared.setdefault(node, node)
 
     def _offset(self) -> int:
         return self.pos + 1  # reported offsets are 1-based
@@ -202,10 +207,10 @@ class _Parser:
             # The evaluator folds the exponent: a sub-expression without u or v
             # evaluates to a plain number, which must also be finite.
             with np.errstate(all="ignore"):
-                value = _eval(self.nested(self.parse_unary), *np.zeros(2))
+                value = _eval(self.nested(self.parse_unary), *np.zeros(2), {})
             if isinstance(value, Jet2) or not np.isfinite(value):
                 raise ExprSyntaxError("exponent must be a finite constant", caret)
-            return Pow(base, float(value))
+            return self.share(Pow(base, float(value)))
         return base
 
     def parse_atom(self) -> Expr:
@@ -237,7 +242,7 @@ class _Parser:
                 if self._peek() == ",":
                     raise ArityError(f"{name} expects one argument")
                 self._expect(")")
-                return Call(name, arg)
+                return self.share(Call(name, arg))
             if name in _VARIABLES:
                 return Var(name)
             if name in _CONSTANTS:
@@ -297,12 +302,8 @@ class SurfaceDef:
             raise ExpressionError(
                 f"a surface needs exactly 4 components, got {len(self.components)}")
         u0, u1, v0, v1 = self.domain
-        if not (u0 < u1 and v0 < v1):
-            raise ExpressionError(f"empty domain {self.domain!r}")
-
-    @property
-    def text(self) -> str:
-        return surface_text(self)
+        if not (np.isfinite(self.domain).all() and u0 < u1 and v0 < v1):
+            raise ExpressionError(f"empty or non-finite domain {self.domain!r}")
 
     def to_json(self) -> dict:
         return {
@@ -315,10 +316,6 @@ class SurfaceDef:
         }
 
 
-def surface_text(surface: SurfaceDef) -> str:
-    return ", ".join(expr_text(c) for c in surface.components)
-
-
 def parse_surface(text: str, name: str = "unnamed",
                   domain=(-1.0, 1.0, -1.0, 1.0)) -> SurfaceDef:
     """Parse "f1, f2, f3, f4" into a SurfaceDef."""
@@ -329,9 +326,6 @@ def parse_surface(text: str, name: str = "unnamed",
         comps.append(p.nested(p.parse_expr))
     if not p.at_end():
         raise ExprSyntaxError(f"unexpected trailing input {p._peek()!r}", p._offset())
-    if len(comps) != 4:
-        raise ExpressionError(
-            f"a surface needs exactly 4 components, got {len(comps)}")
     return SurfaceDef(name, tuple(comps), tuple(float(x) for x in domain))
 
 
@@ -367,12 +361,6 @@ class Jet2:
         self.duu = duu
         self.duv = duv
         self.dvv = dvv
-
-    @classmethod
-    def variable(cls, name: str, u: float, v: float) -> "Jet2":
-        if name == "u":
-            return cls(u, 1.0, 0.0)
-        return cls(v, 0.0, 1.0)
 
     def __repr__(self):
         return (f"Jet2(val={self.val!r}, du={self.du!r}, dv={self.dv!r}, "
@@ -437,20 +425,21 @@ class Jet2:
         return (self.val, self.du, self.dv, self.duu, self.duv, self.dvv)
 
 
-def _eval(node: Expr, u, v):
+def _eval(node: Expr, u, v, memo: dict):
     """Jet of node over the points (u, v); a sub-expression without u or v
-    gives a plain number.  Undefined points hold nan or inf, unchecked."""
+    gives a plain number.  Undefined points hold nan or inf, unchecked.  Each
+    power and call object is computed once per memo (nothing mutates a jet)."""
     if isinstance(node, Var):
-        return Jet2.variable(node.name, u, v)
+        return Jet2(u, 1.0, 0.0) if node.name == "u" else Jet2(v, 0.0, 1.0)
     if isinstance(node, Num):
         return np.float64(node.value)
     if isinstance(node, Const):
         return np.float64(_CONSTANTS[node.name])
     if isinstance(node, Neg):
-        return -_eval(node.arg, u, v)
+        return -_eval(node.arg, u, v, memo)
     if isinstance(node, Bin):
-        lhs = _eval(node.left, u, v)
-        rhs = _eval(node.right, u, v)
+        lhs = _eval(node.left, u, v, memo)
+        rhs = _eval(node.right, u, v, memo)
         if node.op == "+":
             return lhs + rhs
         if node.op == "-":
@@ -458,31 +447,39 @@ def _eval(node: Expr, u, v):
         if node.op == "*":
             return lhs * rhs
         return lhs / rhs
-    if isinstance(node, Pow):
-        base, p = _eval(node.base, u, v), node.exponent
-        if p == 0:  # 1 wherever the base is defined
-            if not isinstance(base, Jet2):
-                return np.float64(1.0 if np.isfinite(base) else np.nan)
-            return Jet2(np.where(finite_mask((base,)), 1.0, np.nan))
-        x = base.val if isinstance(base, Jet2) else base
-        if not p.is_integer():  # a real power needs a positive base
-            x = np.where(x > 0.0, x, np.nan)
-        if not isinstance(base, Jet2):
-            return x ** p
-        f2 = p * (p - 1) * x ** (p - 2) if p != 1 else 0.0
-        return base.chain(x ** p, p * x ** (p - 1), f2)
+    if not isinstance(node, (Pow, Call)):
+        raise TypeError(f"not an expression node: {node!r}")
+    if id(node) not in memo:
+        memo[id(node)] = _operator(node, u, v, memo)
+    return memo[id(node)]
+
+
+def _operator(node, u, v, memo: dict):
+    """_eval of a power or a call."""
     if isinstance(node, Call):
-        arg = _eval(node.arg, u, v)
+        arg = _eval(node.arg, u, v, memo)
         if isinstance(arg, Jet2):
             return arg.chain(*_FUNCTIONS[node.func](arg.val))
         return _FUNCTIONS[node.func](arg)[0]
-    raise TypeError(f"not an expression node: {node!r}")
+    base, p = _eval(node.base, u, v, memo), node.exponent
+    if p == 0:  # 1 wherever the base is defined
+        if not isinstance(base, Jet2):
+            return np.float64(1.0 if np.isfinite(base) else np.nan)
+        return Jet2(np.where(finite_mask((base,)), 1.0, np.nan))
+    x = base.val if isinstance(base, Jet2) else base
+    if not p.is_integer():  # a real power needs a positive base
+        x = np.where(x > 0.0, x, np.nan)
+    if not isinstance(base, Jet2):
+        return x ** p
+    f2 = p * (p - 1) * x ** (p - 2) if p != 1 else 0.0
+    return base.chain(x ** p, p * x ** (p - 1), f2)
 
 
 def _jets(exprs, u, v):
     u, v = np.asarray(u, float), np.asarray(v, float)
+    memo = {}  # one per batch, shared by its components
     with np.errstate(all="ignore"):
-        jets = [_eval(e, np.atleast_1d(u), np.atleast_1d(v)) for e in exprs]
+        jets = [_eval(e, np.atleast_1d(u), np.atleast_1d(v), memo) for e in exprs]
     # a component without u or v is a plain number: give it the points' shape
     jets = [j if isinstance(j, Jet2) else Jet2(np.full(u.shape, j)) for j in jets]
     if u.ndim == v.ndim == 0:

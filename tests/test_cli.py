@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistor4.cli import main
+import twistor4.cli as cli
+from twistor4.catalog import get_surface
+from twistor4.cli import build_parser, main
+from twistor4.geometry import surface_point_data
 from twistor4.surface_expr import expr_text
+from twistor4.twistor import ISOTROPY_TOL
 from test_surface_expr import _trees
 
 
@@ -325,6 +329,79 @@ class TestHostileInput:
         assert all(r["order"] is None for r in json.loads(out)["residuals"])
         code, out, _ = run(capsys, *args)
         assert code == 0 and " inf" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("grid", "--surface", "plane", "--n", "5", "--domain", "0", "inf", "0", "1"),
+        ("grid", "--surface", "plane", "--n", "5", "--domain", "0", "nan", "0", "1"),
+        ("grid", "--surface", "plane", "--domain", "1", "0", "0", "1"),
+        ("grid", "--expr", "u, v, 0, 0", "--format", "csv",
+         "--domain", "0", "1e400", "0", "1"),
+        ("isotropy", "--surface", "plane", "--n", "5", "--domain", "0", "1", "1", "1"),
+        ("residuals", "--surface", "plane", "--n", "5",
+         "--domain", "0", "1", "0", "-1"),
+        ("analyze", "--surface", "plane", "--domain", "0", "inf", "0", "1",
+         "--at", "0.1", "0.1"),
+        ("analyze", "--expr", "u, v, 0, 0", "--domain", "0", "0", "0", "1",
+         "--at", "0", "0.5"),
+    ])
+    def test_domain_must_be_finite_and_non_empty(self, capsys, tmp_path, argv):
+        # every subcommand holds --domain to SurfaceDef's rule: no warning
+        # (a RuntimeWarning fails the test), no point named, nothing written
+        path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: --domain: empty or non-finite domain (")
+
+    @pytest.mark.parametrize("at", [("1.5", "0"), ("0", "-1.01"), ("nan", "0"),
+                                    ("inf", "0")])
+    def test_analyze_refuses_a_point_outside_the_domain(self, capsys, at):
+        # its isothermality probes would be clipped to the domain's edge
+        code, out, err = run(capsys, "analyze", "--surface", "holo_square",
+                             "--at", *at)
+        assert code == 2 and out == ""
+        assert err == (f"error: --at {float(at[0]):g} {float(at[1]):g} is outside "
+                       "the domain [-1, 1] x [-1, 1]\n")
+
+    def test_analyze_samples_the_given_domain(self, capsys):
+        # --domain applies to a catalog surface too, edges included
+        code, out, _ = run(capsys, "analyze", "--surface", "holo_square",
+                           "--domain", "0", "2", "0", "2", "--at", "2", "1.5")
+        doc = json.loads(out, parse_constant=_strict)
+        assert code == 0 and doc["config"]["surface"]["domain"] == [0, 2, 0, 2]
+
+
+class TestOneParser:
+    def test_built_once_for_many_calls(self, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "catalog")[0] == 0
+                assert run(capsys, "isotropy", "--surface", "plane", "--n", "5")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_options_do_not_leak_between_calls(self, capsys):
+        iso = ("isotropy", "--surface", "holo_square", "--n", "5", "--json")
+        tols = [json.loads(run(capsys, *iso, *tol)[1])["config"]["tolerances"]
+                ["isotropy_tol"] for tol in (("--tol", "0.5"), ())]
+        assert tols == [0.5, ISOTROPY_TOL]
+        at = ("analyze", "--surface", "holo_square", "--at", "0.3", "0.2")
+        branches = [json.loads(run(capsys, *at, *seed)[1])["config"]["seed_branch"]
+                    for seed in (("--seed-normal", "1"), ())]
+        auto = surface_point_data(get_surface("holo_square"), 0.3, 0.2)
+        assert auto.frame.seed_branch != 1
+        assert branches == [1, auto.frame.seed_branch]
+        grid = ("grid", "--surface", "holo_square", "--n", "5")
+        docs = [json.loads(run(capsys, *grid, *extra)[1])["config"]
+                for extra in (("--domain", "0", "1", "0", "1"), ())]
+        assert [d["domain"] for d in docs] == [[0, 1, 0, 1], [-1, 1, -1, 1]]
+        code, out, _ = run(capsys, *grid, "--format", "csv")
+        assert code == 0 and out.startswith("u,v,g11")
+        assert json.loads(run(capsys, *grid)[1])["config"]["n"] == 5
 
 
 class TestGrid:

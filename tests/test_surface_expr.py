@@ -71,6 +71,13 @@ class TestParser:
         with pytest.raises(ExpressionError):
             parse_surface("u, v, 0")
 
+    @pytest.mark.parametrize("domain", [
+        (0, math.inf, 0, 1), (0, 1, math.nan, 1), (-math.inf, 0, 0, 1),
+        (1, 0, 0, 1), (0, 1, 1, 1)])
+    def test_domain_must_be_finite_and_non_empty(self, domain):
+        with pytest.raises(ExpressionError, match="empty or non-finite domain"):
+            parse_surface("u, v, 0, 0", domain=domain)
+
     def test_precedence_power_over_unary_minus(self):
         # -u^2 means -(u^2)
         assert jet("-u^2", 2.0, 0.0).val == -4.0
@@ -253,10 +260,10 @@ class TestDomainErrors:
         assert "(u, v) = (-0.1, 0)" in str(err.value)
 
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistor4.surface_expr import Bin, Call, Const, Neg, Num, Pow, Var
+from twistor4.surface_expr import Bin, Call, Const, Jet2, Neg, Num, Pow, Var
 
 _leaf = st.one_of(
     st.builds(Num, st.floats(min_value=0, max_value=5, allow_nan=False)),
@@ -305,6 +312,68 @@ def test_printed_tree_reparses_identically(tree):
     # the lexer never emits negative literals, so trees with non-negative
     # Num leaves are exactly the parser-reachable ones
     assert parse(expr_text(tree)) == tree
+
+
+def _bits(jets):
+    """Every part of every jet as raw bytes, so that equal means equal bit for
+    bit: shapes, nan and inf patterns and signed zeros included."""
+    return [np.asarray(x, float).tobytes() for j in jets for x in j.as_tuple()]
+
+
+def _nodes(node):
+    """Every node of an expression, once per occurrence."""
+    yield node
+    for x in vars(node).values():
+        if not isinstance(x, (str, float)):
+            yield from _nodes(x)
+
+
+@settings(deadline=None)
+@given(_trees, _trees, _trees,
+       st.lists(st.tuples(_coords, _coords), min_size=1, max_size=5))
+def test_components_together_match_each_alone(a, b, c, points):
+    # one batch shares equal powers and calls across a surface's components
+    # (the parser makes them one object); each must read as if evaluated alone
+    comps = (a, b, Bin("+", a, c), Bin("*", Call("sin", b), Pow(c, 2.0)))
+    surface = parse_surface(", ".join(map(expr_text, comps)))
+    us, vs = np.array(points).T
+    for u, v in ((us, vs), (us[0], vs[0])):
+        together = eval_surface_jet(surface, u, v)
+        for comp, jet in zip(comps, together):
+            alone = SurfaceDef("alone", (comp, Num(0.0), Num(0.0), Num(0.0)),
+                               (-2.0, 2.0, -2.0, 2.0))
+            assert _bits([jet]) == _bits(eval_surface_jet(alone, u, v)[:1])
+
+
+class TestJetMemo:
+    # a degree-5 polynomial graph: u^2..u^5 and v^2..v^4 recur across the
+    # monomials and across f3 and f4, and f4 repeats a call
+    TEXT = ("u, v, 0.3*u^5 - 3*u^3*v^2 + u^2*v^3 + 0.5*u^4*v + v^4 - u^2*v^2, "
+            "1.5*u^4*v - u^2*v^3 + 0.1*v^4 - u^5 + v^2*u^3 "
+            "+ sin(u^2*v)*sin(u^2*v) - cos(v)")
+
+    def test_each_distinct_power_and_call_is_evaluated_once(self, monkeypatch):
+        surface = parse_surface(self.TEXT)
+        ops = [n for f in surface.components for n in _nodes(f)
+               if isinstance(n, (Pow, Call))]
+        assert len(ops) > 2 * len(set(ops))
+        chain, calls = Jet2.chain, []
+        monkeypatch.setattr(Jet2, "chain",
+                            lambda jet, *f: calls.append(1) or chain(jet, *f))
+        eval_surface_jet(surface, np.linspace(-1, 1, 7), np.linspace(1, -0.5, 7))
+        # no division: each chain rule applied is one power's or one call's
+        assert len(calls) == len(set(ops))
+
+    def test_batches_do_not_share_jets(self):
+        # every surface is kept alive, so no object id is reused between them
+        batches = [(np.linspace(-1, 1, 5), np.full(5, 0.3)),
+                   (np.full(3, 0.7), np.linspace(0, 1, 3)), (0.2, -0.4),
+                   (-0.9, 0.1)]
+        surface = parse_surface(self.TEXT)
+        fresh = [parse_surface(self.TEXT) for _ in batches]
+        for (u, v), other in zip(batches, fresh):
+            assert _bits(eval_surface_jet(surface, u, v)) == _bits(
+                eval_surface_jet(other, u, v))
 
 
 class TestJson:
