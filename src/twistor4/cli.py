@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -91,11 +92,8 @@ def _resolve_surface(args):
             raise ExpressionError(str(exc)) from None
     if args.expr is not None:
         return _sampled(args, parse_surface(args.expr, name="cli-expr"))
-    try:
-        with open(args.surface_json, "r", encoding="utf-8") as fh:
-            return surface_from_json(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ExpressionError(f"invalid surface JSON: {exc}") from None
+    with open(args.surface_json, "rb") as fh:
+        return surface_from_json(fh.read())
 
 
 def _sampled(args, surface):
@@ -392,12 +390,9 @@ def cmd_isotropy(args) -> int:
 def cmd_residuals(args) -> int:
     surface = _resolve_surface(args)
     domain = _sampled(args, surface).domain
-    coarse = FieldGrid(surface, args.n, domain=domain,
-                       seed_branch=args.seed_normal)
-    fine = FieldGrid(surface, 2 * args.n - 1, domain=domain,
-                     seed_branch=args.seed_normal)
-    rc = structure_residuals(coarse)
-    rf = structure_residuals(fine)
+    coarse, fine = (FieldGrid(surface, n, domain=domain, seed_branch=args.seed_normal)
+                    for n in (args.n, 2 * args.n - 1))
+    rc, rf = map(structure_residuals, (coarse, fine))
     table = [(k, c, f, convergence_order(c, f))
              for (k, c), f in zip(rc.as_dict().items(), rf.as_dict().values())]
     if args.json:
@@ -428,14 +423,16 @@ def cmd_residuals(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 def _add_surface_args(p, with_grid=False):
+    # argparse's own pattern would read -1e-3 and -inf as options, not numbers
+    p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.I)
     p.add_argument("--surface", help="catalog surface name")
     p.add_argument("--expr", help="surface as 'f1, f2, f3, f4'")
     p.add_argument("--surface-json", help="path to a surface JSON file")
     p.add_argument("--domain", type=float, nargs=4,
                    metavar=("U0", "U1", "V0", "V1"),
                    help="parameter rectangle (default: surface's own)")
-    p.add_argument("--seed-normal", type=int, default=None, choices=range(6),
-                   metavar="K", help="pin the normal-frame seed branch K (0..5)")
+    p.add_argument("--seed-normal", type=int, default=None, choices=range(3),
+                   metavar="K", help="pin the normal-frame seed K (0..2: e3, e2, e1)")
     if with_grid:
         p.add_argument("--n", type=int, default=41,
                        help="grid points per axis (default 41)")

@@ -2,7 +2,7 @@
 
 Pointwise quantities (fundamental forms, Christoffel symbols, frames, shape
 operators, mean curvature vector, and the normal connection, which depends
-only on F_u, F_v and a seed pair) are exact from the 2-jets, by one set of
+only on F_u, F_v and a seed) are exact from the 2-jets, by one set of
 array functions that a FieldGrid applies to its grid and surface_point_data
 to one point; first_form, build_frame, second_form and the like are adapters
 over them.  Only the structure-equation residuals (third order) come from
@@ -33,7 +33,7 @@ from .linalg4 import E4
 from .surface_expr import Jet2, SurfaceDef, eval_surface_jet, finite_mask, require_finite
 
 __all__ = [
-    "FALLBACK_SEEDS",
+    "SEEDS",
     "FirstForm",
     "Frame",
     "ShapeOperators",
@@ -60,26 +60,22 @@ __all__ = [
     "convergence_order",
 ]
 
-# Default tolerances (the CLI reports them in its JSON config): of g11, g22
-# and det g; of a seed's projection norm; of |g11 - g22|, |g12| per mean g;
-# of sup |H| for a minimal surface.
+# Default tolerances (the CLI reports them in its JSON config): of g11, g22,
+# det g and det g / (g11 g22); of a seed's projection norm; of |g11 - g22|,
+# |g12| per mean g; of sup |H| for a minimal surface.
 IMMERSION_TOL = 1e-12
 SEED_TOL = 1e-6
 ISOTHERMAL_TOL = 1e-8
 MINIMAL_TOL = 1e-8
-# A batch of points (a grid, or one point) uses one seed pair throughout when
-# both of its projections stay above this margin, well clear of SEED_TOL.
+# A batch of points (a grid, or one point) uses one seed throughout when
+# its projection |p1| stays above this margin, well clear of SEED_TOL.
 _BRANCH_MARGIN = 1e-2
 
-# Normal-frame seed pairs, tried in order until both projections survive.
-FALLBACK_SEEDS = (
-    (E4[2], E4[3]),
-    (E4[1], E4[3]),
-    (E4[1], E4[2]),
-    (E4[0], E4[3]),
-    (E4[0], E4[2]),
-    (E4[0], E4[1]),
-)
+# Normal-frame seeds, tried in order; seed branch k is SEEDS[k].  Some seed
+# always works: the squared projections of e1, e2, e3 onto a tangent plane T
+# sum to at most dim T = 2, so their projections p1 off T have squared norms
+# summing to at least 1, and max |p1| >= 1/sqrt(3) at every immersed point.
+SEEDS = (E4[2], E4[1], E4[0])
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,8 @@ class FirstForm:
 class Frame:
     """Orthonormal frame (t1, t2, n1, n2) with det [t1 t2 n1 n2] = +1.
 
-    t1, t2 span the tangent plane.  seed_branch records which fallback seed
-    pair produced the normals (None for caller-supplied seeds).
+    t1, t2 span the tangent plane.  seed_branch records which seed of SEEDS
+    produced the normals (None for a caller-supplied seed).
     """
 
     t1: np.ndarray
@@ -193,12 +189,15 @@ def _require_finite(u, v, layer, fields):
 
 
 def _immersed(g11, g22, det):
-    return (g11 > IMMERSION_TOL) & (g22 > IMMERSION_TOL) & (det > IMMERSION_TOL)
+    # the last test (sin^2 of the angle of F_u, F_v) refuses roundoff det g
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((g11 > IMMERSION_TOL) & (g22 > IMMERSION_TOL) & (det > IMMERSION_TOL)
+                & (det > IMMERSION_TOL * g11 * g22))
 
 
 def _require_immersed(g11, g22, det, at=()):
-    """Raise NotImmersed at the first point where g11, g22 or det g is not
-    above IMMERSION_TOL, naming the three and, given at = (u, v), the point."""
+    """Raise NotImmersed at the first point that is not _immersed, naming
+    g11, g22 and det g and, given at = (u, v), the point."""
     bad = np.flatnonzero(~_immersed(g11, g22, det))
     if bad.size:
         a, b, d, *uv = (np.ravel(x)[bad[0]] for x in (g11, g22, det, *at))
@@ -244,38 +243,32 @@ def _frames(plane, s1):
 
 
 def _seeded_frames(Fu, Fv, branch, at=None) -> Frame:
-    """Frames of seed branch `branch` or, when it is None, of the first
-    fallback pair whose seed projections exceed _BRANCH_MARGIN at every point
-    (a smooth frame field), else per point of the first whose projections
-    exceed SEED_TOL (seed_branch an array then).  Raises DegenerateSeed at the
-    first point of at = (U, V) where the branch, or every pair, degenerates.
-    A frame depends on its first seed only, so it is built once per first
-    seed; the second seed s2 only gates it, by its projection |<s2, n2>|."""
-    plane, built = _tangent_plane(Fu, Fv), {}
+    """Frames of seed branch `branch` or, when it is None, of the first seed
+    whose projection |p1| exceeds _BRANCH_MARGIN at every point (a smooth
+    frame field), else per point of the first whose |p1| exceeds SEED_TOL
+    (seed_branch an array then).  Raises DegenerateSeed at the first point of
+    at = (U, V) where a pinned branch degenerates."""
+    plane = _tangent_plane(Fu, Fv)
+    if branch is not None:
+        fr, p1n = _frames(plane, SEEDS[branch])
+        bad = np.flatnonzero(~(p1n > SEED_TOL))
+        if bad.size:
+            u, v = (np.ravel(x)[bad[0]] for x in at)
+            raise DegenerateSeed(f"seed branch {branch} degenerates at "
+                                 f"(u, v) = ({u:g}, {v:g})")
+        return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=branch)
     n1 = n2 = np.zeros(np.shape(Fu))
     got = np.full(np.shape(Fu)[:-1], -1)
-    for k in range(len(FALLBACK_SEEDS)) if branch is None else [branch]:
-        s1, s2 = FALLBACK_SEEDS[k]
-        if s1.tobytes() not in built:
-            built[s1.tobytes()] = _frames(plane, s1)
-        fr, p1n = built[s1.tobytes()]
-        # where p1 = 0, n2 = 0 as well: the smaller projection is 0 there
-        proj = np.minimum(p1n, np.abs(_dot(s2, fr.n2)))
-        if branch is None and proj.min() > _BRANCH_MARGIN:
+    for k, seed in enumerate(SEEDS):
+        fr, p1n = _frames(plane, seed)
+        if p1n.min() > _BRANCH_MARGIN:
             return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
-        ok = (proj > SEED_TOL) & (got < 0)
+        ok = (p1n > SEED_TOL) & (got < 0)
         n1 = np.where(ok[..., None], fr.n1, n1)
         n2 = np.where(ok[..., None], fr.n2, n2)
         got = np.where(ok, k, got)
-    if (got >= 0).all():
-        return Frame(fr.t1, fr.t2, n1, n2, seed_branch=(
-            branch if branch is not None else got if got.ndim else int(got)))
-    what = ("no seed pair works" if branch is None
-            else f"seed branch {branch} degenerates")
-    if at is not None:
-        i = tuple(np.argwhere(got < 0)[0])
-        what += " at (u, v) = ({:g}, {:g})".format(*(np.asarray(x)[i] for x in at))
-    raise DegenerateSeed(what)
+    # some seed works at every point (see SEEDS), so got >= 0 throughout
+    return Frame(fr.t1, fr.t2, n1, n2, seed_branch=got if got.ndim else int(got))
 
 
 def _second_form(Fuu, Fuv, Fvv, n1, n2):
@@ -348,24 +341,22 @@ def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
                         form.det)
 
 
-def build_frame(jets, seeds) -> Frame:
-    """Orthonormal frame from unit tangents, the first seed vector's unit
+def build_frame(jets, seed) -> Frame:
+    """Orthonormal frame from unit tangents, the seed vector's unit
     projection off them as n1, and the n2 that makes det = +1.
 
-    Raises DegenerateSeed when a seed's projection off the previously built
-    vectors has norm <= SEED_TOL (for the second seed, |<s2, n2>|).
+    Raises DegenerateSeed when the seed's projection off the tangent plane
+    has norm <= SEED_TOL.
     """
     _, Fu, Fv, *_ = jet_arrays(jets)
-    frame, p1n = _frames(_tangent_plane(Fu, Fv), seeds[0])
+    frame, p1n = _frames(_tangent_plane(Fu, Fv), seed)
     if p1n <= SEED_TOL:
-        raise DegenerateSeed("first seed vector is tangent within tolerance")
-    if abs(_dot(seeds[1], frame.n2)) <= SEED_TOL:
-        raise DegenerateSeed("second seed vector degenerates within tolerance")
+        raise DegenerateSeed("seed vector is tangent within tolerance")
     return frame
 
 
 def build_frame_auto(jets) -> Frame:
-    """Frame from the fallback seed pairs as a FieldGrid picks them (see
+    """Frame from SEEDS as a FieldGrid picks it (see
     _seeded_frames); records the branch used."""
     _, Fu, Fv, *_ = jet_arrays(jets)
     return _seeded_frames(Fu, Fv, None)
@@ -390,10 +381,10 @@ def mean_curvature(form: FirstForm, second: np.ndarray, frame: Frame) -> np.ndar
 
 
 def normal_connection(surface: SurfaceDef, u: float, v: float,
-                      seeds: Optional[int] = None) -> NormalConnection:
+                      seed_branch: Optional[int] = None) -> NormalConnection:
     """Normal connection coefficients gamma_a = <d n_1 / da, n_2> at (u, v),
-    exact from the 2-jet; seeds pins the seed branch of the normals."""
-    return surface_point_data(surface, u, v, seed_branch=seeds).connection
+    exact from the 2-jet; seed_branch pins the seed of the normals."""
+    return surface_point_data(surface, u, v, seed_branch=seed_branch).connection
 
 
 def gauss_weingarten_matrices(pd: SurfacePointData):
@@ -424,7 +415,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     """All pointwise geometry at (u, v), normal connection included, exact
     from the 2-jet by the array functions of a FieldGrid, with one jet
     evaluation of the point and four isothermality probes 1e-3 of the larger
-    domain extent away.  seed_branch pins the normals' seed pair
+    domain extent away.  seed_branch pins the normals' seed
     (DegenerateSeed where it degenerates); without it they are chosen as
     for a grid."""
     u0, u1, v0, v1 = surface.domain
@@ -452,7 +443,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
         b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
         christoffel = _christoffel(point, *g0)
         H, H_norm = _mean_curvature(*g0, b, frame.n1, frame.n2)
-        gammas = _connection(FALLBACK_SEEDS[frame.seed_branch][0], frame, *g0, b)
+        gammas = _connection(SEEDS[frame.seed_branch], frame, *g0, b)
     _require_finite(u, v, "second-order geometry",
                     {"b": b, "Gamma": christoffel, "H": H, "gamma": gammas})
     conn = NormalConnection(*map(float, gammas))
@@ -473,11 +464,11 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
 class FieldGrid:
     """Pointwise-exact fields sampled on an n x n rectangular grid.
 
-    The normal frame uses one seed pair for the whole grid (branch_uniform
-    True): seed_branch when given, else the first fallback pair whose
-    projections stay above _BRANCH_MARGIN everywhere; when no pair does, each
-    point falls back independently and frame-derivative quantities are
-    refused.
+    The normal frame uses one seed for the whole grid (branch_uniform True):
+    seed_branch when given, else the first of SEEDS whose projection off the
+    tangent plane stays above _BRANCH_MARGIN everywhere; when none does, each
+    point takes the first seed that works there and frame-derivative
+    quantities are refused.
     """
 
     def __init__(self, surface: SurfaceDef, n: int, domain=None, *,
@@ -551,7 +542,7 @@ class FieldGrid:
             if (_dot(arr[1:], arr[:-1]).min() <= 0.0
                     or _dot(arr[:, 1:], arr[:, :-1]).min() <= 0.0):
                 raise SeedBranchFlip("frame field is discontinuous on the grid")
-        return _connection(FALLBACK_SEEDS[self.seed_branch][0],
+        return _connection(SEEDS[self.seed_branch],
                            Frame(self.t1, self.t2, self.n1, self.n2),
                            self.g11, self.g12, self.g22, self.det, self.b)
 

@@ -124,13 +124,13 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, shared: dict):
         self.text = text
         self.pos = 0  # 0-based scan position
         self.depth = 0  # brackets, arguments and exponents open around pos
-        # powers and calls built so far: equal ones are made one object,
-        # which the evaluator computes once per batch
-        self.shared = {}
+        # powers and calls built so far in all components of the surface:
+        # equal ones are made one object, computed once per batch
+        self.shared = shared
 
     def share(self, node: Expr) -> Expr:
         return self.shared.setdefault(node, node)
@@ -253,7 +253,11 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse a single expression."""
-    p = _Parser(text)
+    return _parse(text, {})
+
+
+def _parse(text: str, shared: dict) -> Expr:
+    p = _Parser(text, shared)
     node = p.nested(p.parse_expr)
     if not p.at_end():
         raise ExprSyntaxError(f"unexpected trailing input {p._peek()!r}", p._offset())
@@ -319,7 +323,7 @@ class SurfaceDef:
 def parse_surface(text: str, name: str = "unnamed",
                   domain=(-1.0, 1.0, -1.0, 1.0)) -> SurfaceDef:
     """Parse "f1, f2, f3, f4" into a SurfaceDef."""
-    p = _Parser(text)
+    p = _Parser(text, {})
     comps = [p.nested(p.parse_expr)]
     while p._peek() == ",":
         p.pos += 1
@@ -330,18 +334,25 @@ def parse_surface(text: str, name: str = "unnamed",
 
 
 def surface_from_json(obj) -> SurfaceDef:
-    """Accept {"name", "f1".."f4", "domain": [u0, u1, v0, v1]}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    try:
-        comps = tuple(parse(obj[f"f{i}"]) for i in range(1, 5))
-    except KeyError as exc:
-        raise ExpressionError(f"surface JSON is missing key {exc}") from None
-    name = obj.get("name", "unnamed")
-    domain = tuple(float(x) for x in obj.get("domain", (-1.0, 1.0, -1.0, 1.0)))
-    if len(domain) != 4:
-        raise ExpressionError("domain must be [u0, u1, v0, v1]")
-    return SurfaceDef(name, comps, domain)
+    """Accept {"name", "f1".."f4", "domain": [u0, u1, v0, v1]} or its JSON
+    text, parsing the four components together as parse_surface does."""
+    if isinstance(obj, (str, bytes)):
+        try:  # an integer too large for a float reads as +-inf
+            obj = json.loads(obj, parse_int=float)
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+            raise ExpressionError(f"invalid surface JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ExpressionError("surface JSON must be an object")
+    texts = [obj.get(f"f{i}") for i in range(1, 5)]
+    if not all(isinstance(t, str) for t in texts):
+        raise ExpressionError("surface JSON needs keys f1..f4, each a string")
+    shared = {}
+    comps = tuple(_parse(t, shared) for t in texts)
+    domain = obj.get("domain", [-1.0, 1.0, -1.0, 1.0])
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 4 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain)):
+        raise ExpressionError("domain must be [u0, u1, v0, v1], four numbers")
+    return SurfaceDef(obj.get("name", "unnamed"), comps, tuple(map(float, domain)))
 
 
 # --- second-order jets ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared random generators and small oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from twistor4.catalog import CATALOG
@@ -61,6 +63,29 @@ def random_h1(rng):
 
 def random_h2(rng):
     return h2_matrix(random_so3(rng))
+
+
+def hoffman_osserman(g1, g2):
+    """'f1, f2, f3, f4' text of the minimal surface F = Re of the integral of
+    phi dz, z = u + iv, phi = (1 + g1 g2, i(1 - g1 g2), g1 - g2,
+    -i(g1 + g2)) / 2, for polynomials g1, g2 given by complex coefficients,
+    lowest degree first: sum phi_k^2 = 0, so F is conformal and minimal
+    (Hoffman and Osserman, Proc. LMS 50, 1985).  Each component is expanded
+    into monomials: Re a_k (u + iv)^k = sum_j Re(a_k C(k, j) i^j) u^(k-j) v^j."""
+    g1, g2 = np.polynomial.Polynomial(g1), np.polynomial.Polynomial(g2)
+    phi = (1 + g1 * g2, 1j * (1 - g1 * g2), g1 - g2, -1j * (g1 + g2))
+    comps = []
+    for a in ((f / 2).integ().coef for f in phi):
+        monomials = []
+        for k, ak in enumerate(a):
+            for j in range(k + 1):
+                c = float((ak * math.comb(k, j) * 1j ** j).real)
+                powers = [f"{x}^{m}" if m > 1 else x
+                          for x, m in (("u", k - j), ("v", j)) if m]
+                if c:
+                    monomials.append("*".join([repr(c), *powers]))
+        comps.append(" + ".join(monomials))
+    return ", ".join(comps)
 
 
 def random_catalog_point(rng, names=None, margin=0.05):

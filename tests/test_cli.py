@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import twistor4.cli as cli
 from twistor4.catalog import get_surface
 from twistor4.cli import build_parser, main
-from twistor4.geometry import surface_point_data
-from twistor4.surface_expr import expr_text
+from twistor4.geometry import FieldGrid, surface_point_data
+from twistor4.surface_expr import expr_text, parse_surface
 from twistor4.twistor import ISOTROPY_TOL
+from helpers import hoffman_osserman
 from test_surface_expr import _trees
 
 
@@ -134,11 +135,11 @@ class TestExitCodes:
         assert code == 2
 
     def test_numeric_breakdown_is_4(self, capsys):
-        # forcing seed branch 0 on the torus: the second seed is always in
-        # the span of the tangent and first normal, so the branch degenerates
-        code, _, err = run(capsys, "grid", "--surface", "clifford_torus",
-                           "--n", "5", "--seed-normal", "0")
-        assert code == 4 and "degenerates" in err
+        # forcing seed branch 2 on the plane: its seed e1 is tangent there
+        code, out, err = run(capsys, "grid", "--surface", "plane",
+                             "--n", "5", "--seed-normal", "2")
+        assert code == 4 and out == ""
+        assert err == "error: seed branch 2 degenerates at (u, v) = (-1, -1)\n"
 
     def test_io_error_is_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "grid", "--surface", "plane", "--n", "5",
@@ -245,6 +246,18 @@ class TestHostileInput:
             norm = json.loads(out, parse_constant=_strict)["summary"]["sup_H"]
         assert math.isclose(norm, 1e200, rel_tol=1e-15)
 
+    @pytest.mark.parametrize("command", [("analyze", "--at", "0.3", "0.2"),
+                                         ("grid", "--n", "5")])
+    def test_parallel_tangents_are_not_immersed(self, capsys, command):
+        # F_u = (0, 0, 0, e^u/v) and F_v = (0, 0, 0, -e^u/v^2) are parallel,
+        # yet g11 g22 - g12^2 rounds to 7.3e-12 > IMMERSION_TOL at (0.3, 0.2):
+        # the angle test refuses it, where it reached the frame as 0/0
+        code, out, err = run(capsys, command[0], "--expr", "0, 0, 0, exp(u)/v",
+                             "--domain", "0.3", "1", "0.2", "1", *command[1:])
+        assert code == 3 and out == ""
+        assert err.startswith("error: tangent vectors are dependent at "
+                              "(u, v) = (0.3, 0.2)")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_mean_curvature_is_a_numeric_breakdown(self, capsys, fmt):
         # the metric is finite, but g22 b_11 = 1e300 * 1e200 is not: a grid
@@ -303,6 +316,7 @@ class TestHostileInput:
         ("isotropy", "--n", "5", "--seed-normal", "7"),
         ("residuals", "--n", "5", "--seed-normal", "6"),
         ("analyze", "--at", "0.1", "0.1", "--seed-normal", "-1"),
+        ("grid", "--n", "5", "--seed-normal", "3"),
     ])
     def test_seed_branch_out_of_range(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -343,6 +357,9 @@ class TestHostileInput:
          "--at", "0.1", "0.1"),
         ("analyze", "--expr", "u, v, 0, 0", "--domain", "0", "0", "0", "1",
          "--at", "0", "0.5"),
+        ("grid", "--expr", "u, v, 0, 0", "--format", "csv",
+         "--domain", "-1e400", "1", "0", "1"),
+        ("grid", "--surface", "plane", "--n", "5", "--domain", "-inf", "1", "0", "1"),
     ])
     def test_domain_must_be_finite_and_non_empty(self, capsys, tmp_path, argv):
         # every subcommand holds --domain to SurfaceDef's rule: no warning
@@ -352,8 +369,22 @@ class TestHostileInput:
         assert code == 2 and out == "" and not path.exists()
         assert err.startswith("error: --domain: empty or non-finite domain (")
 
+    @pytest.mark.parametrize("argv,key,value", [
+        (("grid", "--n", "5", "--domain", "-1e-3", "1", "0", "1"),
+         ("config", "domain"), [-1e-3, 1, 0, 1]),
+        (("grid", "--n", "5", "--domain", "-1E+0", "-.5e-1", "-2.5", "0"),
+         ("config", "domain"), [-1, -0.05, -2.5, 0]),
+        (("analyze", "--at", "-1e-3", "0"), ("point", "u"), -1e-3),
+    ])
+    def test_negative_numbers_in_exponent_notation(self, capsys, argv, key, value):
+        # read as numbers, not as options (argparse's own pattern takes only
+        # forms like -1 and -1.5)
+        code, out, err = run(capsys, argv[0], "--expr", "u, v, 0, 0", *argv[1:])
+        doc = json.loads(out, parse_constant=_strict)
+        assert code == 0 and err == "" and doc[key[0]][key[1]] == value
+
     @pytest.mark.parametrize("at", [("1.5", "0"), ("0", "-1.01"), ("nan", "0"),
-                                    ("inf", "0")])
+                                    ("inf", "0"), ("-inf", "0"), ("0", "-1e400")])
     def test_analyze_refuses_a_point_outside_the_domain(self, capsys, at):
         # its isothermality probes would be clipped to the domain's edge
         code, out, err = run(capsys, "analyze", "--surface", "holo_square",
@@ -361,6 +392,34 @@ class TestHostileInput:
         assert code == 2 and out == ""
         assert err == (f"error: --at {float(at[0]):g} {float(at[1]):g} is outside "
                        "the domain [-1, 1] x [-1, 1]\n")
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"f1": 1, "f2": "v", "f3": "0", "f4": "0"},
+         "surface JSON needs keys f1..f4, each a string"),
+        ({"f1": "u", "f2": "v", "f3": "0"},
+         "surface JSON needs keys f1..f4, each a string"),
+        ([1, 2], "surface JSON must be an object"),
+        ({"f1": "u", "f2": "v", "f3": "0", "f4": "0", "domain": [0, 1, "a", 1]},
+         "domain must be [u0, u1, v0, v1], four numbers"),
+        ({"f1": "u", "f2": "v", "f3": "0", "f4": "0", "domain": [0, 1, 0]},
+         "domain must be [u0, u1, v0, v1], four numbers"),
+        ({"f1": "u", "f2": "v", "f3": "0", "f4": "0",
+          "domain": [0, 10 ** 400, 0, 1]},
+         "empty or non-finite domain (0.0, inf, 0.0, 1.0)"),
+        pytest.param("[" * 100000 + "]" * 100000,
+                     "invalid surface JSON: maximum recursion", id="deep-nesting"),
+        (b'{"f1": "\x80"}', "invalid surface JSON: 'utf-8' codec can't decode"),
+    ])
+    def test_hostile_surface_json(self, capsys, tmp_path, doc, message):
+        # a message and exit 2, not a traceback
+        path = tmp_path / "surface.json"
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code, out, err = run(capsys, "analyze", "--surface-json", str(path),
+                             "--at", "0.5", "0.5")
+        assert code == 2 and out == "" and err.startswith(f"error: {message}")
 
     def test_analyze_samples_the_given_domain(self, capsys):
         # --domain applies to a catalog surface too, edges included
@@ -575,6 +634,26 @@ class TestResidualsCommand:
         for entry in doc["residuals"]:
             if entry["order"] is not None:
                 assert math.isclose(entry["order"], 2.0, abs_tol=0.3)
+
+    def test_hoffman_osserman_takes_the_smooth_first_seed_frame(self, capsys):
+        # a non-isotropic minimal surface whose seed-e3 frame is smooth
+        # (min |p1| = 0.79 on the grid): it is taken, and the structure
+        # residuals decay like h^2 (no frame winds between grid nodes)
+        text = hoffman_osserman([0.25 + 0.27j, -0.88 + 0.40j, 0.02 - 0.25j],
+                                [0.73 + 0.37j, -0.53 + 0.02j, -0.26 + 0.80j])
+        domain = ("-0.5", "0.5", "-0.5", "0.5")
+        code, out, err = run(capsys, "residuals", "--expr", text,
+                             "--domain", *domain, "--n", "41", "--json")
+        assert code == 0 and err == ""
+        surface = parse_surface(text, domain=tuple(map(float, domain)))
+        assert FieldGrid(surface, 41).seed_branch == 0
+        res = {r["name"]: r for r in json.loads(out)["residuals"]}
+        for name in ("gauss", "codazzi1", "codazzi2", "ricci"):
+            assert 1.5 <= res[name]["order"] <= 2.5, name
+        # beta_sq_holo is at the roundoff floor: no order is measured
+        beta_sq = res["beta_sq_holo"]
+        assert beta_sq["order"] is None
+        assert max(beta_sq["sup_h"], beta_sq["sup_h2"]) <= 1e-12
 
     def test_refuses_clifford(self, capsys):
         code, _, _ = run(capsys, "residuals", "--surface", "clifford_torus",

@@ -10,14 +10,14 @@ MODULES = ("linalg4", "complex_structures", "geometry", "twistor",
            "surface_expr", "catalog")
 
 ALLOWED = {
-    # a record of the seed pair that built a frame; None for caller seeds
+    # a record of the seed that built a frame; None for a caller's seed
     "geometry.Frame.seed_branch",
     # a record of which stereographic chart a value is in
     "twistor.ChartValue.antipode",
     # the acceptance tests pass their own roundoff floor
     "geometry.convergence_order(floor)",
-    # pins one of the six seed branches, as --seed-normal does
-    "geometry.normal_connection(seeds)",
+    # pins one of the three seed branches, as --seed-normal does
+    "geometry.normal_connection(seed_branch)",
     "geometry.surface_point_data(seed_branch)",
     # set by analyze --tol
     "geometry.surface_point_data(isothermal_tol)",

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import twistor4.geometry as geometry
 from twistor4.catalog import CATALOG
 from twistor4.errors import (
     DegenerateSeed,
@@ -16,8 +19,8 @@ from twistor4.errors import (
     SeedBranchFlip,
 )
 from twistor4.geometry import (
-    FALLBACK_SEEDS,
     SEED_TOL,
+    SEEDS,
     FieldGrid,
     Frame,
     beta_gamma,
@@ -50,19 +53,21 @@ def frame_matrix(fr):
     return np.column_stack([fr.t1, fr.t2, fr.n1, fr.n2])
 
 
-def gram_schmidt_frame(Fu, Fv, s1, s2):
-    """Reference frame: Gram-Schmidt of F_u, F_v, s1 and s2 in turn, n2
-    negated where det [t1 t2 n1 n2] < 0; plus the norms of the two seed
-    projections."""
+def gram_schmidt_frame(Fu, Fv, seed):
+    """Reference frame: Gram-Schmidt of F_u, F_v and the seed in turn, then
+    of the coordinate vector farthest from their span, n2 negated where
+    det [t1 t2 n1 n2] < 0; plus the norm of the seed's projection."""
     basis, norms = [], []
-    for x in (Fu, Fv, s1, s2):
-        p = x - sum((x @ e) * e for e in basis)
+    for x in (Fu, Fv, seed, None):
+        rest = [y - sum((y @ e) * e for e in basis)
+                for y in (np.eye(4) if x is None else [x])]
+        p = max(rest, key=np.linalg.norm)
         norms.append(np.linalg.norm(p))
         basis.append(p / norms[-1])
     M = np.column_stack(basis)
     if np.linalg.det(M) < 0:
         M[:, 3] = -M[:, 3]
-    return M, norms[2], norms[3]
+    return M, norms[2]
 
 
 class TestFirstForm:
@@ -166,11 +171,11 @@ class TestChristoffel:
 
 class TestFrame:
     def test_plane_standard_frame(self):
-        fr = build_frame(jets_of("plane", 0.0, 0.0), FALLBACK_SEEDS[0])
+        fr = build_frame(jets_of("plane", 0.0, 0.0), SEEDS[0])
         assert np.array_equal(frame_matrix(fr), np.eye(4))
 
     def test_holo_square_origin(self):
-        fr = build_frame(jets_of("holo_square", 0.0, 0.0), FALLBACK_SEEDS[0])
+        fr = build_frame(jets_of("holo_square", 0.0, 0.0), SEEDS[0])
         assert np.array_equal(frame_matrix(fr), np.eye(4))
 
     def test_determinant_plus_one_sweep(self, rng):
@@ -182,38 +187,60 @@ class TestFrame:
             assert abs(np.linalg.det(M) - 1.0) <= 1e-10
 
     def test_matches_gram_schmidt_reference(self, rng):
-        # n2 by cofactors is the reference's second Gram-Schmidt with its det
-        # flip, for every pinned branch where both seed projections survive;
-        # where one does not, the branch is refused
+        # n2 by cofactors is the reference's last Gram-Schmidt with its det
+        # flip, for every pinned seed whose projection survives; where it
+        # does not (e1 and e2 on the plane), the seed is refused
+        refused = set()
         for _ in range(60):
-            _, surface, u, v = random_catalog_point(rng)
+            name, surface, u, v = random_catalog_point(rng)
             jets = eval_surface_jet(surface, u, v)
             _, Fu, Fv, *_ = jet_arrays(jets)
-            for k, (s1, s2) in enumerate(FALLBACK_SEEDS):
+            for k, seed in enumerate(SEEDS):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    M, p1n, p2n = gram_schmidt_frame(Fu, Fv, s1, s2)
-                if min(p1n, p2n) > SEED_TOL:
-                    for fr in (build_frame(jets, (s1, s2)), surface_point_data(
+                    M, p1n = gram_schmidt_frame(Fu, Fv, seed)
+                if p1n > SEED_TOL:
+                    for fr in (build_frame(jets, seed), surface_point_data(
                             surface, u, v, seed_branch=k).frame):
                         assert np.abs(frame_matrix(fr) - M).max() <= 1e-12
                 else:
+                    refused.add((name, k))
                     with pytest.raises(DegenerateSeed):
-                        build_frame(jets, (s1, s2))
+                        build_frame(jets, seed)
                     with pytest.raises(DegenerateSeed):
                         surface_point_data(surface, u, v, seed_branch=k)
+        assert refused == {("plane", 1), ("plane", 2)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8))
+    def test_some_seed_always_works(self, xs):
+        # over e1, e2, e3 the squared projections onto a tangent plane sum to
+        # at most 2, so some seed has |p1| >= 1/sqrt(3) at every point that
+        # passes the immersion test, and the seed search never runs out of
+        # seeds; that test keeps sin^2 of the angle of F_u, F_v above 1e-12,
+        # so t2 keeps about eight digits (errors up to 1.1e-8 were seen there)
+        Fu, Fv = np.array(xs[:4]), np.array(xs[4:])
+        g11, g12, g22, det = geometry._metric(Fu, Fv)
+        assume(geometry._immersed(g11, g22, det))
+        plane = geometry._tangent_plane(Fu, Fv)
+        p1n = [geometry._frames(plane, seed)[1] for seed in SEEDS]
+        assert max(p1n) >= 1 / math.sqrt(3) - 1e-7
+        fr = geometry._seeded_frames(Fu, Fv, None)
+        assert fr.seed_branch in (0, 1, 2) and p1n[fr.seed_branch] > SEED_TOL
+        M = frame_matrix(fr)
+        assert np.abs(M.T @ M - np.eye(4)).max() <= 1e-7
+        assert abs(np.linalg.det(M) - 1) <= 1e-7
 
     def test_round_sphere_branches(self, grids):
-        # no pair stays clear of the tangent plane everywhere, so each point
-        # takes the first pair that works there
+        # no seed stays clear of the tangent plane everywhere, so each point
+        # takes the first seed that works there
         g = grids("round_sphere", 41)
         branches, counts = np.unique(g.seed_branch, return_counts=True)
-        assert branches.tolist() == [0, 1, 3]
+        assert branches.tolist() == [0, 1, 2]
         assert counts.tolist() == [1669, 10, 2]
 
     def test_one_frame_per_first_seed(self, monkeypatch):
-        # the six pairs have three first seeds; a seed search on a grid that
-        # needs every pair builds each of their frames once
-        import twistor4.geometry as geometry
+        # a seed search builds each seed's frame at most once, on a grid
+        # that needs all three too
         calls = []
         frames = geometry._frames
         monkeypatch.setattr(geometry, "_frames",
@@ -225,16 +252,16 @@ class TestFrame:
         s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
         jets = eval_surface_jet(s, 0.0, 0.0)
         with pytest.raises(DegenerateSeed):
-            build_frame(jets, FALLBACK_SEEDS[0])
-        # at u = v = 0 the first three seed pairs are all tangent-degenerate
+            build_frame(jets, SEEDS[0])
+        # at u = v = 0 the first two seeds, e3 and e2, are both tangent
         fr = build_frame_auto(jets)
-        assert fr.seed_branch == 3
+        assert fr.seed_branch == 2
 
 
 class TestSecondFormAndShape:
     def test_plane_vanishes(self):
         jets = jets_of("plane", 0.4, 0.6)
-        fr = build_frame(jets, FALLBACK_SEEDS[0])
+        fr = build_frame(jets, SEEDS[0])
         b = second_form(jets, fr)
         assert np.max(np.abs(b)) == 0.0
         ops = shape_operators(first_form(jets), b)
@@ -242,7 +269,7 @@ class TestSecondFormAndShape:
 
     def test_holo_square_origin_values(self):
         jets = jets_of("holo_square", 0.0, 0.0)
-        fr = build_frame(jets, FALLBACK_SEEDS[0])
+        fr = build_frame(jets, SEEDS[0])
         b = second_form(jets, fr)
         assert b[0, 0, 0] == 2.0 and b[0, 1, 1] == -2.0 and b[0, 0, 1] == 0.0
         assert b[1, 0, 1] == 2.0 and b[1, 0, 0] == 0.0 and b[1, 1, 1] == 0.0
@@ -353,7 +380,7 @@ class TestNormalConnection:
         assert abs(nc.gamma1) <= 1e-12 and abs(nc.gamma2) <= 1e-12
 
     def test_holo_square_closed_form(self, rng):
-        # frame from seeds (e3, e4): gamma_1 = 4v/g, gamma_2 = -4u/g
+        # frame from seed e3: gamma_1 = 4v/g, gamma_2 = -4u/g
         for _ in range(10):
             u, v = rng.uniform(-0.9, 0.9, size=2)
             g = 1 + 4 * (u * u + v * v)
@@ -365,9 +392,9 @@ class TestNormalConnection:
         # <d n_2 / da, n_1> = -gamma_a, via an independent stencil on n2
         surface = CATALOG["holo_square"].surface
         u, v, h = 0.3, 0.4, 1e-4
-        nc = normal_connection(surface, u, v, seeds=0)
+        nc = normal_connection(surface, u, v, seed_branch=0)
         def frame_at(uu, vv):
-            return build_frame(eval_surface_jet(surface, uu, vv), FALLBACK_SEEDS[0])
+            return build_frame(eval_surface_jet(surface, uu, vv), SEEDS[0])
         f0 = frame_at(u, v)
         dn2_u = (frame_at(u + h, v).n2 - frame_at(u - h, v).n2) / (2 * h)
         dn2_v = (frame_at(u, v + h).n2 - frame_at(u, v - h).n2) / (2 * h)
@@ -378,7 +405,7 @@ class TestNormalConnection:
         assert abs(dn1_u @ f0.n1) <= 1e-6
 
     def test_branch_flip_across_catenoid_waist(self):
-        # seed 0 = (e3, e4) is tangent on the waist v = 0, so its normals
+        # seed 0 = e3 is tangent on the waist v = 0, so its normals
         # turn over there: a grid pinned to it across the waist is refused,
         # with a node on the waist (n = 5) or without one (n = 4)
         s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
@@ -393,7 +420,7 @@ class TestNormalConnection:
         g1, g2 = g.gamma_fields()
         for i, j in ((5, 7), (12, 3)):
             nc = normal_connection(CATALOG["holo_square"].surface,
-                                   g.us[i], g.vs[j], seeds=g.seed_branch)
+                                   g.us[i], g.vs[j], seed_branch=g.seed_branch)
             assert abs(nc.gamma1 - g1[i, j]) <= 1e-12
             assert abs(nc.gamma2 - g2[i, j]) <= 1e-12
 
@@ -482,7 +509,6 @@ class TestGaussWeingarten:
 class TestPointData:
     def test_one_jet_evaluation_per_point(self, monkeypatch):
         # the point and its isothermality probes come from a single batch
-        import twistor4.geometry as geometry
         calls = []
 
         def counting(*args):

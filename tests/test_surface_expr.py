@@ -387,6 +387,28 @@ class TestJson:
         with pytest.raises(ExpressionError):
             surface_from_json({"name": "x", "f1": "u"})
 
+    @pytest.mark.parametrize("text", ["{not json", b"[1, 2", b'"\xff"'])
+    def test_bad_text_is_an_expression_error(self, text):
+        with pytest.raises(ExpressionError, match="invalid surface JSON"):
+            surface_from_json(text)
+
     def test_default_domain(self):
         s = surface_from_json({"f1": "u", "f2": "v", "f3": "0", "f4": "0"})
         assert s.domain == (-1.0, 1.0, -1.0, 1.0)
+
+    def test_components_share_powers_and_calls(self):
+        # f1..f4 are parsed together, as by parse_surface: an equal call or
+        # power in two components is one object, evaluated once per batch,
+        # and the jets are those of four separate parses, bit for bit
+        texts = ("u + sin(u*v)", "v - 2*sin(u*v)", "u^3*v^2", "exp(v) + v^2")
+        s = surface_from_json({f"f{i + 1}": t for i, t in enumerate(texts)})
+        sins = {id(n) for f in s.components[:2] for n in _nodes(f)
+                if isinstance(n, Call)}
+        squares = {id(n) for f in s.components[2:] for n in _nodes(f)
+                   if isinstance(n, Pow) and n.exponent == 2.0}
+        assert len(sins) == len(squares) == 1
+        alone = SurfaceDef("alone", tuple(map(parse, texts)), s.domain)
+        assert alone.components[0].right is not alone.components[1].right.right
+        for u, v in ((np.linspace(-1, 1, 7), np.linspace(1, -0.5, 7)), (0.2, 0.3)):
+            assert _bits(eval_surface_jet(s, u, v)) == _bits(
+                eval_surface_jet(alone, u, v))

@@ -6,12 +6,15 @@ Usage:
 Imports twistor4 from SRC_DIR (the `src/` directory of a checkout) and runs
 commands in-process through `cli.main`:
 
-- nine commands on each of the seven catalog surfaces and on four literal
-  `--expr` surfaces (a degree-5 polynomial graph and its mirror, whose
-  monomials repeat u^p and v^q, the helicoid, and a graph whose components
-  repeat calls): `grid --n 41` as JSON and as CSV, `grid --n 5`, `isotropy`
-  and `residuals` each as text and as `--json`, and `analyze` at two
-  interior points of the surface's domain;
+- nine commands on each of the seven catalog surfaces and on five `--expr`
+  surfaces (a degree-5 polynomial graph and its mirror, whose monomials
+  repeat u^p and v^q, the helicoid, a graph whose components repeat calls,
+  and a non-isotropic Hoffman-Osserman minimal surface, built by
+  `tests/helpers.py`): `grid --n 41` as JSON and as CSV, `grid --n 5`,
+  `isotropy` and `residuals` each as text and as `--json`, and `analyze` at
+  two interior points of the surface's domain;
+- `analyze` on `holo_square` with each seed branch pinned, which
+  fingerprints the normal frame of every seed;
 - a few refusals of a `--domain` or an `--at` that no tree should accept.
 
 Prints one line per command: the command, its exit code, the sha256 of its
@@ -46,6 +49,11 @@ EXPR_SURFACES = (
     ("calls", "u, v, exp(u)*cos(v)/4 + sin(u)*cosh(v)/5, "
               "exp(u)*sin(v)/4 + cos(u)*sinh(v)/5", (-1.0, 1.0, -1.0, 1.0)),
 )
+
+# the frame of each seed (--seed-normal 0..2: e3, e2, e1)
+SEED_BRANCHES = tuple(
+    ("analyze", "--surface", "holo_square", "--at", "0.3", "0.2",
+     "--seed-normal", str(k)) for k in range(3))
 
 # refused with exit 2 since --domain and --at are checked
 REFUSALS = (
@@ -89,14 +97,23 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve()))
+    sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
+    from helpers import hoffman_osserman
     from twistor4 import cli
     from twistor4.catalog import catalog_entries
+
+    # g1 = 0.25+0.27i - (0.88-0.40i) z + (0.02-0.25i) z^2, g2 likewise: both
+    # Gauss maps move, so neither lift is constant
+    ho = hoffman_osserman([0.25 + 0.27j, -0.88 + 0.40j, 0.02 - 0.25j],
+                          [0.73 + 0.37j, -0.53 + 0.02j, -0.26 + 0.80j])
 
     matrix = [_commands(("--surface", e.name), e.surface.domain)
               for e in catalog_entries()]
     matrix += [_commands(("--expr", text, "--domain", *map(repr, domain)), domain)
-               for _, text, domain in EXPR_SURFACES]
-    for command in (*(c for commands in matrix for c in commands), *REFUSALS):
+               for _, text, domain in (*EXPR_SURFACES,
+                                       ("hoffman_osserman", ho, (-0.5, 0.5, -0.5, 0.5)))]
+    for command in (*(c for commands in matrix for c in commands),
+                    *SEED_BRANCHES, *REFUSALS):
         code, out, err = _run(cli.main, command)
         digest = hashlib.sha256(out.encode()).hexdigest()
         print(f"{' '.join(command)} | exit {code} | {digest} | {err!r}")
