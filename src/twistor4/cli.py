@@ -72,10 +72,6 @@ def _c(z) -> list:
     return [z.real, z.imag]
 
 
-def _vec(a) -> list:
-    return [float(x) for x in np.asarray(a).ravel()]
-
-
 def _mat(a) -> list:
     return np.asarray(a, float).tolist()
 
@@ -112,14 +108,13 @@ def _checked_tol(args) -> float:
 
 
 def _config(surface, **extra) -> dict:
-    cfg = {
+    return {
         "tool": "twistor4",
         "version": __version__,
         "surface": surface.to_json(),
         "tolerances": dict(_DEFAULTS),
+        **extra,
     }
-    cfg.update(extra)
-    return cfg
 
 
 def _emit(args, text: str):
@@ -132,15 +127,14 @@ def _emit(args, text: str):
             sys.stdout.write("\n")
 
 
-def _emit_json(args, doc):
-    """Write doc as strict, compact JSON: a nan or inf anywhere is a numeric
+def _json(doc) -> str:
+    """doc as strict, compact JSON: a nan or inf anywhere is a numeric
     breakdown, refused before anything is written.  Without indent, CPython
     encodes in C."""
     try:
-        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"the result is not finite ({exc})") from None
-    _emit(args, text)
 
 
 # --- catalog -----------------------------------------------------------------
@@ -155,7 +149,7 @@ def cmd_catalog(args) -> int:
                 for e in catalog_entries()
             ],
         }
-        _emit_json(args, doc)
+        _emit(args, _json(doc))
         return 0
     rows = [("name", "isothermal", "minimal", "isotropic", "lift", "domain")]
     yes = {True: "yes", False: "no", None: "-"}
@@ -192,8 +186,8 @@ def cmd_analyze(args) -> int:
         "isothermal": pd.isothermal,
         "alpha": pd.alpha,
         "frame": {
-            "t1": _vec(pd.frame.t1), "t2": _vec(pd.frame.t2),
-            "n1": _vec(pd.frame.n1), "n2": _vec(pd.frame.n2),
+            "t1": _mat(pd.frame.t1), "t2": _mat(pd.frame.t2),
+            "n1": _mat(pd.frame.n1), "n2": _mat(pd.frame.n2),
             "seed_branch": pd.frame.seed_branch,
         },
         "second_form": {f"b{k + 1}{i + 1}{j + 1}": pd.second[k, i, j]
@@ -203,7 +197,7 @@ def cmd_analyze(args) -> int:
         "normal_connection": {"gamma1": pd.connection.gamma1,
                               "gamma2": pd.connection.gamma2},
         "mean_curvature": {
-            "vector": _vec(pd.H),
+            "vector": _mat(pd.H),
             "norm": pd.H_norm,
         },
         "gauss_weingarten": {"S1": _mat(s1), "S2": _mat(s2)},
@@ -218,7 +212,7 @@ def cmd_analyze(args) -> int:
         doc["psi"] = [_c(z) for z in ps]
         lp = gauss_map(pd)
         doc["lifts"] = {
-            name: {"chirality": sign, "coords": _vec(c), "matrix": _mat(f.matrix),
+            name: {"chirality": sign, "coords": _mat(c), "matrix": _mat(f.matrix),
                    "chart": {"value": _c(g.value), "antipode": g.antipode}}
             for name, sign, c, f, g in (
                 ("plus", "+", lp.cplus, lp.fplus, lp.gplus),
@@ -227,7 +221,7 @@ def cmd_analyze(args) -> int:
             doc["g_plus_closed_form"] = _c(g_plus_closed_form(ps))
         except PoleOfChart:
             doc["g_plus_closed_form"] = "pole"
-    _emit_json(args, doc)
+    _emit(args, _json(doc))
     return 0
 
 
@@ -260,22 +254,28 @@ def _grid_columns(grid: FieldGrid) -> list:
     return [np.ravel(cols[c]) if c in cols else None for c in _GRID_COLUMNS]
 
 
-def _grid_csv(columns) -> str:
-    """The columns as CSV, formatted a column at a time: floats to 17
-    significant digits, flags as True/False, absent cells empty; rows end in
-    CRLF, as csv.writer writes them.  A nan or inf cell is refused."""
-    cells = []
-    for name, col in zip(_GRID_COLUMNS, columns):
-        if col is None:
-            cells.append([""] * len(columns[0]))
-        elif col.dtype != bool and not np.isfinite(col).all():
+def _grid_rows(columns, fmt: str):
+    """A list of the rows of the columns in fmt, "json" or "csv", each row's
+    cell text joined by commas.  Each distinct float is formatted once, keyed
+    on its bit pattern so that 0.0 and -0.0 keep their signs: shortest repr
+    for JSON, 17 significant digits for CSV.  A nan or inf is refused."""
+    text, flags, absent = {"json": (float.__repr__, ("false", "true"), "null"),
+                           "csv": ("%.17g".__mod__, ("False", "True"), "")}[fmt]
+    floats = {name: col for name, col in zip(_GRID_COLUMNS, columns)
+              if col is not None and col.dtype != bool}
+    for name, col in floats.items():
+        if not np.isfinite(col).all():
             raise NumericError(f"the result is not finite (column {name} "
                                f"holds {col[~np.isfinite(col)][0]})")
-        else:
-            cells.append(map(str if col.dtype == bool else "{:.17g}".format,
-                             col.tolist()))
-    lines = [",".join(_GRID_COLUMNS), *map(",".join, zip(*cells)), ""]
-    return "\r\n".join(lines)
+    bits, inverse = np.unique(np.stack(list(floats.values())).view(np.int64),
+                              return_inverse=True)
+    strings = np.array([text(x) for x in bits.view(float).tolist()], object)
+    cells = dict(zip(floats, strings[inverse].reshape(len(floats), -1).tolist()))
+    del bits, inverse, strings  # lower peak memory while rows are built
+    return list(map(",".join, zip(*(
+        cells[name] if name in cells else [absent] * len(columns[0])
+        if col is None else [flags[x] for x in col.tolist()]
+        for name, col in zip(_GRID_COLUMNS, columns)))))
 
 
 def _grid_summary(grid: FieldGrid) -> dict:
@@ -288,6 +288,7 @@ def _grid_summary(grid: FieldGrid) -> dict:
                         else "per-point"),
     }
     if grid.isothermal:
+        # local, not at the top: perfbench's tracer wraps it in twistor4.twistor
         from .twistor import lift_gradient_sups
         (summary["sup_grad_lift_plus"],
          summary["sup_grad_lift_minus"]) = lift_gradient_sups(grid)
@@ -318,21 +319,20 @@ def cmd_grid(args) -> int:
                 f"--h {args.h:g} gives {n} points on u but {nv} on v; the "
                 f"grid is square, so give --n or a domain with equal extents")
     grid = FieldGrid(surface, n, domain=domain, seed_branch=args.seed_normal)
-    if args.format == "csv":
-        _emit(args, _grid_csv(_grid_columns(grid)))
+    if args.format == "csv":  # rows end in CRLF, as csv.writer writes them
+        _emit(args, "\r\n".join([",".join(_GRID_COLUMNS),
+                                 *_grid_rows(_grid_columns(grid), "csv"), ""]))
         return 0
     summary = _grid_summary(grid)
-    empty = [None] * grid.n ** 2
     doc = {
         "config": _config(surface, n=grid.n, h=[grid.hu, grid.hv],
                           domain=list(grid.domain),
                           seed_branch=summary["seed_branch"]),
         "summary": summary,
         "columns": list(_GRID_COLUMNS),
-        "rows": list(zip(*(empty if c is None else c.tolist()
-                           for c in _grid_columns(grid)))),
     }
-    _emit_json(args, doc)
+    _emit(args, '{},"rows":[[{}]]}}'.format(
+        _json(doc)[:-1], "],[".join(_grid_rows(_grid_columns(grid), "json"))))
     return 0
 
 
@@ -367,7 +367,7 @@ def cmd_isotropy(args) -> int:
                               domain=list(grid.domain), tol=tol),
             "report": rep.as_dict(),
         }
-        _emit_json(args, doc)
+        _emit(args, _json(doc))
         return 0
     lines = [f"isotropy analysis: {surface.name}  "
              f"(n={grid.n}, domain=[{domain[0]:g}, {domain[1]:g}] x "
@@ -408,7 +408,7 @@ def cmd_residuals(args) -> int:
                 for k, c, f, o in table
             ],
         }
-        _emit_json(args, doc)
+        _emit(args, _json(doc))
         return 0
     lines = [f"structure-equation residuals: {surface.name}  "
              f"(n={coarse.n} vs {fine.n})",

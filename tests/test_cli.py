@@ -309,6 +309,16 @@ class TestHostileInput:
         code, out, err = run(capsys, "grid", "--surface", "holo_square", "--n", "5",
                              "--format", fmt, "--out", str(path))
         assert code == 4 and out == "" and not path.exists()
+        assert err == "error: the result is not finite (column res_d holds inf)\n"
+
+    def test_non_finite_summary_is_refused(self, capsys, tmp_path, monkeypatch):
+        # a summary value is not a cell: strict JSON refuses it, writing nothing
+        import twistor4.cli as cli
+        monkeypatch.setattr(cli, "lift_agreement_residual", lambda grid: math.inf)
+        path = tmp_path / "grid.json"
+        code, out, err = run(capsys, "grid", "--surface", "holo_square", "--n", "5",
+                             "--out", str(path))
+        assert code == 4 and out == "" and not path.exists()
         assert err.startswith("error: the result is not finite (")
 
     @pytest.mark.parametrize("argv", [
@@ -463,6 +473,24 @@ class TestOneParser:
         assert json.loads(run(capsys, *grid)[1])["config"]["n"] == 5
 
 
+def _assert_rows_match_reference_encoders(columns):
+    """cli._grid_rows gives the bytes of json.dumps and of csv.writer with
+    .17g cells for the same rows.  Compared a row at a time, so that a
+    failure shows the first row that differs."""
+    rows = list(zip(*([None] * len(columns[0]) if c is None else c.tolist()
+                      for c in columns)))
+    doc = json.dumps(rows, separators=(",", ":"))
+    assert doc.startswith("[[") and doc.endswith("]]")
+    assert list(cli._grid_rows(columns, "json")) == doc[2:-2].split("],[")
+    buf = io.StringIO()
+    csv.writer(buf).writerows(["" if x is None else "{:.17g}".format(x)
+                               if isinstance(x, float) else str(x) for x in row]
+                              for row in rows)
+    assert buf.getvalue().endswith("\r\n")
+    assert list(cli._grid_rows(columns, "csv")) == \
+        buf.getvalue()[:-2].split("\r\n")
+
+
 class TestGrid:
     def test_csv_round_trip(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"
@@ -557,6 +585,30 @@ class TestGrid:
         if surface == "round_sphere":
             assert True in flags      # a point in the antipodal chart
         assert (not flags) == (surface == "nonisothermal_graph")
+
+    @pytest.mark.parametrize("surface,n", [
+        ("holo_square", 31), ("catenoid_E3", 3), ("nonisothermal_graph", 5),
+        ("nonisothermal_graph", 31), ("round_sphere", 3), ("round_sphere", 5)])
+    def test_rows_match_reference_encoders(self, surface, n):
+        # round_sphere takes a seed branch per point, and its antipode flags
+        # hold both values; nonisothermal_graph has absent columns
+        grid = FieldGrid(get_surface(surface), n)
+        assert grid.branch_uniform == (surface != "round_sphere")
+        _assert_rows_match_reference_encoders(cli._grid_columns(grid))
+
+    def test_hand_built_rows_match_reference_encoders(self):
+        # signed zeros in one column, values shared across columns, a
+        # constant column, floats whose repr and 17 digits differ, flags and
+        # absent columns
+        columns = [None] * len(cli._GRID_COLUMNS)
+        columns[0] = np.array([0.0, -0.0, 0.1, -0.0, 0.0])
+        columns[1] = np.array([-0.0, 0.1, 0.1 + 0.2, 1e16, 5e-324])
+        columns[2] = np.full(5, 1 / 3)
+        columns[3] = np.array([1 / 3, 0.0, -1e-300, 1e300, 0.1])
+        columns[5] = np.array([-0.0, -0.0, 2.5, 1e22, -1 / 3])
+        columns[14] = np.array([True, False, False, True, True])
+        columns[17] = np.zeros(5, bool)
+        _assert_rows_match_reference_encoders(columns)
 
     def test_json_is_compact(self, capsys):
         code, out, _ = run(capsys, "grid", "--surface", "plane", "--n", "3")

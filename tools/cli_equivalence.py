@@ -6,13 +6,14 @@ Usage:
 Imports twistor4 from SRC_DIR (the `src/` directory of a checkout) and runs
 commands in-process through `cli.main`:
 
-- nine commands on each of the seven catalog surfaces and on five `--expr`
+- eleven commands on each of the seven catalog surfaces and on five `--expr`
   surfaces (a degree-5 polynomial graph and its mirror, whose monomials
   repeat u^p and v^q, the helicoid, a graph whose components repeat calls,
   and a non-isotropic Hoffman-Osserman minimal surface, built by
   `tests/helpers.py`): `grid --n 41` as JSON and as CSV, `grid --n 5`,
-  `isotropy` and `residuals` each as text and as `--json`, and `analyze` at
-  two interior points of the surface's domain;
+  `grid --n 3` (the smallest grid) as JSON and as CSV, `isotropy` and
+  `residuals` each as text and as `--json`, and `analyze` at two interior
+  points of the surface's domain;
 - `analyze` on `holo_square` with each seed branch pinned, which
   fingerprints the normal frame of every seed;
 - a few refusals of a `--domain` or an `--at` that no tree should accept.
@@ -72,6 +73,8 @@ def _commands(surface_args, domain):
     yield ("grid", *surface_args, "--n", "41")
     yield ("grid", *surface_args, "--n", "41", "--format", "csv")
     yield ("grid", *surface_args, "--n", "5")
+    yield ("grid", *surface_args, "--n", "3")
+    yield ("grid", *surface_args, "--n", "3", "--format", "csv")
     for command in ("isotropy", "residuals"):
         yield (command, *surface_args)
         yield (command, *surface_args, "--json")
