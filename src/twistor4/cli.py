@@ -134,7 +134,19 @@ def _json(doc) -> str:
     try:
         return json.dumps(doc, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
-        raise NumericError(f"the result is not finite ({exc})") from None
+        raise NumericError(
+            f"the result is not finite ({_non_finite(doc, '') or exc})") from None
+
+
+def _non_finite(doc, key: str):
+    """The first nan or inf in doc as "key is value", keys and list indices
+    joined by dots, or None; json's C encoder names neither."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else f"{key} is {doc}"
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, (list, tuple)) else ())
+    return next(filter(None, (_non_finite(x, f"{key}.{k}".lstrip("."))
+                              for k, x in items)), None)
 
 
 # --- catalog -----------------------------------------------------------------

@@ -14,6 +14,7 @@ grid with a single smooth choice of normal frame whenever one exists.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,7 @@ from .errors import (
     SeedBranchFlip,
 )
 from .linalg4 import E4
-from .surface_expr import Jet2, SurfaceDef, eval_surface_jet, finite_mask, require_finite
+from .surface_expr import Jet2, SurfaceDef, eval_surface_jet, require_finite
 
 __all__ = [
     "SEEDS",
@@ -146,21 +147,24 @@ def _dot(a, b):
 
 
 def jet_arrays(jets):
-    """Stack componentwise jets into six E^4 vectors (F, Fu, Fv, Fuu, Fuv,
-    Fvv), each of shape (..., 4) over the points the jets were taken at."""
+    """Stack componentwise jets into one (6, ..., 4) array: six E^4 vectors
+    (F, Fu, Fv, Fuu, Fuv, Fvv) over the points the jets were taken at."""
     shape = np.broadcast_shapes(*(np.shape(j.val) for j in jets))
     out = np.empty((6,) + shape + (len(jets),))
     for k, j in enumerate(jets):
         for m, x in enumerate(j.as_tuple()):
             out[m, ..., k] = x
-    return tuple(out)
+    return out
 
 
 def _jet_fields(surface: SurfaceDef, u, v):
     """Stacked jet arrays of a surface over the points (u, v), from one
     evaluation, and the mask of the points where all of them are finite."""
-    jets = eval_surface_jet(surface, u, v)
-    return jet_arrays(jets), finite_mask(jets)
+    arrays = jet_arrays(eval_surface_jet(surface, u, v))
+    # per point and component, then across the components: numpy reduces a
+    # short last axis slowly (.all(axis=(0, -1)) takes 5 times as long at 61^2)
+    finite = np.isfinite(arrays).all(axis=0)
+    return arrays, functools.reduce(np.logical_and, np.moveaxis(finite, -1, 0))
 
 
 # --- array functions: one point or a whole grid (broadcasting over "...") ----

@@ -357,9 +357,34 @@ def surface_from_json(obj) -> SurfaceDef:
 
 # --- second-order jets ------------------------------------------------------
 
+# A structural zero: a part of a jet that vanishes identically, as the v-part
+# of u does.  Only the jets of u and v start with it (every other zero is
+# numeric, so that 0 * inf still poisons a point); sums, products and chain
+# skip each term it enters.  It is this one object, tested with "is".
+_ZERO = float("0")
+
+
+def _mul(a, b):
+    return _ZERO if a is _ZERO or b is _ZERO else a * b
+
+
+def _sum(*terms):
+    """The terms added in their order, skipping structural zeros."""
+    total = _ZERO
+    for t in terms:
+        if t is not _ZERO:
+            total = t if total is _ZERO else total + t
+    return total
+
+
+def _sub(a, b):
+    return a if b is _ZERO else -b if a is _ZERO else a - b
+
+
 class Jet2:
     """Value and exact partials (du, dv, duu, duv, dvv) of a scalar at a point
-    or elementwise over points; constant parts may stay plain numbers."""
+    or elementwise over points; a part may be a plain number, 0.0 where it
+    vanishes identically."""
 
     __slots__ = ("val", "du", "dv", "duu", "duv", "dvv")
     # numpy numbers and arrays on the left defer to Jet2's reflected operators
@@ -379,45 +404,50 @@ class Jet2:
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(self.val + o.val, self.du + o.du, self.dv + o.dv,
-                        self.duu + o.duu, self.duv + o.duv, self.dvv + o.dvv)
+            return Jet2(*map(_sum, self.as_tuple(), o.as_tuple()))
         return Jet2(self.val + o, self.du, self.dv, self.duu, self.duv, self.dvv)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.val, -self.du, -self.dv, -self.duu, -self.duv, -self.dvv)
+        return Jet2(*(_sub(_ZERO, x) for x in self.as_tuple()))
 
     def __sub__(self, o):
-        return self + (-o if isinstance(o, Jet2) else -o)
+        if isinstance(o, Jet2):
+            return Jet2(*map(_sub, self.as_tuple(), o.as_tuple()))
+        return Jet2(self.val - o, self.du, self.dv, self.duu, self.duv, self.dvv)
 
     def __rsub__(self, o):
         return (-self) + o
 
     def __mul__(self, o):
         if isinstance(o, Jet2):
+            a, b = self, o
             return Jet2(
-                self.val * o.val,
-                self.du * o.val + self.val * o.du,
-                self.dv * o.val + self.val * o.dv,
-                self.duu * o.val + 2.0 * self.du * o.du + self.val * o.duu,
-                self.duv * o.val + self.du * o.dv + self.dv * o.du + self.val * o.duv,
-                self.dvv * o.val + 2.0 * self.dv * o.dv + self.val * o.dvv,
+                a.val * b.val,
+                _sum(_mul(a.du, b.val), _mul(a.val, b.du)),
+                _sum(_mul(a.dv, b.val), _mul(a.val, b.dv)),
+                _sum(_mul(a.duu, b.val), _mul(_mul(2.0, a.du), b.du),
+                     _mul(a.val, b.duu)),
+                _sum(_mul(a.duv, b.val), _mul(a.du, b.dv), _mul(a.dv, b.du),
+                     _mul(a.val, b.duv)),
+                _sum(_mul(a.dvv, b.val), _mul(_mul(2.0, a.dv), b.dv),
+                     _mul(a.val, b.dvv)),
             )
-        return Jet2(self.val * o, self.du * o, self.dv * o,
-                    self.duu * o, self.duv * o, self.dvv * o)
+        return Jet2(*(_mul(x, o) for x in self.as_tuple()))
 
     __rmul__ = __mul__
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given f(x), f'(x), f''(x) at x = val."""
+        f2u, f2v = _mul(f2, self.du), _mul(f2, self.dv)
         return Jet2(
             f0,
-            f1 * self.du,
-            f1 * self.dv,
-            f2 * self.du * self.du + f1 * self.duu,
-            f2 * self.du * self.dv + f1 * self.duv,
-            f2 * self.dv * self.dv + f1 * self.dvv,
+            _mul(f1, self.du),
+            _mul(f1, self.dv),
+            _sum(_mul(f2u, self.du), _mul(f1, self.duu)),
+            _sum(_mul(f2u, self.dv), _mul(f1, self.duv)),
+            _sum(_mul(f2v, self.dv), _mul(f1, self.dvv)),
         )
 
     def reciprocal(self) -> "Jet2":
@@ -441,7 +471,8 @@ def _eval(node: Expr, u, v, memo: dict):
     gives a plain number.  Undefined points hold nan or inf, unchecked.  Each
     power and call object is computed once per memo (nothing mutates a jet)."""
     if isinstance(node, Var):
-        return Jet2(u, 1.0, 0.0) if node.name == "u" else Jet2(v, 0.0, 1.0)
+        return (Jet2(u, 1.0, _ZERO, _ZERO, _ZERO, _ZERO) if node.name == "u"
+                else Jet2(v, _ZERO, 1.0, _ZERO, _ZERO, _ZERO))
     if isinstance(node, Num):
         return np.float64(node.value)
     if isinstance(node, Const):
@@ -465,6 +496,21 @@ def _eval(node: Expr, u, v, memo: dict):
     return memo[id(node)]
 
 
+# Integer powers up to this one are products: the same bits on every CPU,
+# at most (p - 1) ulp from the exact power.  numpy's pow is about 20 times
+# slower on an array holding a negative base, where it leaves its vector
+# path for libm, whose last bit depends on the CPU.
+MAX_PRODUCT_POWER = 8
+
+
+def _power(x, k: int):
+    """x^k for an integer k >= 1, by repeated squaring."""
+    if k == 1:
+        return x
+    half = _power(x * x, k // 2)
+    return half * x if k % 2 else half
+
+
 def _operator(node, u, v, memo: dict):
     """_eval of a power or a call."""
     if isinstance(node, Call):
@@ -482,6 +528,10 @@ def _operator(node, u, v, memo: dict):
         x = np.where(x > 0.0, x, np.nan)
     if not isinstance(base, Jet2):
         return x ** p
+    if p.is_integer() and 3 <= p <= MAX_PRODUCT_POWER:
+        xp2 = _power(x, int(p) - 2)  # x^(p-2), then x^(p-1) and x^p
+        xp1 = xp2 * x
+        return base.chain(xp1 * x, p * xp1, p * (p - 1) * xp2)
     f2 = p * (p - 1) * x ** (p - 2) if p != 1 else 0.0
     return base.chain(x ** p, p * x ** (p - 1), f2)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from twistor4.errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
+from twistor4.cli import main
 from twistor4.surface_expr import (
+    MAX_PRODUCT_POWER,
     SurfaceDef,
     eval_jet2,
     eval_surface_jet,
@@ -258,6 +261,76 @@ class TestDomainErrors:
         with pytest.raises(DomainError) as err:
             eval_jet2(parse("log(u)"), u, np.zeros(4))
         assert "(u, v) = (-0.1, 0)" in str(err.value)
+
+    @pytest.mark.parametrize("text, culprit", [
+        ("sqrt(u^0 - 1)", "'sqrt(((u ^ 0.0) - 1.0))'"),
+        ("sqrt(u - u)", "'sqrt((u - u))'"),
+        ("sqrt(0*u)", "'sqrt((0.0 * u))'"),
+    ])
+    def test_numeric_zero_times_infinity_poisons(self, capsys, text, culprit):
+        # only u and v carry structural zeros: the zero derivatives of u^0,
+        # u - u and 0*u are numbers, and sqrt's infinite slope at 0 times
+        # them is nan, so the point stays undefined
+        assert main(["analyze", "--expr", f"{text}, u, v, 0", "--at", "0.1", "0.2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: undefined or infinite at (u, v) = (0.1, 0.2) in {culprit}\n")
+        with pytest.raises(DomainError, match=re.escape(culprit)):
+            eval_jet2(parse(text), np.linspace(-1, 1, 5), np.zeros(5))
+
+
+class TestIntegerPowers:
+    # negative, signed zero, subnormal, overflowing, nan and inf bases
+    BASES = np.array([-2.5, -1.0, -0.7, -1e-3, -0.0, 0.0, 5e-324, -5e-324,
+                      -2.2e-310, 1e-3, 0.3, 1.5, 3.0, 1e30, -1e60, 1e100,
+                      -1e103, 1e200, -1e300, np.nan, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("p", range(3, MAX_PRODUCT_POWER + 1))
+    def test_products_match_pow(self, p):
+        x = np.concatenate([self.BASES, np.linspace(-1.7, 1.3, 31)])
+        j = eval_surface_jet(parse_surface(f"u^{p}, 0, 0, 0"), x, np.zeros_like(x))[0]
+        with np.errstate(all="ignore"):
+            want = (x ** float(p), p * x ** float(p - 1), p * (p - 1) * x ** float(p - 2))
+        for got, ref in zip((j.val, j.du, j.duu), want):
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.array_equal(got[~finite], ref[~finite], equal_nan=True)
+            err = np.abs(got[finite] - ref[finite])
+            assert (err <= (p - 1) * np.spacing(np.abs(ref[finite]))).all()
+        assert (j.dv, j.duv, j.dvv) == (0.0, 0.0, 0.0)
+
+
+class TestSparseJets:
+    # (text, closed form of (val, du, dv, duu, duv, dvv)); u^3*v^2 holds its
+    # duv in the du*dv term of the product rule, cosh(v)*cos(u) in dv*du
+    # and its duu and dvv in chain's f2 term
+    CASES = [
+        ("u^3*v^2", lambda u, v: (u ** 3 * v ** 2, 3 * u ** 2 * v ** 2,
+                                  2 * u ** 3 * v, 6 * u * v ** 2, 6 * u ** 2 * v,
+                                  2 * u ** 3)),
+        ("cosh(v)*cos(u)", lambda u, v: (
+            np.cosh(v) * np.cos(u), -np.cosh(v) * np.sin(u), np.sinh(v) * np.cos(u),
+            -np.cosh(v) * np.cos(u), -np.sinh(v) * np.sin(u), np.cosh(v) * np.cos(u))),
+        ("u - v", lambda u, v: (u - v, 1.0, -1.0, 0.0, 0.0, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("text, exact", CASES, ids=[c[0] for c in CASES])
+    def test_matches_closed_form(self, text, exact):
+        U, V = np.meshgrid(np.linspace(-1.3, 1.1, 9), np.linspace(-0.9, 1.7, 7))
+        jet = eval_surface_jet(parse_surface(f"{text}, u, v, 0"), U, V)[0]
+        for got, want in zip(jet.as_tuple(), exact(U, V)):
+            np.testing.assert_allclose(np.broadcast_to(got, U.shape), want,
+                                       rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("text", [c[0] for c in CASES])
+    def test_point_alone_equals_point_in_grid(self, text):
+        surface = parse_surface(f"{text}, u, v, 0")
+        U, V = np.meshgrid(np.linspace(-1.3, 1.1, 9), np.linspace(-0.9, 1.7, 7))
+        grid = eval_surface_jet(surface, U, V)
+        for i, j in ((0, 0), (3, 5), (6, 8), (2, 4)):
+            alone = eval_surface_jet(surface, U[i, j], V[i, j])
+            for g, a in zip(grid, alone):
+                assert [np.broadcast_to(x, U.shape)[i, j].tobytes()
+                        for x in g.as_tuple()] == _bits([a])
 
 
 from hypothesis import given, settings

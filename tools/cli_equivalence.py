@@ -24,13 +24,31 @@ exactly when their outputs are identical, e.g.
 
     diff <(python3 tools/cli_equivalence.py old/src) \\
          <(python3 tools/cli_equivalence.py src)
+
+Given two trees, compares the values of their outputs instead:
+
+    python3 tools/cli_equivalence.py old/src src
+
+runs the matrix on each tree in a child process and prints one line per
+command whose output differs: how many numbers differ, how many of those
+differ only in the sign of a zero, the largest relative difference among
+numbers with |x| > 1e-12 (and where it is) and the largest absolute one
+among the others, then the command.  JSON output is compared leaf by leaf,
+CSV cell by cell and text token by token.  Exit codes, stderr, booleans,
+strings and the shape of the output must match exactly; a mismatch is
+printed as such and makes the exit status 1.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,13 +111,10 @@ def _run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1 or not (Path(argv[0]) / "twistor4").is_dir():
-        print("usage: cli_equivalence.py SRC_DIR  (SRC_DIR holds twistor4/)",
-              file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve()))
+def _outputs(src):
+    """[command, exit code, stdout, stderr] for each command of the matrix,
+    run on the twistor4 under the directory src."""
+    sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
     from helpers import hoffman_osserman
     from twistor4 import cli
@@ -115,12 +130,97 @@ def main(argv=None) -> int:
     matrix += [_commands(("--expr", text, "--domain", *map(repr, domain)), domain)
                for _, text, domain in (*EXPR_SURFACES,
                                        ("hoffman_osserman", ho, (-0.5, 0.5, -0.5, 0.5)))]
-    for command in (*(c for commands in matrix for c in commands),
-                    *SEED_BRANCHES, *REFUSALS):
-        code, out, err = _run(cli.main, command)
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        print(f"{' '.join(command)} | exit {code} | {digest} | {err!r}")
-    return 0
+    return [[list(command), *_run(cli.main, command)]
+            for command in (*(c for commands in matrix for c in commands),
+                            *SEED_BRANCHES, *REFUSALS)]
+
+
+_NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
+
+
+def _leaves(text, csv_format):
+    """(where, leaf) for each leaf of an output: a JSON value other than an
+    object or array, a CSV cell, or a token of text, where the text between
+    two numbers is one token.  Floats are the numbers compared by value
+    (JSON integers, such as a seed branch, are compared exactly)."""
+    if csv_format:
+        header, *rows = csv.reader(io.StringIO(text))
+        for row in rows:
+            for name, cell in zip(header, row):
+                try:
+                    yield name, float(cell)
+                except ValueError:
+                    yield name, cell
+        return
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        for i, token in enumerate(_NUMBER.split(text)):
+            yield "text", float(token) if i % 2 else token
+        return
+    stack = [("", doc)]
+    while stack:
+        where, x = stack.pop()
+        if isinstance(x, dict):
+            stack += [(f"{where}.{k}".lstrip("."), y) for k, y in x.items()][::-1]
+        elif isinstance(x, list):
+            stack += [(f"{where}[{i}]", y) for i, y in enumerate(x)][::-1]
+        else:
+            yield where, x
+
+
+def _compare(command, old, new):
+    """One line on how the output of command differs between two trees,
+    and whether it differs in anything but the values of numbers."""
+    (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+    if (old_code, old_err) != (new_code, new_err):
+        return f"exit {old_code} -> {new_code}, stderr {old_err!r} -> {new_err!r}", True
+    a, b = (list(_leaves(x, "csv" in command)) for x in (old_out, new_out))
+    if len(a) != len(b):
+        return f"{len(a)} -> {len(b)} leaves", True
+    differ = signs = 0
+    worst, where, tiny = 0.0, "-", 0.0
+    for (at, x), (_, y) in zip(a, b):
+        if isinstance(x, float) and isinstance(y, float):
+            if x == y and math.copysign(1.0, x) == math.copysign(1.0, y):
+                continue
+            differ += 1
+            signs += x == y
+            if abs(x) <= 1e-12:
+                tiny = max(tiny, abs(x - y))
+            elif abs(x - y) / abs(x) > worst:
+                worst, where = abs(x - y) / abs(x), at
+        elif x != y:
+            return f"{at}: {x!r} -> {y!r}", True
+    return (f"{differ} numbers differ, {signs} only in the sign of zero; "
+            f"relative difference at most {worst:.2g} ({where}), absolute "
+            f"at most {tiny:.2g} where |x| <= 1e-12"), False
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--outputs"] and len(argv) == 2:  # a child of the comparison
+        json.dump(_outputs(argv[1]), sys.stdout)
+        return 0
+    if len(argv) not in (1, 2) or not all((Path(a) / "twistor4").is_dir() for a in argv):
+        print("usage: cli_equivalence.py SRC_DIR [NEW_SRC_DIR]  (each holds twistor4/)",
+              file=sys.stderr)
+        return 2
+    if len(argv) == 1:
+        for command, code, out, err in _outputs(argv[0]):
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            print(f"{' '.join(command)} | exit {code} | {digest} | {err!r}")
+        return 0
+    old, new = (json.loads(subprocess.run(
+        [sys.executable, __file__, "--outputs", src], capture_output=True,
+        check=True, text=True).stdout) for src in argv)
+    mismatch = False
+    for (command, *a), (_, *b) in zip(old, new):
+        if a != b:
+            line, exact = _compare(command, a, b)
+            mismatch |= exact
+            print(f"{'MISMATCH: ' if exact else ''}{line} | {' '.join(command)}")
+    return int(mismatch)
 
 
 if __name__ == "__main__":
