@@ -319,18 +319,18 @@ def _grid_summary(grid: FieldGrid) -> dict:
 
 def cmd_grid(args) -> int:
     surface = _resolve_surface(args)
-    domain = _sampled(args, surface).domain
+    sampled = _sampled(args, surface)
     n = args.n
     if args.h is not None:
         if not args.h > 0:
             raise ExpressionError(f"--h must be positive, got {args.h:g}")
         n, nv = (int(round((hi - lo) / args.h)) + 1
-                 for lo, hi in (domain[:2], domain[2:]))
+                 for lo, hi in (sampled.domain[:2], sampled.domain[2:]))
         if n != nv:
             raise ExpressionError(
                 f"--h {args.h:g} gives {n} points on u but {nv} on v; the "
                 f"grid is square, so give --n or a domain with equal extents")
-    grid = FieldGrid(surface, n, domain=domain, seed_branch=args.seed_normal)
+    grid = FieldGrid(sampled, n, seed_branch=args.seed_normal)
     if args.format == "csv":  # rows end in CRLF, as csv.writer writes them
         _emit(args, "\r\n".join([",".join(_GRID_COLUMNS),
                                  *_grid_rows(_grid_columns(grid), "csv"), ""]))
@@ -362,9 +362,7 @@ _CONDITION_LABELS = {
 def cmd_isotropy(args) -> int:
     surface = _resolve_surface(args)
     tol = _checked_tol(args)
-    domain = _sampled(args, surface).domain
-    grid = FieldGrid(surface, args.n, domain=domain,
-                     seed_branch=args.seed_normal)
+    grid = FieldGrid(_sampled(args, surface), args.n, seed_branch=args.seed_normal)
     try:
         rep = isotropy_report(grid, tol=tol)
     except (NotMinimal, NotIsothermal) as exc:
@@ -381,9 +379,9 @@ def cmd_isotropy(args) -> int:
         }
         _emit(args, _json(doc))
         return 0
-    lines = [f"isotropy analysis: {surface.name}  "
-             f"(n={grid.n}, domain=[{domain[0]:g}, {domain[1]:g}] x "
-             f"[{domain[2]:g}, {domain[3]:g}], tol={tol:g})"]
+    u0, u1, v0, v1 = grid.domain
+    lines = [f"isotropy analysis: {surface.name}  (n={grid.n}, "
+             f"domain=[{u0:g}, {u1:g}] x [{v0:g}, {v1:g}], tol={tol:g})"]
     for key, res, ok in rep.conditions():
         lines.append(f"  ({key}) {_CONDITION_LABELS[key]:<55} "
                      f"residual {res:12.5e}  {'pass' if ok else 'fail'}")
@@ -401,8 +399,8 @@ def cmd_isotropy(args) -> int:
 
 def cmd_residuals(args) -> int:
     surface = _resolve_surface(args)
-    domain = _sampled(args, surface).domain
-    coarse, fine = (FieldGrid(surface, n, domain=domain, seed_branch=args.seed_normal)
+    sampled = _sampled(args, surface)
+    coarse, fine = (FieldGrid(sampled, n, seed_branch=args.seed_normal)
                     for n in (args.n, 2 * args.n - 1))
     rc, rf = map(structure_residuals, (coarse, fine))
     table = [(k, c, f, convergence_order(c, f))

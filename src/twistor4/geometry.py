@@ -466,7 +466,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
 # --- grids -------------------------------------------------------------------
 
 class FieldGrid:
-    """Pointwise-exact fields sampled on an n x n rectangular grid.
+    """Pointwise-exact fields sampled on an n x n grid over surface.domain.
 
     The normal frame uses one seed for the whole grid (branch_uniform True):
     seed_branch when given, else the first of SEEDS whose projection off the
@@ -475,14 +475,15 @@ class FieldGrid:
     quantities are refused.
     """
 
-    def __init__(self, surface: SurfaceDef, n: int, domain=None, *,
+    def __init__(self, surface: SurfaceDef, n: int, *,
                  seed_branch: Optional[int] = None):
         if n < 3:
             raise GridTooSmall(f"need at least a 3x3 grid, got n={n}")
         self.surface = surface
         self.n = n
-        u0, u1, v0, v1 = domain if domain is not None else surface.domain
-        self.domain = (float(u0), float(u1), float(v0), float(v1))
+        # the surface's own rectangle, which SurfaceDef holds finite and non-empty
+        self.domain = tuple(map(float, surface.domain))
+        u0, u1, v0, v1 = self.domain
         self.us = np.linspace(u0, u1, n)
         self.vs = np.linspace(v0, v1, n)
         self.hu = float(self.us[1] - self.us[0])
@@ -573,9 +574,6 @@ class StructureResiduals:
     codazzi2: float
     ricci: float
     beta_sq_holo: float  # d/dwbar of (beta^1)^2 + (beta^2)^2
-    n: int
-    hu: float
-    hv: float
 
     def as_dict(self) -> dict:
         return {
@@ -624,8 +622,7 @@ def structure_residuals(grid: FieldGrid) -> StructureResiduals:
     beta_sq = grid.beta1 ** 2 + grid.beta2 ** 2
     beta_sq_holo = float(np.abs(dwbar_field(beta_sq, hu, hv)).max())
 
-    return StructureResiduals(gauss, codazzi1, codazzi2, ricci, beta_sq_holo,
-                              grid.n, hu, hv)
+    return StructureResiduals(gauss, codazzi1, codazzi2, ricci, beta_sq_holo)
 
 
 def convergence_order(coarse: float, fine: float,

@@ -119,15 +119,21 @@ _FUNCTIONS = {
 # deeper input would exhaust the interpreter's stack.
 MAX_DEPTH = 100
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# A token: optional whitespace, then a number, a name or any one other
+# non-space character.  Its reported offset is that of its first character,
+# 1-based.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|"
+                       r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<char>\S))")
 
 
 class _Parser:
     def __init__(self, text: str, shared: dict):
-        self.text = text
-        self.pos = 0  # 0-based scan position
-        self.depth = 0  # brackets, arguments and exponents open around pos
+        # (kind, text, offset) of each token, then the end: ("end", "", len + 1)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) + 1)
+                       for m in _TOKEN_RE.finditer(text)]
+        self.tokens.append(("end", "", len(text) + 1))
+        self.i = 0  # index of the next token
+        self.depth = 0  # brackets, arguments and exponents open around it
         # powers and calls built so far in all components of the surface:
         # equal ones are made one object, computed once per batch
         self.shared = shared
@@ -135,61 +141,51 @@ class _Parser:
     def share(self, node: Expr) -> Expr:
         return self.shared.setdefault(node, node)
 
-    def _offset(self) -> int:
-        return self.pos + 1  # reported offsets are 1-based
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][1]
 
-    def _take(self, ch: str) -> bool:
-        if self._peek() == ch:
-            self.pos += 1
+    def _offset(self) -> int:
+        return self.tokens[self.i][2]
+
+    def _take(self, text: str) -> bool:
+        if self._peek() == text:
+            self.i += 1
             return True
         return False
 
-    def _expect(self, ch: str):
-        if not self._take(ch):
-            raise ExprSyntaxError(f"expected '{ch}'", self._offset())
+    def _expect(self, text: str):
+        if not self._take(text):
+            raise ExprSyntaxError(f"expected '{text}'", self._offset())
 
-    def nested(self, parse) -> Expr:
-        """parse() one level deeper; refuse input nested, or a tree grown,
-        deeper than MAX_DEPTH."""
+    def nested(self, parse, at: int) -> Expr:
+        """parse() one level deeper; refuse input nested deeper than
+        MAX_DEPTH at offset at, or a tree grown deeper at the next token."""
         self.depth += 1
         node = parse() if self.depth <= MAX_DEPTH else None
         self.depth -= 1
         if node is None or _height(node) > MAX_DEPTH:
             raise ExprSyntaxError(
-                f"expression nested deeper than {MAX_DEPTH} levels", self._offset())
+                f"expression nested deeper than {MAX_DEPTH} levels",
+                at if node is None else self._offset())
         return node
 
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
+    def expect_end(self):
+        if self._peek():
+            raise ExprSyntaxError(f"unexpected trailing input {self._peek()[0]!r}",
+                                  self._offset())
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            c = self._peek()
-            if c and c in "+-":
-                self.pos += 1
-                node = Bin(c, node, self.parse_term())
-            else:
-                return node
+        return self.parse_binary(
+            ("+", "-"), lambda: self.parse_binary(("*", "/"), self.parse_unary))
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            c = self._peek()
-            if c and c in "*/":
-                self.pos += 1
-                node = Bin(c, node, self.parse_unary())
-            else:
-                return node
+    def parse_binary(self, ops, operand) -> Expr:
+        """operand ( op operand )* for the operators op in ops, left
+        associative: an expr of terms, or a term of unary operands."""
+        node = operand()
+        while (op := self._peek()) in ops:
+            self.i += 1
+            node = Bin(op, node, operand())
+        return node
 
     def parse_unary(self) -> Expr:
         signs = 0
@@ -202,53 +198,46 @@ class _Parser:
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
+        caret = self._offset()
         if self._take("^"):
-            caret = self._offset() - 1
+            exponent = self.nested(self.parse_unary, caret + 1)
             # The evaluator folds the exponent: a sub-expression without u or v
             # evaluates to a plain number, which must also be finite.
             with np.errstate(all="ignore"):
-                value = _eval(self.nested(self.parse_unary), *np.zeros(2), {})
+                value = _eval(exponent, *np.zeros(2), {})
             if isinstance(value, Jet2) or not np.isfinite(value):
                 raise ExprSyntaxError("exponent must be a finite constant", caret)
             return self.share(Pow(base, float(value)))
         return base
 
     def parse_atom(self) -> Expr:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise ExprSyntaxError("unexpected end of input", self._offset())
-        c = self.text[self.pos]
-        if c == "(":
-            self.pos += 1
-            node = self.nested(self.parse_expr)
+        kind, text, at = self.tokens[self.i]
+        self.i += 1
+        if kind == "number":
+            return Num(float(text))
+        if text == "(":
+            node = self.nested(self.parse_expr, at + 1)
             self._expect(")")
             return node
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return Num(float(m.group(0)))
-        m = _NAME_RE.match(self.text, self.pos)
-        if m:
-            name = m.group(0)
-            start = self.pos + 1
-            self.pos = m.end()
-            if self._peek() == "(":
-                if name not in _FUNCTIONS:
-                    raise UnknownIdentifier(name, start)
-                self.pos += 1
+        if kind == "name":
+            if self._take("("):
+                if text not in _FUNCTIONS:
+                    raise UnknownIdentifier(text, at)
                 if self._peek() == ")":
-                    raise ArityError(f"{name} expects one argument, got none")
-                arg = self.nested(self.parse_expr)
+                    raise ArityError(f"{text} expects one argument, got none")
+                arg = self.nested(self.parse_expr, self._offset())
                 if self._peek() == ",":
-                    raise ArityError(f"{name} expects one argument")
+                    raise ArityError(f"{text} expects one argument")
                 self._expect(")")
-                return self.share(Call(name, arg))
-            if name in _VARIABLES:
-                return Var(name)
-            if name in _CONSTANTS:
-                return Const(name)
-            raise UnknownIdentifier(name, start)
-        raise ExprSyntaxError(f"unexpected character {c!r}", self._offset())
+                return self.share(Call(text, arg))
+            if text in _VARIABLES:
+                return Var(text)
+            if text in _CONSTANTS:
+                return Const(text)
+            raise UnknownIdentifier(text, at)
+        if kind == "end":
+            raise ExprSyntaxError("unexpected end of input", at)
+        raise ExprSyntaxError(f"unexpected character {text!r}", at)
 
 
 def parse(text: str) -> Expr:
@@ -258,9 +247,8 @@ def parse(text: str) -> Expr:
 
 def _parse(text: str, shared: dict) -> Expr:
     p = _Parser(text, shared)
-    node = p.nested(p.parse_expr)
-    if not p.at_end():
-        raise ExprSyntaxError(f"unexpected trailing input {p._peek()!r}", p._offset())
+    node = p.nested(p.parse_expr, p._offset())
+    p.expect_end()
     return node
 
 
@@ -324,12 +312,10 @@ def parse_surface(text: str, name: str = "unnamed",
                   domain=(-1.0, 1.0, -1.0, 1.0)) -> SurfaceDef:
     """Parse "f1, f2, f3, f4" into a SurfaceDef."""
     p = _Parser(text, {})
-    comps = [p.nested(p.parse_expr)]
-    while p._peek() == ",":
-        p.pos += 1
-        comps.append(p.nested(p.parse_expr))
-    if not p.at_end():
-        raise ExprSyntaxError(f"unexpected trailing input {p._peek()!r}", p._offset())
+    comps = [p.nested(p.parse_expr, p._offset())]
+    while p._take(","):
+        comps.append(p.nested(p.parse_expr, p._offset()))
+    p.expect_end()
     return SurfaceDef(name, tuple(comps), tuple(float(x) for x in domain))
 
 

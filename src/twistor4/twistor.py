@@ -304,8 +304,6 @@ def chart_residuals(grid: FieldGrid):
     second-order quantities that the 2-jet holds exactly; they are pushed
     through the sphere coordinates and the chart, with no truncation error.
     """
-    if grid.n < 3:
-        raise GridTooSmall("chart residuals need at least a 3x3 grid")
     out = []
     for c, dc, eps in zip(_kept(grid, _sphere_fields),
                           _kept(grid, _lift_derivatives), (1, -1)):

@@ -1,6 +1,7 @@
 """Fundamental forms, frames, curvature, connection and structure residuals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twistor4.catalog import CATALOG
 from twistor4.errors import (
     DegenerateSeed,
     DomainError,
+    ExpressionError,
     GridTooSmall,
     NotImmersed,
     NotIsothermal,
@@ -408,11 +410,11 @@ class TestNormalConnection:
         # seed 0 = e3 is tangent on the waist v = 0, so its normals
         # turn over there: a grid pinned to it across the waist is refused,
         # with a node on the waist (n = 5) or without one (n = 4)
-        s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
+        s = replace(parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0"),
+                    domain=(-0.1, 0.1, -0.05, 0.15))
         for n in (4, 5):
             with pytest.raises((SeedBranchFlip, DegenerateSeed)):
-                FieldGrid(s, n, domain=(-0.1, 0.1, -0.05, 0.15),
-                          seed_branch=0).gamma_fields()
+                FieldGrid(s, n, seed_branch=0).gamma_fields()
 
     def test_grid_gamma_matches_pointwise(self, grids):
         # the grid and the pointwise route are the same exact formula
@@ -594,6 +596,23 @@ class TestFieldGrid:
         with pytest.raises(GridTooSmall):
             FieldGrid(CATALOG["plane"].surface, 2)
 
+    def test_samples_the_surfaces_own_domain(self):
+        # a grid's rectangle is its surface's, held to SurfaceDef's rule: no
+        # second way to give one skips it
+        s = CATALOG["holo_square"].surface
+        with pytest.raises(TypeError):
+            FieldGrid(s, 7, domain=(0.0, 0.5, 0.0, 0.5))
+        g = FieldGrid(replace(s, domain=(0, 0.5, -0.5, 0)), 7)
+        assert g.domain == (0.0, 0.5, -0.5, 0.0)
+        assert (g.us[0], g.us[-1], g.vs[0], g.vs[-1]) == g.domain
+
+    @pytest.mark.parametrize("domain", [(0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, math.inf),
+                                        (math.nan, 1, 0, 1)],
+                             ids=["empty", "reversed", "infinite", "nan"])
+    def test_bad_rectangle_is_refused(self, domain):
+        with pytest.raises(ExpressionError, match="empty or non-finite domain"):
+            replace(CATALOG["holo_square"].surface, domain=domain)
+
     def test_domain_error_names_first_grid_point(self):
         with pytest.raises(DomainError) as err:
             FieldGrid(parse_surface("u, v, log(u + 0.5), 0"), 5)
@@ -641,7 +660,8 @@ class TestStructureResiduals:
         # central difference, here computed directly; on this domain its sup
         # lies on the ring next to the boundary
         from twistor4.geometry import dwbar_field
-        g = FieldGrid(CATALOG["holo_cube"].surface, 11, domain=(0.2, 1, 0.2, 1))
+        s = replace(CATALOG["holo_cube"].surface, domain=(0.2, 1, 0.2, 1))
+        g = FieldGrid(s, 11)
         g1, g2 = g.gamma_fields()
         inner = np.s_[1:-1, 1:-1]
         dgamma = np.conj(dwbar_field(0.5 * (g1 - 1j * g2), g.hu, g.hv))
