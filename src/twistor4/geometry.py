@@ -228,6 +228,9 @@ def _tangent_plane(Fu, Fv):
     [t1 t2], which every normal frame shares."""
     t1 = Fu / np.sqrt(_dot(Fu, Fu))[..., None]
     w = Fv - _dot(Fv, t1)[..., None] * t1
+    # Near the immersion boundary, F_u and F_v at an angle of about 1e-6, one
+    # pass leaves <t1, t2> up to 5e-10 and the frame 1e-7 off orthonormal.
+    w = w - _dot(w, t1)[..., None] * t1
     t2 = w / np.sqrt(_dot(w, w))[..., None]
     return t1, t2, (t1[..., _MINOR_I] * t2[..., _MINOR_J]
                     - t1[..., _MINOR_J] * t2[..., _MINOR_I])

@@ -42,6 +42,7 @@ from twistor4.geometry import (
     surface_point_data,
 )
 from twistor4.surface_expr import eval_surface_jet, parse_surface
+from twistor4.twistor import gauss_map
 from helpers import random_catalog_point
 
 MINIMAL_ISOTHERMAL = ("plane", "holo_square", "holo_cube", "catenoid_E3")
@@ -219,7 +220,7 @@ class TestFrame:
         # at most 2, so some seed has |p1| >= 1/sqrt(3) at every point that
         # passes the immersion test, and the seed search never runs out of
         # seeds; that test keeps sin^2 of the angle of F_u, F_v above 1e-12,
-        # so t2 keeps about eight digits (errors up to 1.1e-8 were seen there)
+        # where t2 needs its second Gram-Schmidt pass to stay orthonormal
         Fu, Fv = np.array(xs[:4]), np.array(xs[4:])
         g11, g12, g22, det = geometry._metric(Fu, Fv)
         assume(geometry._immersed(g11, g22, det))
@@ -229,8 +230,30 @@ class TestFrame:
         fr = geometry._seeded_frames(Fu, Fv, None)
         assert fr.seed_branch in (0, 1, 2) and p1n[fr.seed_branch] > SEED_TOL
         M = frame_matrix(fr)
-        assert np.abs(M.T @ M - np.eye(4)).max() <= 1e-7
-        assert abs(np.linalg.det(M) - 1) <= 1e-7
+        assert np.abs(M.T @ M - np.eye(4)).max() <= 1e-12
+        assert abs(np.linalg.det(M) - 1) <= 1e-12
+
+    def test_orthonormal_near_the_immersion_boundary(self, rng):
+        # planes just inside the immersion test: F_u, F_v at an angle whose
+        # sine is 1.0e-6 to 1.5e-6, |F_u|, |F_v| from 1.6 to 32.  One
+        # Gram-Schmidt pass left such frames up to 9e-8 off orthonormal, and
+        # gauss_map refused about 40 % of them (NotAComplexStructure)
+        n = 20000
+        q = np.linalg.qr(rng.normal(size=(n, 4, 4)))[0]
+        sin = rng.uniform(1.0e-6, 1.5e-6, (n, 1))
+        Fu, Fv = (x * 10 ** rng.uniform(0.2, 1.5, (n, 1)) for x in (
+            q[..., 0], np.sqrt(1 - sin ** 2) * q[..., 0] + sin * q[..., 1]))
+        g11, _, g22, det = geometry._metric(Fu, Fv)
+        assert geometry._immersed(g11, g22, det).all()
+        fr = geometry._seeded_frames(Fu, Fv, None)
+        M = np.stack([fr.t1, fr.t2, fr.n1, fr.n2], axis=-1)
+        assert np.abs(M.swapaxes(-1, -2) @ M - np.eye(4)).max() <= 1e-13
+        for fu, fv in zip(Fu[:200].tolist(), Fv[:200].tolist()):
+            s = parse_surface(", ".join(f"{a!r}*u + {b!r}*v" for a, b in zip(fu, fv)))
+            pd = surface_point_data(s, 0.0, 0.0)
+            M = frame_matrix(pd.frame)
+            assert np.abs(M.T @ M - np.eye(4)).max() <= 1e-13
+            gauss_map(pd)
 
     def test_round_sphere_branches(self, grids):
         # no seed stays clear of the tangent plane everywhere, so each point
