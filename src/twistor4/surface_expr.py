@@ -482,7 +482,7 @@ def _eval(node: Expr, u, v, memo: dict):
     return memo[id(node)]
 
 
-# Integer powers up to this one are products: the same bits on every CPU,
+# Integer powers 2 to this one are products: the same bits on every CPU,
 # at most (p - 1) ulp from the exact power.  numpy's pow is about 20 times
 # slower on an array holding a negative base, where it leaves its vector
 # path for libm, whose last bit depends on the CPU.
@@ -490,9 +490,9 @@ MAX_PRODUCT_POWER = 8
 
 
 def _power(x, k: int):
-    """x^k for an integer k >= 1, by repeated squaring."""
-    if k == 1:
-        return x
+    """x^k for an integer k >= 0, by repeated squaring; x^0 is 1.0."""
+    if k < 2:
+        return x if k else 1.0
     half = _power(x * x, k // 2)
     return half * x if k % 2 else half
 
@@ -514,7 +514,7 @@ def _operator(node, u, v, memo: dict):
         x = np.where(x > 0.0, x, np.nan)
     if not isinstance(base, Jet2):
         return x ** p
-    if p.is_integer() and 3 <= p <= MAX_PRODUCT_POWER:
+    if p.is_integer() and 2 <= p <= MAX_PRODUCT_POWER:
         xp2 = _power(x, int(p) - 2)  # x^(p-2), then x^(p-1) and x^p
         xp1 = xp2 * x
         return base.chain(xp1 * x, p * xp1, p * (p - 1) * xp2)
