@@ -44,7 +44,7 @@ from twistor4.twistor import (
     psi,
     sphere_coords,
 )
-from helpers import random_catalog_point, random_unit3
+from helpers import hoffman_osserman, random_catalog_point, random_unit3
 
 ISOTHERMAL = ("plane", "holo_square", "holo_cube", "clifford_torus",
               "catenoid_E3", "round_sphere")
@@ -434,3 +434,67 @@ class TestWeierstrassFamily:
             assert rep.consensus is True and rep.constant_lift == lift
             c = lift_sphere_fields(grid)[k]
             assert np.abs(c - [1.0, 0.0, 0.0]).max() <= 1e-12
+
+
+# (degree of g1, degree of g2): every verdict, 'none' from degrees 1 to 3
+_HO_DEGREES = ((0, 0), (0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (1, 3),
+               (2, 2), (3, 1), (3, 3), (2, 1))
+
+
+class TestHoffmanOssermanFamily:
+    """Minimal surfaces F = Re of the integral of phi dz, z = u + iv, with
+    phi = (1 + g1 g2, i(1 - g1 g2), g1 - g2, -i(g1 + g2)) / 2 for
+    polynomials g1, g2 (helpers.hoffman_osserman), which are not isotropic
+    unless g1 or g2 is constant: both Gauss maps are Moebius images of the
+    data, the + lift holomorphic in g1 and the - lift antiholomorphic in g2.
+
+    F_u = Re phi and F_v = -Im phi, so psi = F_w = phi / 2, e2a = 2 |psi|^2
+    and the lift c = -2i Psi_eps / e2a, Psi_eps = B_eps(psi, conj psi), is
+    c^k = 2 (Im phi_i conj(phi_j) + eps Im phi_l conj(phi_m)) / |phi|^2 over
+    the index pairs (ij, lm) = (12, 34), (13, 42), (14, 23).  Expanding, with
+    |phi|^2 = (1 + |g1|^2)(1 + |g2|^2) / 2,
+
+        c+ = (|g1|^2 - 1, -2 Im g1, 2 Re g1) / (|g1|^2 + 1),
+        c- = (|g2|^2 - 1,  2 Im g2, 2 Re g2) / (|g2|^2 + 1).
+
+    In the standard chart g = (c1 + i c2) / (1 - c3), 1 - c+3 =
+    |g1 - 1|^2 / (|g1|^2 + 1) and c+1 + i c+2 = (g1 + 1) conj(g1 - 1) /
+    (|g1|^2 + 1), so g+ = (g1 + 1) / (g1 - 1); likewise g- = conj((g2 + 1) /
+    (g2 - 1)).  Hence c+ = S((g1 + 1) / (g1 - 1)) and c- = S(conj((g2 + 1) /
+    (g2 - 1))) for the inverse S of the chart, and a lift is constant
+    exactly when its g is (Hoffman and Osserman, Proc. LMS 50, 1985)."""
+
+    @staticmethod
+    def inverse_chart(g):
+        r2 = np.abs(g) ** 2
+        return np.stack([2 * g.real, 2 * g.imag, r2 - 1], axis=-1) / (r2 + 1)[..., None]
+
+    @pytest.fixture(scope="class", params=_HO_DEGREES, ids="deg{0[0]}-{0[1]}".format)
+    def member(self, request):
+        """The member whose g1, g2 have the given degrees and coefficients
+        0.4 N(0, 1) in each of the real and imaginary parts: its degrees, its
+        grid (n = 21 on [-0.5, 0.5]^2), and g1, g2 on the grid."""
+        rng = np.random.default_rng([1985, *request.param])
+        coefs = [0.4 * (rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1))
+                 for d in request.param]
+        text = hoffman_osserman(*coefs)
+        grid = FieldGrid(parse_surface(text, domain=(-0.5, 0.5, -0.5, 0.5)), 21)
+        z = grid.us[:, None] + 1j * grid.vs[None, :]
+        return request.param, grid, *(np.polynomial.Polynomial(c)(z) for c in coefs)
+
+    def test_lifts_are_moebius_images_of_the_gauss_maps(self, member):
+        _, grid, g1, g2 = member
+        cplus, cminus = lift_sphere_fields(grid)
+        assert np.abs(cplus - self.inverse_chart((g1 + 1) / (g1 - 1))).max() <= 1e-13
+        assert np.abs(cminus - self.inverse_chart(
+            np.conj((g2 + 1) / (g2 - 1)))).max() <= 1e-13
+
+    def test_verdict_names_the_constant_gauss_maps(self, member):
+        degrees, grid, *_ = member
+        want = {(True, True): "both", (True, False): "+", (False, True): "-",
+                (False, False): "none"}
+        constant = tuple(d == 0 for d in degrees)
+        assert isotropy_report(grid).constant_lift == want[constant]
+
+    def test_chart_residuals_at_roundoff(self, member):
+        assert max(chart_residuals(member[1])) <= 1e-13
