@@ -16,7 +16,10 @@ commands in-process through `cli.main`:
   points of the surface's domain;
 - `analyze` on `holo_square` with each seed branch pinned, which
   fingerprints the normal frame of every seed;
-- a few refusals of a `--domain` or an `--at` that no tree should accept.
+- a few refusals of a `--domain` or an `--at` that no tree should accept;
+- `analyze --expr` on text that each refusal of the expression parser
+  rejects, nesting past its depth limit with and without spaces included,
+  so that a parser change is checked on its messages and offsets.
 
 Prints one line per command: the command, its exit code, the sha256 of its
 stdout and its stderr.  Two trees give the same CLI output on the matrix
@@ -85,6 +88,25 @@ REFUSALS = (
     ("analyze", "--surface", "holo_square", "--at", "1.5", "0"),
 )
 
+# each refusal of the expression parser, with its message and offset
+_DEEP = 101  # one level past surface_expr.MAX_DEPTH
+PARSER_REFUSALS = tuple(
+    ("analyze", "--expr", text, "--at", "0.1", "0.1") for text in (
+        "u, v, u + $, 0",                      # unexpected character
+        "u, v, 0, u +",                        # unexpected end of input
+        "u, v, (u + v, 0",                     # expected ')'
+        "u, v, 0, 0 )",                        # trailing input
+        "u, v, w, 0",                          # unknown identifier
+        "u, v, foo(u), 0",                     # unknown function
+        "u, v, sin(), 0",                      # arity: no argument
+        "u, v, sin(u, v), 0",                  # arity: two arguments
+        "u, v, u^v, 0",                        # non-constant exponent
+        "u, v, " + "(" * _DEEP + "u" + ")" * _DEEP + ", 0",
+        "u, v, " + "( " * _DEEP + "u" + " )" * _DEEP + ", 0",
+        "u, v, " + "sin( " * _DEEP + "u" + " )" * _DEEP + ", 0",
+        "u, v, " + "u ^ " * _DEEP + "2, 0",
+    ))
+
 
 def _commands(surface_args, domain):
     u0, u1, v0, v1 = domain
@@ -132,7 +154,7 @@ def _outputs(src):
                                        ("hoffman_osserman", ho, (-0.5, 0.5, -0.5, 0.5)))]
     return [[list(command), *_run(cli.main, command)]
             for command in (*(c for commands in matrix for c in commands),
-                            *SEED_BRANCHES, *REFUSALS)]
+                            *SEED_BRANCHES, *REFUSALS, *PARSER_REFUSALS)]
 
 
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
