@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -579,13 +579,7 @@ class StructureResiduals:
     beta_sq_holo: float  # d/dwbar of (beta^1)^2 + (beta^2)^2
 
     def as_dict(self) -> dict:
-        return {
-            "gauss": self.gauss,
-            "codazzi1": self.codazzi1,
-            "codazzi2": self.codazzi2,
-            "ricci": self.ricci,
-            "beta_sq_holo": self.beta_sq_holo,
-        }
+        return asdict(self)
 
 
 def structure_residuals(grid: FieldGrid) -> StructureResiduals:
