@@ -120,8 +120,8 @@ _FUNCTIONS = {
 MAX_DEPTH = 100
 
 # A token: optional whitespace, then a number, a name or any one other
-# non-space character.  Its reported offset is that of its first character,
-# 1-based.
+# non-space character.  Offsets are reported 1-based, at a token's first
+# non-space character.
 _TOKEN_RE = re.compile(r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|"
                        r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<char>\S))")
 

@@ -465,7 +465,8 @@ class TestHoffmanOssermanFamily:
     exactly when its g is (Hoffman and Osserman, Proc. LMS 50, 1985)."""
 
     @staticmethod
-    def inverse_chart(g):
+    def S(g):
+        """Inverse of the standard chart, written out for arrays of g."""
         r2 = np.abs(g) ** 2
         return np.stack([2 * g.real, 2 * g.imag, r2 - 1], axis=-1) / (r2 + 1)[..., None]
 
@@ -485,9 +486,8 @@ class TestHoffmanOssermanFamily:
     def test_lifts_are_moebius_images_of_the_gauss_maps(self, member):
         _, grid, g1, g2 = member
         cplus, cminus = lift_sphere_fields(grid)
-        assert np.abs(cplus - self.inverse_chart((g1 + 1) / (g1 - 1))).max() <= 1e-13
-        assert np.abs(cminus - self.inverse_chart(
-            np.conj((g2 + 1) / (g2 - 1)))).max() <= 1e-13
+        assert np.abs(cplus - self.S((g1 + 1) / (g1 - 1))).max() <= 1e-13
+        assert np.abs(cminus - self.S(np.conj((g2 + 1) / (g2 - 1)))).max() <= 1e-13
 
     def test_verdict_names_the_constant_gauss_maps(self, member):
         degrees, grid, *_ = member
