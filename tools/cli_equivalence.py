@@ -14,8 +14,10 @@ commands in-process through `cli.main`:
   `grid --n 3` (the smallest grid) as JSON and as CSV, `isotropy` and
   `residuals` each as text and as `--json`, and `analyze` at two interior
   points of the surface's domain;
-- `analyze` on `holo_square` with each seed branch pinned, which
-  fingerprints the normal frame of every seed;
+- `analyze` and a 5x5 `grid` on `holo_square` with each seed branch pinned,
+  which fingerprint the normal frame of every seed (at (0, 0) e2 and e1
+  are tangent, so the pinned grids of branches 1 and 2 are refused), and
+  `isotropy` and `residuals` with branch 0 pinned;
 - a few refusals of a `--domain` or an `--at` that no tree should accept;
 - `analyze --expr` on text that each refusal of the expression parser
   rejects, nesting past its depth limit with and without spaces included,
@@ -74,8 +76,12 @@ EXPR_SURFACES = (
 
 # the frame of each seed (--seed-normal 0..2: e3, e2, e1)
 SEED_BRANCHES = tuple(
-    ("analyze", "--surface", "holo_square", "--at", "0.3", "0.2",
-     "--seed-normal", str(k)) for k in range(3))
+    command for k in map(str, range(3)) for command in (
+        ("analyze", "--surface", "holo_square", "--at", "0.3", "0.2",
+         "--seed-normal", k),
+        ("grid", "--surface", "holo_square", "--n", "5", "--seed-normal", k),
+    )) + tuple((command, "--surface", "holo_square", "--seed-normal", "0", "--json")
+               for command in ("isotropy", "residuals"))
 
 # refused with exit 2 since --domain and --at are checked
 REFUSALS = (
