@@ -72,11 +72,11 @@ MINIMAL_TOL = 1e-8
 # its projection |p1| stays above this margin, well clear of SEED_TOL.
 _BRANCH_MARGIN = 1e-2
 
-# Normal-frame seeds, tried in order; seed branch k is SEEDS[k].  Some seed
-# always works: the squared projections of e1, e2, e3 onto a tangent plane T
-# sum to at most dim T = 2, so their projections p1 off T have squared norms
-# summing to at least 1, and max |p1| >= 1/sqrt(3) at every immersed point.
-SEEDS = (E4[2], E4[1], E4[0])
+# Normal-frame seeds, tried in order: seed branch k is the axis SEEDS[k] of
+# E^4 (e3, e2, e1).  Some seed always works: the squared projections of e1,
+# e2, e3 onto a tangent plane T sum to at most dim T = 2, so their projections
+# p1 off T have squared norms summing to at least 1, and max |p1| >= 1/sqrt(3).
+SEEDS = (2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Frame:
     """Orthonormal frame (t1, t2, n1, n2) with det [t1 t2 n1 n2] = +1.
 
     t1, t2 span the tangent plane.  seed_branch records which seed of SEEDS
-    produced the normals (None for a caller-supplied seed).
+    produced the normals (None for a frame built by hand).
     """
 
     t1: np.ndarray
@@ -215,12 +215,12 @@ def _isothermal_mask(g11, g12, g22, tol):
     return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
 
 
-# n2_l = det[t1 t2 n1 e_l] expanded along n1: sum over rows k != l of +-n1_k
-# times the minor of [t1 t2] on the rows left over, by pair (_MINOR_I, _MINOR_J).
-_MINOR_I, _MINOR_J = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
-_COF_ROW = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-_COF_MINOR = [[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]]
-_COF_SIGN = np.array([[-1, 1, -1], [1, -1, 1], [-1, 1, -1], [1, -1, 1]], float)
+# The 2x2 minors of [t1 t2] on the row pairs _MINOR_ROWS, and _STAR[k][m, l]
+# = det[e_i e_j e_s e_l] for (i, j) = _MINOR_ROWS[m] and the axis s = SEEDS[k],
+# so that (minors @ _STAR[k])_l = det[t1 t2 e_s e_l] = *(t1 ^ t2 ^ e_s)_l.
+_MINOR_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_STAR = np.array([[[round(np.linalg.det(E4[[i, j, s, l]])) for l in range(4)]
+                   for i, j in _MINOR_ROWS] for s in SEEDS], float)
 
 
 def _tangent_plane(Fu, Fv):
@@ -232,50 +232,42 @@ def _tangent_plane(Fu, Fv):
     # pass leaves <t1, t2> up to 5e-10 and the frame 1e-7 off orthonormal.
     w = w - _dot(w, t1)[..., None] * t1
     t2 = w / np.sqrt(_dot(w, w))[..., None]
-    return t1, t2, (t1[..., _MINOR_I] * t2[..., _MINOR_J]
-                    - t1[..., _MINOR_J] * t2[..., _MINOR_I])
+    i, j = np.transpose(_MINOR_ROWS)
+    return t1, t2, t1[..., i] * t2[..., j] - t1[..., j] * t2[..., i]
 
 
-def _frames(plane, s1):
-    """Frame of the first seed s1 and |p1|: n1 = p1/|p1| for the projection
-    p1 of s1 off the tangent plane (0 where p1 = 0), n2 the cofactor vector
-    of [t1 t2 n1], so det [t1 t2 n1 n2] = +1 by construction."""
-    t1, t2, minors = plane
-    p1 = s1 - _dot(s1, t1)[..., None] * t1 - _dot(s1, t2)[..., None] * t2
-    p1n = np.sqrt(_dot(p1, p1))
-    n1 = np.divide(p1, p1n[..., None], out=np.zeros(np.shape(p1)),
-                   where=p1n[..., None] > 0)
-    n2 = np.sum(_COF_SIGN * n1[..., _COF_ROW] * minors[..., _COF_MINOR], axis=-1)
-    return Frame(t1, t2, n1, n2), p1n
-
-
-def _seeded_frames(Fu, Fv, branch, at=None) -> Frame:
-    """Frames of seed branch `branch` or, when it is None, of the first seed
+def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
+    """Frame of seed branch `branch` or, when it is None, of the first seed
     whose projection |p1| exceeds _BRANCH_MARGIN at every point (a smooth
     frame field), else per point of the first whose |p1| exceeds SEED_TOL
-    (seed_branch an array then).  Raises DegenerateSeed at the first point of
-    at = (U, V) where a pinned branch degenerates."""
-    plane = _tangent_plane(Fu, Fv)
+    (seed_branch an array then).  Raises DegenerateSeed where a pinned branch
+    degenerates, naming the first such point of at = (U, V) when given.
+
+    For the axis s of a point's seed, p1 = e_s - t1_s t1 - t2_s t2, so
+    |p1|^2 = 1 - t1_s^2 - t2_s^2 gates every seed at once.  n1 = p1/|p1| and
+    n2 = *(t1 ^ t2 ^ e_s)/|p1| = (minors @ _STAR[k])/|p1|, whence
+    det [t1 t2 n1 n2] = +1 by construction."""
+    t1, t2, minors = _tangent_plane(Fu, Fv)
+    c1, c2 = t1[..., SEEDS], t2[..., SEEDS]
+    sq = 1 - c1 * c1 - c2 * c2  # |p1|^2 of each seed, in the order of SEEDS
     if branch is not None:
-        fr, p1n = _frames(plane, SEEDS[branch])
-        bad = np.flatnonzero(~(p1n > SEED_TOL))
+        bad = np.flatnonzero(~(sq[..., branch] > SEED_TOL ** 2))
         if bad.size:
-            u, v = (np.ravel(x)[bad[0]] for x in at)
-            raise DegenerateSeed(f"seed branch {branch} degenerates at "
-                                 f"(u, v) = ({u:g}, {v:g})")
-        return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=branch)
-    n1 = n2 = np.zeros(np.shape(Fu))
-    got = np.full(np.shape(Fu)[:-1], -1)
-    for k, seed in enumerate(SEEDS):
-        fr, p1n = _frames(plane, seed)
-        if p1n.min() > _BRANCH_MARGIN:
-            return Frame(fr.t1, fr.t2, fr.n1, fr.n2, seed_branch=k)
-        ok = (p1n > SEED_TOL) & (got < 0)
-        n1 = np.where(ok[..., None], fr.n1, n1)
-        n2 = np.where(ok[..., None], fr.n2, n2)
-        got = np.where(ok, k, got)
-    # some seed works at every point (see SEEDS), so got >= 0 throughout
-    return Frame(fr.t1, fr.t2, n1, n2, seed_branch=got if got.ndim else int(got))
+            where = " at (u, v) = ({:g}, {:g})".format(
+                *(np.ravel(x)[bad[0]] for x in at)) if at else ""
+            raise DegenerateSeed(f"seed branch {branch} degenerates{where}")
+    else:  # some seed works at every point (see SEEDS), so argmax finds one
+        smooth = np.flatnonzero(
+            sq.reshape(-1, len(SEEDS)).min(axis=0) > _BRANCH_MARGIN ** 2)
+        branch = int(smooth[0]) if smooth.size else (sq > SEED_TOL ** 2).argmax(-1)
+    if np.ndim(branch):  # t1_s, t2_s of each point's own seed
+        a, b = (np.take_along_axis(c, branch[..., None], -1) for c in (c1, c2))
+    else:
+        a, b = c1[..., branch, None], c2[..., branch, None]
+    p1 = E4[np.take(SEEDS, branch)] - a * t1 - b * t2
+    p1n = np.sqrt(_dot(p1, p1))[..., None]
+    n2 = np.einsum("...m,...ml->...l", minors, _STAR[branch])
+    return Frame(t1, t2, p1 / p1n, n2 / p1n, seed_branch=branch)
 
 
 def _second_form(Fuu, Fuv, Fvv, n1, n2):
@@ -309,22 +301,22 @@ def _christoffel(arrays, g11, g12, g22, det):
     return out
 
 
-def _connection(s1, frame: Frame, g11, g12, g22, det, b):
+def _connection(s, frame: Frame, g11, g12, g22, det, b):
     """Normal connection (gamma_1, gamma_2), gamma_a = <d n_1/da, n_2>, exact
-    from the 2-jet for a frame whose n_1 was built from the seed s1.
+    from the 2-jet for a frame whose n_1 was built from the seed axis e_s.
 
-    n_1 = p_1/|p_1|, p_1 = s_1 - <s_1,t_1> t_1 - <s_1,t_2> t_2, so
-    gamma_a = -(<s_1,t_1> <d_a t_1, n_2> + <s_1,t_2> <d_a t_2, n_2>)/|p_1|,
+    n_1 = p_1/|p_1|, p_1 = e_s - t1_s t_1 - t2_s t_2, so
+    gamma_a = -(t1_s <d_a t_1, n_2> + t2_s <d_a t_2, n_2>)/|p_1|,
     with <d_a t_1, n_2> = b2_1a/|F_u|, <d_a t_2, n_2> = (b2_2a - <F_v,t_1>
     b2_1a/|F_u|)/|w| for w = F_v - <F_v,t_1> t_1, b2_ia = <F_ia, n_2>,
-    |F_u|^2 = g11, <F_v,t_1> = g12/|F_u|, |w|^2 = det/g11, |p_1| = <s_1,n_1>.
+    |F_u|^2 = g11, <F_v,t_1> = g12/|F_u|, |w|^2 = det/g11, |p_1| = n1_s.
     """
     g11, g12, det = (np.asarray(x)[..., None] for x in (g11, g12, det))
     fu = np.sqrt(g11)
     dt1 = b[..., 1, 0, :] / fu
     dt2 = (b[..., 1, 1, :] - g12 / fu * dt1) / np.sqrt(det / g11)
-    gamma = -(_dot(s1, frame.t1)[..., None] * dt1
-              + _dot(s1, frame.t2)[..., None] * dt2) / _dot(s1, frame.n1)[..., None]
+    gamma = -(frame.t1[..., s, None] * dt1
+              + frame.t2[..., s, None] * dt2) / frame.n1[..., s, None]
     return gamma[..., 0], gamma[..., 1]
 
 
@@ -348,18 +340,13 @@ def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
                         form.det)
 
 
-def build_frame(jets, seed) -> Frame:
-    """Orthonormal frame from unit tangents, the seed vector's unit
-    projection off them as n1, and the n2 that makes det = +1.
-
-    Raises DegenerateSeed when the seed's projection off the tangent plane
-    has norm <= SEED_TOL.
-    """
+def build_frame(jets, branch: int) -> Frame:
+    """Orthonormal frame of seed branch `branch`: unit tangents, the unit
+    projection of the axis SEEDS[branch] off them as n1, and the n2 that
+    makes det = +1.  Raises DegenerateSeed where that projection has norm
+    <= SEED_TOL."""
     _, Fu, Fv, *_ = jet_arrays(jets)
-    frame, p1n = _frames(_tangent_plane(Fu, Fv), seed)
-    if p1n <= SEED_TOL:
-        raise DegenerateSeed("seed vector is tangent within tolerance")
-    return frame
+    return _seeded_frames(Fu, Fv, branch)
 
 
 def build_frame_auto(jets) -> Frame:
