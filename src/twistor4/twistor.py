@@ -330,7 +330,9 @@ class IsotropyReport:
     (e) one twistor lift is constant, tested through the sup over the
         interior of each lift's exact gradient (lift_gradient_sups),
         cross-checked against the closed-form coefficients of the lift
-        derivatives.
+        derivatives, sup |2(beta^1 -+ i beta^2)| (const_plus_residual,
+        const_minus_residual): rotating the normal frame by theta multiplies
+        beta^1 -+ i beta^2 by exp(-+i theta), so their moduli do not change.
     """
 
     res_a: float
@@ -407,21 +409,14 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
     grid.require_minimal()
 
     res_a, res_b, res_c, res_d = (float(f.max()) for f in isotropy_fields(grid))
-    b = grid.b
-    b111, b112, b122 = b[..., 0, 0, 0], b[..., 0, 0, 1], b[..., 0, 1, 1]
-    b211, b212, b222 = b[..., 1, 0, 0], b[..., 1, 0, 1], b[..., 1, 1, 1]
 
     grad_plus, grad_minus = lift_gradient_sups(grid)
     u0, u1, v0, v1 = grid.domain
     diam = math.hypot(u1 - u0, v1 - v0)
     grad_threshold = tol / diam
 
-    const_plus = float(np.maximum.reduce([
-        np.abs(b111 - b212), np.abs(b111 + b122),
-        np.abs(b222 - b112), np.abs(b222 + b211)]).max())
-    const_minus = float(np.maximum.reduce([
-        np.abs(b111 + b212), np.abs(b111 + b122),
-        np.abs(b222 + b112), np.abs(b222 + b211)]).max())
+    const_plus, const_minus = (float(np.abs(2 * (grid.beta1 + s * grid.beta2)).max())
+                               for s in (-1j, 1j))
 
     ok_a = res_a <= tol
     ok_b = res_b <= tol

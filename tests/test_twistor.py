@@ -377,6 +377,23 @@ class TestIsotropyReport:
         assert min(r for _, r, _ in rep.conditions()) >= 1e-2
         assert rep.constant_lift == "none"
 
+    def test_const_residuals_do_not_depend_on_the_normal_frame(self):
+        # rotating the normal frame multiplies beta^1 -+ i beta^2 by
+        # exp(-+i theta), so the three pinned frames of a surface on which
+        # neither lift is constant give the same const residuals; the old
+        # sup of max(|Re|, |Im|) read 1.31 to 1.38 and 1.57 to 1.64 here
+        text = hoffman_osserman([0.25 + 0.27j, -0.88 + 0.40j, 0.02 - 0.25j],
+                                [0.73 + 0.37j, -0.53 + 0.02j, -0.26 + 0.80j])
+        s = parse_surface(text, domain=(-0.5, 0.5, -0.5, 0.5))
+        reps = [isotropy_report(FieldGrid(s, 41, seed_branch=k)) for k in range(3)]
+        for rep in reps:
+            assert rep.const_plus_residual == pytest.approx(
+                reps[0].const_plus_residual, rel=1e-12, abs=0)
+            assert rep.const_minus_residual == pytest.approx(
+                reps[0].const_minus_residual, rel=1e-12, abs=0)
+        assert reps[0].const_plus_residual == pytest.approx(1.4230, abs=1e-4)
+        assert reps[0].const_minus_residual == pytest.approx(1.7424, abs=1e-4)
+
     def test_residuals_are_sups_of_the_fields(self, grids):
         for name in ("holo_cube", "catenoid_E3"):
             g = grids(name, 21)
