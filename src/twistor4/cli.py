@@ -317,20 +317,31 @@ def _grid_summary(grid: FieldGrid) -> dict:
     return summary
 
 
+def _grid(args, surface, n: int) -> FieldGrid:
+    """The n x n FieldGrid of surface on --domain, pinned to --seed-normal;
+    a grid that memory cannot hold exits 2."""
+    try:
+        return FieldGrid(_sampled(args, surface), n, seed_branch=args.seed_normal)
+    except MemoryError:
+        raise ExpressionError(f"an n = {n} grid does not fit in memory") from None
+
+
 def cmd_grid(args) -> int:
     surface = _resolve_surface(args)
-    sampled = _sampled(args, surface)
     n = args.n
     if args.h is not None:
         if not args.h > 0:
             raise ExpressionError(f"--h must be positive, got {args.h:g}")
-        n, nv = (int(round((hi - lo) / args.h)) + 1
-                 for lo, hi in (sampled.domain[:2], sampled.domain[2:]))
+        u0, u1, v0, v1 = _sampled(args, surface).domain
+        cu, cv = (u1 - u0) / args.h, (v1 - v0) / args.h
+        if not max(cu, cv) < sys.maxsize:  # inf where the quotient overflows
+            raise ExpressionError(f"--h {args.h!r} gives no grid size an array can hold")
+        n, nv = int(round(cu)) + 1, int(round(cv)) + 1
         if n != nv:
             raise ExpressionError(
                 f"--h {args.h:g} gives {n} points on u but {nv} on v; the "
                 f"grid is square, so give --n or a domain with equal extents")
-    grid = FieldGrid(sampled, n, seed_branch=args.seed_normal)
+    grid = _grid(args, surface, n)
     if args.format == "csv":  # rows end in CRLF, as csv.writer writes them
         _emit(args, "\r\n".join([",".join(_GRID_COLUMNS),
                                  *_grid_rows(_grid_columns(grid), "csv"), ""]))
@@ -362,7 +373,7 @@ _CONDITION_LABELS = {
 def cmd_isotropy(args) -> int:
     surface = _resolve_surface(args)
     tol = _checked_tol(args)
-    grid = FieldGrid(_sampled(args, surface), args.n, seed_branch=args.seed_normal)
+    grid = _grid(args, surface, args.n)
     try:
         rep = isotropy_report(grid, tol=tol)
     except (NotMinimal, NotIsothermal) as exc:
@@ -399,9 +410,7 @@ def cmd_isotropy(args) -> int:
 
 def cmd_residuals(args) -> int:
     surface = _resolve_surface(args)
-    sampled = _sampled(args, surface)
-    coarse, fine = (FieldGrid(sampled, n, seed_branch=args.seed_normal)
-                    for n in (args.n, 2 * args.n - 1))
+    coarse, fine = (_grid(args, surface, n) for n in (args.n, 2 * args.n - 1))
     rc, rf = map(structure_residuals, (coarse, fine))
     table = [(k, c, f, convergence_order(c, f))
              for (k, c), f in zip(rc.as_dict().items(), rf.as_dict().values())]

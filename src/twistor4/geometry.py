@@ -350,8 +350,7 @@ def build_frame(jets, branch: int) -> Frame:
 
 
 def build_frame_auto(jets) -> Frame:
-    """Frame from SEEDS as a FieldGrid picks it (see
-    _seeded_frames); records the branch used."""
+    """Frame of the seed that a FieldGrid would pick (see _seeded_frames)."""
     _, Fu, Fv, *_ = jet_arrays(jets)
     return _seeded_frames(Fu, Fv, None)
 

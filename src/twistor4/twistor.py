@@ -412,16 +412,12 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
 
     grad_plus, grad_minus = lift_gradient_sups(grid)
     u0, u1, v0, v1 = grid.domain
-    diam = math.hypot(u1 - u0, v1 - v0)
-    grad_threshold = tol / diam
+    grad_threshold = tol / math.hypot(u1 - u0, v1 - v0)  # per domain diameter
 
     const_plus, const_minus = (float(np.abs(2 * (grid.beta1 + s * grid.beta2)).max())
                                for s in (-1j, 1j))
 
-    ok_a = res_a <= tol
-    ok_b = res_b <= tol
-    ok_c = res_c <= tol
-    ok_d = res_d <= tol
+    ok_a, ok_b, ok_c, ok_d = (r <= tol for r in (res_a, res_b, res_c, res_d))
     plus_const = grad_plus <= grad_threshold
     minus_const = grad_minus <= grad_threshold
     ok_e = plus_const or minus_const

@@ -537,6 +537,34 @@ class TestGrid:
             code, out, err = run(capsys, "grid", "--surface", "plane", "--h", h)
             assert code == 2 and out == "" and "--h must be positive" in err
 
+    @pytest.mark.parametrize("h", ["1e-300", "1e-320"])
+    def test_spacing_without_a_grid_size_is_refused(self, capsys, h):
+        # 2 / h is 2e300 points per axis, or inf where the quotient overflows
+        code, out, err = run(capsys, "grid", "--surface", "plane", "--h", h)
+        assert (code, out) == (2, "")
+        assert err == f"error: --h {h} gives no grid size an array can hold\n"
+
+    @pytest.mark.parametrize("command", ["grid", "isotropy", "residuals"])
+    def test_grid_that_memory_cannot_hold_is_refused(self, capsys, command):
+        # the first (n, n) array alone would take 7.28 TiB, which the OS
+        # refuses at once; capping this process's address space 2 GiB above
+        # its present size makes sure of that where memory is overcommitted
+        resource = pytest.importorskip("resource")
+        try:
+            with open("/proc/self/statm") as fh:
+                size = int(fh.read().split()[0]) * resource.getpagesize()
+        except OSError:
+            pytest.skip("needs /proc/self/statm to cap the address space")
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (size + 2 ** 31, hard))
+        try:
+            code, out, err = run(capsys, command, "--surface", "plane",
+                                 "--n", "1000000")
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        assert (code, out) == (2, "")
+        assert err == "error: an n = 1000000 grid does not fit in memory\n"
+
     def test_spacing_must_give_a_square_grid(self, capsys):
         code, out, err = run(capsys, "grid", "--expr", "u, v, u^2-v^2, 2*u*v",
                              "--domain", "-1", "1", "-3", "3", "--h", "0.5")
