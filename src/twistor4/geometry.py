@@ -260,10 +260,8 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
         smooth = np.flatnonzero(
             sq.reshape(-1, len(SEEDS)).min(axis=0) > _BRANCH_MARGIN ** 2)
         branch = int(smooth[0]) if smooth.size else (sq > SEED_TOL ** 2).argmax(-1)
-    if np.ndim(branch):  # t1_s, t2_s of each point's own seed
-        a, b = (np.take_along_axis(c, branch[..., None], -1) for c in (c1, c2))
-    else:
-        a, b = c1[..., branch, None], c2[..., branch, None]
+    k = np.broadcast_to(branch, sq.shape[:-1])[..., None]  # one branch per point
+    a, b = (np.take_along_axis(c, k, -1) for c in (c1, c2))  # t1_s, t2_s
     p1 = E4[np.take(SEEDS, branch)] - a * t1 - b * t2
     p1n = np.sqrt(_dot(p1, p1))[..., None]
     n2 = np.einsum("...m,...ml->...l", minors, _STAR[branch])

@@ -412,7 +412,8 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
 
     grad_plus, grad_minus = lift_gradient_sups(grid)
     u0, u1, v0, v1 = grid.domain
-    grad_threshold = tol / math.hypot(u1 - u0, v1 - v0)  # per domain diameter
+    diam = math.hypot(u1 - u0, v1 - v0)
+    grad_threshold = tol / diam
 
     const_plus, const_minus = (float(np.abs(2 * (grid.beta1 + s * grid.beta2)).max())
                                for s in (-1j, 1j))
