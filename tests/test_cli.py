@@ -556,7 +556,10 @@ class TestGrid:
         except OSError:
             pytest.skip("needs /proc/self/statm to cap the address space")
         soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (size + 2 ** 31, hard))
+        cap = size + 2 ** 31
+        if soft != resource.RLIM_INFINITY:
+            cap = min(cap, soft)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
         try:
             code, out, err = run(capsys, command, "--surface", "plane",
                                  "--n", "1000000")

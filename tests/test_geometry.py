@@ -278,9 +278,9 @@ class TestFrame:
         # n2 = *(t1 ^ t2 ^ e_s)/|p1| is the last vector of Gram-Schmidt on
         # (t1, t2, e_s, the coordinate vector farthest from their span), its
         # sign flipped where det < 0: on 10000 planes just inside the
-        # immersion test and 10000 generic ones, a quarter of which hold e3
-        # and another quarter e3 and e2 within 1e-9, so that all three
-        # branches occur in the one per-point frame
+        # immersion test and 10000 generic ones, half of which hold e3 within
+        # 1e-9 and half of those e2 as well, so that all three branches occur
+        # in the one per-point frame
         n = 10000
         q = np.linalg.qr(rng.normal(size=(n, 4, 4)))[0]
         sin = rng.uniform(1.0e-6, 1.5e-6, (n, 1))
