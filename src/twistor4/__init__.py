@@ -34,10 +34,8 @@ from .geometry import (
     ShapeOperators,
     SurfacePointData,
     StructureResiduals,
-    beta_gamma,
     build_frame,
     build_frame_auto,
-    christoffel_tangential,
     convergence_order,
     first_form,
     gauss_weingarten_matrices,

@@ -38,6 +38,7 @@ from .geometry import (
     FieldGrid,
     convergence_order,
     gauss_weingarten_matrices,
+    grid_size_fits,
     structure_residuals,
     surface_point_data,
 )
@@ -258,7 +259,7 @@ def _grid_columns(grid: FieldGrid) -> list:
     if grid.isothermal:
         for sign, c in zip(("plus", "minus"), lift_sphere_fields(grid)):
             g = chart(c)
-            cols.update({f"c{sign}_{k + 1}": c[..., k] for k in range(3)})
+            cols.update({f"c{sign}_{k + 1}": c[k] for k in range(3)})
             cols.update({f"g{sign}_re": g.value.real, f"g{sign}_im": g.value.imag,
                          f"g{sign}_antipode": g.antipode})
         cols.update(zip(("res_a", "res_b", "res_c", "res_d"),
@@ -334,7 +335,7 @@ def cmd_grid(args) -> int:
             raise ExpressionError(f"--h must be positive, got {args.h:g}")
         u0, u1, v0, v1 = _sampled(args, surface).domain
         cu, cv = (u1 - u0) / args.h, (v1 - v0) / args.h
-        if not max(cu, cv) < sys.maxsize:  # inf where the quotient overflows
+        if not grid_size_fits(max(cu, cv) + 1):  # cu, cv inf on overflow
             raise ExpressionError(f"--h {args.h!r} gives no grid size an array can hold")
         n, nv = int(round(cu)) + 1, int(round(cv)) + 1
         if n != nv:

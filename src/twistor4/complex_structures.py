@@ -89,29 +89,32 @@ class OrientedPlane:
 
 
 def _check_structure_matrix(A: np.ndarray, tol: float) -> None:
-    if not np.max(np.abs(A.T @ A - E4)) <= tol:
+    if not np.max(np.abs(A.swapaxes(-1, -2) @ A - E4)) <= tol:
         raise NotAComplexStructure("matrix is not orthogonal")
     if not np.max(np.abs(A @ A + E4)) <= tol:
         raise NotAComplexStructure("matrix squared is not minus the identity")
 
 
 def classify_ocs(A) -> OrthogonalComplexStructure:
-    """Recover (chirality, coords) of an orthogonal complex structure.
+    """Recover (chirality, coords) of an orthogonal complex structure; for a
+    stack A[..., 4, 4], arrays of both over its leading axes, every matrix
+    checked.
 
     The matrix is necessarily alternating, so the coordinates can be read off
     the first column, where each I[eps, k] holds its e_1 ^ e_(k+1) part.  The
     entries (4,3), (2,4), (3,2) hold the eps halves, eps c, in either basis,
     so their inner product with c is eps |c|^2 = eps.
     """
-    A = np.asarray(A, float)
+    A = np.array(A, float)
     _check_structure_matrix(A, EXACT_TOL)
-    c = np.array([A[1, 0], A[2, 0], A[3, 0]])
-    eps = 1 if c @ [A[3, 2], A[1, 3], A[2, 1]] > 0 else -1
-    recon = np.einsum("k,kij->ij", c, basis_I_stack(eps))
+    c = A[..., 1:, 0]
+    eps = np.where(np.sum(c * A[..., [3, 1, 2], [2, 3, 1]], axis=-1) > 0, 1, -1)
+    recon = np.einsum("...k,...kij->...ij", c, np.where(
+        eps[..., None, None, None] > 0, basis_I_stack(1), basis_I_stack(-1)))
     if not np.max(np.abs(recon - A)) <= 20 * EXACT_TOL:
         raise NotAComplexStructure(
             "matrix does not decompose over a single chirality basis")
-    return OrthogonalComplexStructure(A.copy(), eps, c)
+    return OrthogonalComplexStructure(A, eps if eps.ndim else int(eps), c)
 
 
 def compose_ocs(eps: int, coords) -> OrthogonalComplexStructure:

@@ -8,6 +8,10 @@ to one point; first_form, build_frame, second_form and the like are adapters
 over them.  Only the structure-equation residuals (third order) come from
 central differences of these fields, an O(h^2) error the tests measure.
 
+Fields are component-major, so that inner products and minors run over
+contiguous slices: E^4 vectors over points have shape (4, ...), b and the
+Christoffel symbols (2, 2, 2, ...); at one point, (4,) and (2, 2, 2).
+
 A FieldGrid evaluates the whole pointwise apparatus on a rectangular sample
 grid with a single smooth choice of normal frame whenever one exists.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -23,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSeed,
+    ExpressionError,
     GridTooSmall,
     NotImmersed,
     NotIsothermal,
@@ -41,11 +47,11 @@ __all__ = [
     "NormalConnection",
     "SurfacePointData",
     "FieldGrid",
+    "grid_size_fits",
     "StructureResiduals",
     "jet_arrays",
     "first_form",
     "is_isothermal",
-    "christoffel_tangential",
     "build_frame",
     "build_frame_auto",
     "second_form",
@@ -53,7 +59,6 @@ __all__ = [
     "mean_curvature",
     "normal_connection",
     "gauss_weingarten_matrices",
-    "beta_gamma",
     "surface_point_data",
     "dwbar_field",
     "laplacian_field",
@@ -143,17 +148,22 @@ class SurfacePointData:
 
 
 def _dot(a, b):
-    return np.einsum("...c,...c->...", a, b)
+    """Inner products of E^4 vectors a[4, ...] and b[4, ...] over "...", each
+    summed in component order from +0.0, so that a point's is bitwise its
+    value on a grid (einsum sums a contiguous 4-vector pairwise)."""
+    if a.ndim == 1:
+        return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    return np.einsum("c...,c...->...", a, b)
 
 
 def jet_arrays(jets):
-    """Stack componentwise jets into one (6, ..., 4) array: six E^4 vectors
+    """Stack componentwise jets into one (6, 4, ...) array: six E^4 vectors
     (F, Fu, Fv, Fuu, Fuv, Fvv) over the points the jets were taken at."""
     shape = np.broadcast_shapes(*(np.shape(j.val) for j in jets))
-    out = np.empty((6,) + shape + (len(jets),))
+    out = np.empty((6, len(jets)) + shape)
     for k, j in enumerate(jets):
         for m, x in enumerate(j.as_tuple()):
-            out[m, ..., k] = x
+            out[m, k] = x
     return out
 
 
@@ -161,10 +171,7 @@ def _jet_fields(surface: SurfaceDef, u, v):
     """Stacked jet arrays of a surface over the points (u, v), from one
     evaluation, and the mask of the points where all of them are finite."""
     arrays = jet_arrays(eval_surface_jet(surface, u, v))
-    # per point and component, then across the components: numpy reduces a
-    # short last axis slowly (.all(axis=(0, -1)) takes 5 times as long at 61^2)
-    finite = np.isfinite(arrays).all(axis=0)
-    return arrays, functools.reduce(np.logical_and, np.moveaxis(finite, -1, 0))
+    return arrays, np.isfinite(arrays).all(axis=(0, 1))
 
 
 # --- array functions: one point or a whole grid (broadcasting over "...") ----
@@ -180,12 +187,12 @@ def _metric(Fu, Fv):
 
 def _require_finite(u, v, layer, fields):
     """Raise NumericError where one of the fields {name: array over the
-    points (u, v), maybe with trailing axes} is not finite: at the first such
+    points (u, v), maybe with leading axes} is not finite: at the first such
     point of the first such field, naming both."""
     for name, x in fields.items():
         finite = np.isfinite(x)
         if not finite.all():
-            bad = ~finite.reshape(np.shape(u) + (-1,)).all(axis=-1)
+            bad = ~finite.reshape((-1,) + np.shape(u)).all(axis=0)
             i = np.flatnonzero(bad)[0]
             uu, vv = (float(np.ravel(w)[i]) for w in (u, v))
             raise NumericError(f"the {layer} overflows at (u, v) = "
@@ -226,14 +233,14 @@ _STAR = np.array([[[round(np.linalg.det(E4[[i, j, s, l]])) for l in range(4)]
 def _tangent_plane(Fu, Fv):
     """Unit tangents t1, t2 (Gram-Schmidt of F_u, F_v) and the 2x2 minors of
     [t1 t2], which every normal frame shares."""
-    t1 = Fu / np.sqrt(_dot(Fu, Fu))[..., None]
-    w = Fv - _dot(Fv, t1)[..., None] * t1
+    t1 = Fu / np.sqrt(_dot(Fu, Fu))
+    w = Fv - _dot(Fv, t1) * t1
     # Near the immersion boundary, F_u and F_v at an angle of about 1e-6, one
     # pass leaves <t1, t2> up to 5e-10 and the frame 1e-7 off orthonormal.
-    w = w - _dot(w, t1)[..., None] * t1
-    t2 = w / np.sqrt(_dot(w, w))[..., None]
+    w = w - _dot(w, t1) * t1
+    t2 = w / np.sqrt(_dot(w, w))
     i, j = np.transpose(_MINOR_ROWS)
-    return t1, t2, t1[..., i] * t2[..., j] - t1[..., j] * t2[..., i]
+    return t1, t2, t1[i] * t2[j] - t1[j] * t2[i]
 
 
 def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
@@ -248,54 +255,53 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
     n2 = *(t1 ^ t2 ^ e_s)/|p1| = (minors @ _STAR[k])/|p1|, whence
     det [t1 t2 n1 n2] = +1 by construction."""
     t1, t2, minors = _tangent_plane(Fu, Fv)
-    c1, c2 = t1[..., SEEDS], t2[..., SEEDS]
-    sq = 1 - c1 * c1 - c2 * c2  # |p1|^2 of each seed, in the order of SEEDS
+    sq = 1 - t1[SEEDS, ...] ** 2 - t2[SEEDS, ...] ** 2  # |p1|^2 of each seed
     if branch is not None:
-        bad = np.flatnonzero(~(sq[..., branch] > SEED_TOL ** 2))
+        bad = np.flatnonzero(~(sq[branch] > SEED_TOL ** 2))
         if bad.size:
             where = " at (u, v) = ({:g}, {:g})".format(
                 *(np.ravel(x)[bad[0]] for x in at)) if at else ""
             raise DegenerateSeed(f"seed branch {branch} degenerates{where}")
     else:  # some seed works at every point (see SEEDS), so argmax finds one
         smooth = np.flatnonzero(
-            sq.reshape(-1, len(SEEDS)).min(axis=0) > _BRANCH_MARGIN ** 2)
-        branch = int(smooth[0]) if smooth.size else (sq > SEED_TOL ** 2).argmax(-1)
-    k = np.broadcast_to(branch, sq.shape[:-1])[..., None]  # one branch per point
-    a, b = (np.take_along_axis(c, k, -1) for c in (c1, c2))  # t1_s, t2_s
-    p1 = E4[np.take(SEEDS, branch)] - a * t1 - b * t2
-    p1n = np.sqrt(_dot(p1, p1))[..., None]
-    n2 = np.einsum("...m,...ml->...l", minors, _STAR[branch])
+            sq.reshape(len(SEEDS), -1).min(axis=1) > _BRANCH_MARGIN ** 2)
+        branch = int(smooth[0]) if smooth.size else (sq > SEED_TOL ** 2).argmax(0)
+    # e_s, for all points or per point; <e_s, t> = t_s exactly, and cheaper
+    e = E4[:, np.take(SEEDS, np.reshape(branch, np.shape(branch)
+                                        or (1,) * (t1.ndim - 1)))]
+    p1 = e - _dot(e, t1) * t1 - _dot(e, t2) * t2
+    p1n = np.sqrt(_dot(p1, p1))
+    n2 = np.einsum("m...,...ml->l...", minors, _STAR[branch])
     return Frame(t1, t2, p1 / p1n, n2 / p1n, seed_branch=branch)
 
 
 def _second_form(Fuu, Fuv, Fvv, n1, n2):
-    """Second fundamental form b[..., k, i, j] = <F_ij, n_k>."""
-    b = np.empty(np.shape(n1)[:-1] + (2, 2, 2))
+    """Second fundamental form b[k, i, j, ...] = <F_ij, n_k>."""
+    b = np.empty((2, 2, 2) + np.shape(n1)[1:])
     for k, nk in enumerate((n1, n2)):
-        b[..., k, 0, 0] = _dot(Fuu, nk)
-        b[..., k, 0, 1] = b[..., k, 1, 0] = _dot(Fuv, nk)
-        b[..., k, 1, 1] = _dot(Fvv, nk)
+        b[k, 0, 0] = _dot(Fuu, nk)
+        b[k, 0, 1] = b[k, 1, 0] = _dot(Fuv, nk)
+        b[k, 1, 1] = _dot(Fvv, nk)
     return b
 
 
 def _mean_curvature(g11, g12, g22, det, b, n1, n2):
     """H = (tr(g^-1 b_1) n_1 + tr(g^-1 b_2) n_2) / 2 and |H| = hypot(tr_1,
     tr_2) / 2, which unlike sqrt(<H, H>) is finite wherever H is."""
-    tr1, tr2 = ((g22 * b[..., k, 0, 0] - 2 * g12 * b[..., k, 0, 1]
-                 + g11 * b[..., k, 1, 1]) / det for k in (0, 1))
-    return (0.5 * (tr1[..., None] * n1 + tr2[..., None] * n2),
-            0.5 * np.hypot(tr1, tr2))
+    tr1, tr2 = ((g22 * bk[0, 0] - 2 * g12 * bk[0, 1] + g11 * bk[1, 1]) / det
+                for bk in b)
+    return 0.5 * (tr1 * n1 + tr2 * n2), 0.5 * np.hypot(tr1, tr2)
 
 
 def _christoffel(arrays, g11, g12, g22, det):
-    """Christoffel symbols Gamma[..., k, i, j], solving for each F_ab the 2x2
+    """Christoffel symbols Gamma[k, i, j, ...], solving for each F_ab the 2x2
     Gram system <F_ab, F_c> = sum_k Gamma^k_ab g_kc directly."""
     _, Fu, Fv, Fuu, Fuv, Fvv = arrays
-    out = np.empty(np.shape(det) + (2, 2, 2))
+    out = np.empty((2, 2, 2) + np.shape(det))
     for i, j, Fab in ((0, 0, Fuu), (0, 1, Fuv), (1, 1, Fvv)):
         r1, r2 = _dot(Fab, Fu), _dot(Fab, Fv)
-        out[..., 0, i, j] = out[..., 0, j, i] = (g22 * r1 - g12 * r2) / det
-        out[..., 1, i, j] = out[..., 1, j, i] = (g11 * r2 - g12 * r1) / det
+        out[0, i, j] = out[0, j, i] = (g22 * r1 - g12 * r2) / det
+        out[1, i, j] = out[1, j, i] = (g11 * r2 - g12 * r1) / det
     return out
 
 
@@ -309,13 +315,11 @@ def _connection(s, frame: Frame, g11, g12, g22, det, b):
     b2_1a/|F_u|)/|w| for w = F_v - <F_v,t_1> t_1, b2_ia = <F_ia, n_2>,
     |F_u|^2 = g11, <F_v,t_1> = g12/|F_u|, |w|^2 = det/g11, |p_1| = n1_s.
     """
-    g11, g12, det = (np.asarray(x)[..., None] for x in (g11, g12, det))
     fu = np.sqrt(g11)
-    dt1 = b[..., 1, 0, :] / fu
-    dt2 = (b[..., 1, 1, :] - g12 / fu * dt1) / np.sqrt(det / g11)
-    gamma = -(frame.t1[..., s, None] * dt1
-              + frame.t2[..., s, None] * dt2) / frame.n1[..., s, None]
-    return gamma[..., 0], gamma[..., 1]
+    dt1 = b[1, 0] / fu
+    dt2 = (b[1, 1] - g12 / fu * dt1) / np.sqrt(det / g11)
+    gamma = -(frame.t1[s] * dt1 + frame.t2[s] * dt2) / frame.n1[s]
+    return gamma[0], gamma[1]
 
 
 # --- pointwise adapters --------------------------------------------------------
@@ -330,12 +334,6 @@ def first_form(jets) -> FirstForm:
 
 def is_isothermal(form: FirstForm) -> bool:
     return bool(_isothermal_mask(form.g11, form.g12, form.g22, ISOTHERMAL_TOL))
-
-
-def christoffel_tangential(jets, form: FirstForm) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] from the tangential projections."""
-    return _christoffel(jet_arrays(jets), form.g11, form.g12, form.g22,
-                        form.det)
 
 
 def build_frame(jets, branch: int) -> Frame:
@@ -392,14 +390,6 @@ def gauss_weingarten_matrices(pd: SurfacePointData):
     return S[0], S[1]
 
 
-def beta_gamma(pd: SurfacePointData):
-    """Complexified second-form and connection coefficients at an isothermal
-    point: beta^k = (b^k_11 - i b^k_12)/2 and gamma = (gamma_1 + i gamma_2)/2."""
-    if not pd.isothermal:
-        raise NotIsothermal("beta and gamma are defined at isothermal points only")
-    return pd.beta1, pd.beta2, pd.gamma
-
-
 def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
                        seed_branch: Optional[int] = None,
                        isothermal_tol: float = ISOTHERMAL_TOL) -> SurfacePointData:
@@ -415,7 +405,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     pv = np.concatenate([[v, v, v], np.clip([v - d, v + d], v0, v1)])
     arrays, ok = _jet_fields(surface, pu, pv)
     require_finite(surface.components, ok[:1], pu[:1], pv[:1])
-    point = tuple(a[0] for a in arrays)
+    point = arrays[..., 0]
     _, Fu, Fv, Fuu, Fuv, Fvv = point
     g = _metric(arrays[1], arrays[2])
     g0 = tuple(x[0] for x in g)
@@ -444,13 +434,18 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
         beta1 = 0.5 * (b[0, 0, 0] - 1j * b[0, 0, 1])
         beta2 = 0.5 * (b[1, 0, 0] - 1j * b[1, 0, 1])
         gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
-    jets = tuple(Jet2(*(a[k] for a in point)) for k in range(4))
+    jets = tuple(Jet2(*point[:, k]) for k in range(4))
     return SurfacePointData(u, v, jets, form, iso, alpha,
                             frame, b, shape_operators(form, b), christoffel,
                             H, float(H_norm), conn, beta1, beta2, gamma)
 
 
 # --- grids -------------------------------------------------------------------
+
+def grid_size_fits(n) -> bool:
+    """Whether numpy can size an n x n FieldGrid's (6, 4, n, n) jet block."""
+    return 6 * 4 * 8 * n * n < sys.maxsize
+
 
 class FieldGrid:
     """Pointwise-exact fields sampled on an n x n grid over surface.domain.
@@ -466,6 +461,8 @@ class FieldGrid:
                  seed_branch: Optional[int] = None):
         if n < 3:
             raise GridTooSmall(f"need at least a 3x3 grid, got n={n}")
+        if not grid_size_fits(n):  # refused before anything is allocated
+            raise ExpressionError(f"an n = {n} grid is too large for any array")
         self.surface = surface
         self.n = n
         # the surface's own rectangle, which SurfaceDef holds finite and non-empty
@@ -501,10 +498,12 @@ class FieldGrid:
             self.H, self.H_norm = _mean_curvature(*g, b, self.n1, self.n2)
         _require_finite(U, V, "second-order geometry", {"b": b, "H": self.H})
         self.b = b
+        self.beta1 = 0.5 * (b[0, 0, 0] - 1j * b[0, 0, 1])
+        self.beta2 = 0.5 * (b[1, 0, 0] - 1j * b[1, 0, 1])
 
-        self.psi = 0.5 * (self.Fu - 1j * self.Fv)
-        self.beta1 = 0.5 * (b[..., 0, 0, 0] - 1j * b[..., 0, 0, 1])
-        self.beta2 = 0.5 * (b[..., 1, 0, 0] - 1j * b[..., 1, 0, 1])
+    @functools.cached_property
+    def psi(self):  # built at first use: only the lifts read it
+        return 0.5 * (self.Fu - 1j * self.Fv)
 
     def sup_H(self) -> float:
         return float(self.H_norm.max())
@@ -531,8 +530,8 @@ class FieldGrid:
                 "no single seed branch covers the grid; frame-derivative "
                 "fields are not available")
         for arr in (self.n1, self.n2):
-            if (_dot(arr[1:], arr[:-1]).min() <= 0.0
-                    or _dot(arr[:, 1:], arr[:, :-1]).min() <= 0.0):
+            if (_dot(arr[:, 1:], arr[:, :-1]).min() <= 0.0
+                    or _dot(arr[:, :, 1:], arr[:, :, :-1]).min() <= 0.0):
                 raise SeedBranchFlip("frame field is discontinuous on the grid")
         return _connection(SEEDS[self.seed_branch],
                            Frame(self.t1, self.t2, self.n1, self.n2),

@@ -1,6 +1,7 @@
 """Small exact linear algebra for Euclidean 4-space.
 
-Vectors are numpy arrays of shape (4,), matrices of shape (4, 4).  The wedge
+Vectors are numpy arrays of shape (4,), matrices of shape (4, 4); a field of
+vectors over points has its components first, (4, ...).  The wedge
 product of two vectors is stored as a full alternating 4x4 matrix; the space
 of such matrices is 6-dimensional and carries the quarter-trace inner product
 <A, B> = tr(A^T B) / 4, under which the six basis bivectors I[eps, k]
@@ -61,11 +62,11 @@ def inner4(a, b) -> float:
 
 
 def wedge(a, b) -> np.ndarray:
-    """Wedge product a ^ b = b a^T - a b^T (an alternating matrix),
-    broadcasting over leading axes of a[..., 4] and b[..., 4]."""
+    """Wedge product a ^ b = b a^T - a b^T (an alternating matrix), over
+    the trailing axes of a[4, ...] and b[4, ...]: shape (4, 4, ...)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    return b[..., :, None] * a[..., None, :] - a[..., :, None] * b[..., None, :]
+    return b[:, None] * a[None] - a[:, None] * b[None]
 
 
 # I[eps, k] = e_i ^ e_j + eps e_l ^ e_m for (i, j, l, m) = _PAIRS[k - 1], 0-based
@@ -76,15 +77,14 @@ _I_PLUS, _I_MINUS = (
 
 
 def pair_coords(p, q, eps: int) -> np.ndarray:
-    """B_eps(p, q)[..., k] = 2 <I[eps, k], p ^ q>, bilinear in p[..., 4] and
-    q[..., 4] (real or complex), broadcasting over leading axes; e.g.
+    """B_eps(p, q)[k, ...] = 2 <I[eps, k], p ^ q>, bilinear in p[4, ...] and
+    q[4, ...] (real or complex), broadcasting over their trailing axes; e.g.
     B^1 = p^1 q^2 - p^2 q^1 + eps (p^3 q^4 - p^4 q^3)."""
     p, q = np.asarray(p), np.asarray(q)
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape)[:-1] + (3,),
+    out = np.empty((3,) + np.broadcast_shapes(p.shape[1:], q.shape[1:]),
                    np.result_type(p, q))
     for k, (i, j, l, m) in enumerate(_PAIRS):
-        out[..., k] = (p[..., i] * q[..., j] - p[..., j] * q[..., i]
-                       + eps * (p[..., l] * q[..., m] - p[..., m] * q[..., l]))
+        out[k] = (p[i] * q[j] - p[j] * q[i] + eps * (p[l] * q[m] - p[m] * q[l]))
     return out
 
 

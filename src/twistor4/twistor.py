@@ -30,8 +30,9 @@ from .errors import (
     NotIsothermal,
     PoleOfChart,
 )
-from .geometry import ISOTHERMAL_TOL, FieldGrid, Frame, SurfacePointData, dwbar_field
-from .linalg4 import DERIVED_TOL, basis_I_stack, pair_coords, wedge
+from .geometry import (ISOTHERMAL_TOL, FieldGrid, Frame, SurfacePointData, _dot,
+                       dwbar_field)
+from .linalg4 import CHIRALITIES, DERIVED_TOL, basis_I_stack, pair_coords, wedge
 
 __all__ = [
     "ChartValue",
@@ -68,13 +69,12 @@ def psi(jets) -> np.ndarray:
 
 def big_psi(ps, eps: int) -> np.ndarray:
     """Quadratic lift components Psi = pair_coords(psi, conj(psi), eps);
-    broadcasts over leading axes of ps[..., 4].
+    broadcasts over trailing axes of ps[4, ...].
 
     Psi^1 = psi^1 conj(psi^2) - psi^2 conj(psi^1)
             + eps (psi^3 conj(psi^4) - psi^4 conj(psi^3)),
     and likewise Psi^2, Psi^3 following the bivector basis pattern.
     """
-    ps = np.asarray(ps)
     return pair_coords(ps, np.conj(ps), eps)
 
 
@@ -84,8 +84,7 @@ def sphere_coords(ps, e2a, eps: int) -> np.ndarray:
     The entries are real by construction (each Psi component is a difference
     of conjugates); the imaginary part is dropped.
     """
-    bp = big_psi(ps, eps)
-    return np.real(-2j * bp / np.asarray(e2a)[..., None])
+    return np.real(-2j * big_psi(ps, eps) / np.asarray(e2a))
 
 
 def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
@@ -102,12 +101,13 @@ def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
 
 
 def lift_matrix(t1, t2, n1, n2, eps: int) -> np.ndarray:
-    """t1 ^ t2 + eps n1 ^ n2, broadcasting over leading axes."""
+    """t1 ^ t2 + eps n1 ^ n2, of shape (4, 4, ...) for vectors t1[4, ...]
+    etc.; an array eps[..., 1, 1] stacks single points' lifts over its axes."""
     return wedge(t1, t2) + eps * wedge(n1, n2)
 
 
-def lift_frame(frame: Frame, eps: int) -> OrthogonalComplexStructure:
-    """Twistor lift from a positively oriented adapted frame."""
+def lift_frame(frame: Frame, eps) -> OrthogonalComplexStructure:
+    """Twistor lift from a positively oriented adapted frame; eps as in lift_matrix."""
     return classify_ocs(lift_matrix(frame.t1, frame.t2, frame.n1, frame.n2, eps))
 
 
@@ -127,12 +127,12 @@ class ChartValue:
 
 
 def chart(c) -> ChartValue:
-    """Stereographic chart of unit vectors c[..., 3] on S^2.
+    """Stereographic chart of unit vectors c[3, ...] on S^2.
 
     A single vector gives a complex value and a bool; a field of vectors
-    gives arrays of both over its leading axes.
+    gives arrays of both over its trailing axes.
     """
-    c1, c2, c3 = np.moveaxis(np.asarray(c, float), -1, 0)
+    c1, c2, c3 = np.asarray(c, float)
     norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
     bad = ~(np.abs(norm - 1.0) <= DERIVED_TOL)
     if np.any(bad):
@@ -170,7 +170,7 @@ def g_plus_closed_form(ps) -> complex:
 
 
 def g_plus_closed_field(psi_field) -> np.ndarray:
-    """Closed form of the plus chart from psi[..., 4]; NaN at chart poles.
+    """Closed form of the plus chart from psi[4, ...]; NaN at chart poles.
 
     Two algebraically equivalent branches exist,
 
@@ -181,10 +181,10 @@ def g_plus_closed_field(psi_field) -> np.ndarray:
     vanish together exactly at the chart pole c+3 = 1.
     """
     ps = np.asarray(psi_field)
-    p1, p2, p3, p4 = (ps[..., k] for k in range(4))
+    p1, p2, p3, p4 = ps
     d1 = p2 - 1j * p3
     d2 = p1 - 1j * p4
-    scale = np.sum(np.abs(ps) ** 2, axis=-1)
+    scale = np.sum(np.abs(ps) ** 2, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         branch1 = (p1 + 1j * p4) / (1j * d1)
         branch2 = 1j * (p2 + 1j * p3) / d2
@@ -212,10 +212,13 @@ class LiftPoint:
 
 
 def gauss_map(pd: SurfacePointData) -> LiftPoint:
-    """The pair of twistor lifts of the oriented tangent plane at a point."""
-    fp = lift_frame(pd.frame, 1)
-    fm = lift_frame(pd.frame, -1)
-    return LiftPoint(fp, fm, chart(fp.coords), chart(fm.coords))
+    """The pair of twistor lifts of the oriented tangent plane at a point,
+    classified and charted as one stack of the two lift matrices."""
+    both = lift_frame(pd.frame, np.reshape(CHIRALITIES, (2, 1, 1)))
+    g = chart(both.coords.T)
+    return LiftPoint(*map(OrthogonalComplexStructure, both.matrix,
+                          both.chirality.tolist(), both.coords),
+                     *map(ChartValue, g.value.tolist(), g.antipode.tolist()))
 
 
 def holomorphicity_residual(field: np.ndarray, hu: float,
@@ -264,13 +267,13 @@ def lift_agreement_residual(grid: FieldGrid) -> float:
     regardless of per-point seed branches; they are built on each call and
     not kept on the grid."""
     return float(max(
-        np.abs(np.einsum("...k,kij->...ij", c, basis_I_stack(eps))
+        np.abs(np.einsum("k...,kij->ij...", c, basis_I_stack(eps))
                - lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, eps)).max()
         for c, eps in zip(_kept(grid, _sphere_fields), (1, -1))))
 
 
 def _lift_derivatives(grid: FieldGrid):
-    """dc[a, ..., k] = d c_k / d(u, v)_a of the sphere coordinates of each
+    """dc[k, a, ...] = d c_k / d(u, v)_a of the sphere coordinates of each
     lift on the interior, by forward mode over the 2-jet (no truncation
     error).
 
@@ -280,15 +283,13 @@ def _lift_derivatives(grid: FieldGrid):
     B(psi, d psi) = -conj(B(d psi, psi)), so Re(-2i d Psi) = 4 Im B(d psi, psi)
     and dc = 4 Im B(d psi, psi) / e2a - c d(e2a) / e2a.
     """
-    inner = np.s_[1:-1, 1:-1]
+    inner = np.s_[..., 1:-1, 1:-1]
     psi, e2a = grid.psi[inner], grid.e2a[inner]
     Fu, Fuu, Fuv, Fvv = (a[inner] for a in (grid.Fu, grid.Fuu, grid.Fuv, grid.Fvv))
-    dpsi = 0.5 * np.stack([Fuu - 1j * Fuv, Fuv - 1j * Fvv])
-    dlog_e2a = 2.0 * np.stack([np.sum(Fu * Fuu, axis=-1),
-                               np.sum(Fu * Fuv, axis=-1)]) / e2a
-    return tuple(4.0 * np.imag(pair_coords(dpsi, np.conj(psi), eps))
-                 / e2a[..., None]
-                 - c[inner] * dlog_e2a[..., None]
+    dpsi = 0.5 * np.stack([Fuu - 1j * Fuv, Fuv - 1j * Fvv], axis=1)
+    dlog_e2a = 2.0 * np.stack([_dot(Fu, Fuu), _dot(Fu, Fuv)]) / e2a
+    return tuple(4.0 * np.imag(pair_coords(dpsi, np.conj(psi), eps)) / e2a
+                 - c[inner][:, None] * dlog_e2a
                  for c, eps in zip(_kept(grid, _sphere_fields), (1, -1)))
 
 
@@ -307,12 +308,12 @@ def chart_residuals(grid: FieldGrid):
     out = []
     for c, dc, eps in zip(_kept(grid, _sphere_fields),
                           _kept(grid, _lift_derivatives), (1, -1)):
-        c = c[1:-1, 1:-1]
+        c1, c2, c3 = c[:, 1:-1, 1:-1]
         # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
-        s = np.where(c[..., 2] <= 0.0, 1.0, -1.0)
-        den = 1.0 - s * c[..., 2]
-        g = (c[..., 0] + 1j * c[..., 1]) / den
-        gu, gv = (dc[..., 0] + 1j * dc[..., 1] + s * g * dc[..., 2]) / den
+        s = np.where(c3 <= 0.0, 1.0, -1.0)
+        den = 1.0 - s * c3
+        g = (c1 + 1j * c2) / den
+        gu, gv = (dc[0] + 1j * dc[1] + s * g * dc[2]) / den
         # g+ is holomorphic in the standard chart, g- antiholomorphic, and the
         # antipodal chart swaps the two: d/dwbar of conj(g) is conj(dg/dw).
         out.append(0.5 * float(np.abs(gu + 1j * (s * eps) * gv).max()))
@@ -389,9 +390,7 @@ def lift_gradient_sups(grid: FieldGrid):
 def isotropy_fields(grid: FieldGrid):
     """Pointwise residuals of isotropy conditions (a)-(d) over a grid; their
     sup-norms are the residuals of isotropy_report."""
-    b = grid.b
-    b111, b112 = b[..., 0, 0, 0], b[..., 0, 0, 1]
-    b211, b212 = b[..., 1, 0, 0], b[..., 1, 0, 1]
+    (b111, b112), (b211, b212) = grid.b[:, 0]
     # |theta-dependent Fourier coefficients| of the rotated shape operator
     cos_abs = np.abs(b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2)
     sin_abs = np.abs(b111 * b211 + b112 * b212)

@@ -568,6 +568,15 @@ class TestGrid:
         assert (code, out) == (2, "")
         assert err == "error: an n = 1000000 grid does not fit in memory\n"
 
+    @pytest.mark.parametrize("n", [10 ** 20, 2 ** 62])
+    @pytest.mark.parametrize("command", ["grid", "isotropy", "residuals"])
+    def test_grid_no_array_can_hold_is_refused(self, capsys, command, n):
+        # refused before anything is allocated: numpy cannot size even the
+        # grid's sample points, and np.linspace alone would raise ValueError
+        code, out, err = run(capsys, command, "--surface", "plane", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: an n = {n} grid is too large for any array\n"
+
     def test_spacing_must_give_a_square_grid(self, capsys):
         code, out, err = run(capsys, "grid", "--expr", "u, v, u^2-v^2, 2*u*v",
                              "--domain", "-1", "1", "-3", "3", "--h", "0.5")

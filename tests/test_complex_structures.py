@@ -105,6 +105,24 @@ class TestClassifyCompose:
         with pytest.raises(NotAComplexStructure):
             classify_ocs(2.0 * basis_I(1, 1))
 
+    def test_stack_matches_each_matrix(self, rng):
+        # a stack A[..., 4, 4] is classified matrix by matrix, bit for bit
+        A = np.array([random_ocs(rng, eps).matrix
+                      for eps in (1, -1, -1, 1, 1, -1)]).reshape(2, 3, 4, 4)
+        s = classify_ocs(A)
+        assert s.chirality.shape == (2, 3) and s.coords.shape == (2, 3, 3)
+        for idx in np.ndindex(2, 3):
+            one = classify_ocs(A[idx])
+            assert s.chirality[idx] == one.chirality
+            assert np.array_equal(s.coords[idx], one.coords)
+            assert np.array_equal(s.matrix[idx], one.matrix)
+
+    @pytest.mark.parametrize("bad", [E4, 2.0 * basis_I(1, 1)],
+                             ids=["square_is_plus_identity", "not_orthogonal"])
+    def test_stack_checks_every_matrix(self, rng, bad):
+        with pytest.raises(NotAComplexStructure):
+            classify_ocs(np.stack([random_ocs(rng, 1).matrix, bad]))
+
     def test_compose_rejects_non_unit(self):
         with pytest.raises(NonUnitCoords):
             compose_ocs(1, [1.0, 1.0, 0.0])

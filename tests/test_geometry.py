@@ -25,10 +25,8 @@ from twistor4.geometry import (
     SEEDS,
     FieldGrid,
     Frame,
-    beta_gamma,
     build_frame,
     build_frame_auto,
-    christoffel_tangential,
     convergence_order,
     first_form,
     gauss_weingarten_matrices,
@@ -42,7 +40,7 @@ from twistor4.geometry import (
     surface_point_data,
 )
 from twistor4.surface_expr import eval_surface_jet, parse_surface
-from twistor4.twistor import gauss_map
+from twistor4.twistor import gauss_map, lift_sphere_fields
 from helpers import random_catalog_point
 
 MINIMAL_ISOTHERMAL = ("plane", "holo_square", "holo_cube", "catenoid_E3")
@@ -114,22 +112,19 @@ class TestIsothermal:
         assert is_isothermal(f)  # pointwise test alone is fooled
         pd = surface_point_data(CATALOG["nonisothermal_graph"].surface, 1.0, 1.0)
         assert not pd.isothermal
-        with pytest.raises(NotIsothermal):
-            beta_gamma(pd)
+        assert pd.beta1 is pd.beta2 is pd.gamma is None
 
 
 class TestChristoffel:
     def test_plane_is_flat(self):
-        jets = jets_of("plane", 0.1, 0.9)
-        G = christoffel_tangential(jets, first_form(jets))
+        G = surface_point_data(CATALOG["plane"].surface, 0.1, 0.9).christoffel
         assert np.max(np.abs(G)) == 0.0
 
     def test_isothermal_identities_on_holo_square(self, rng):
         # with e^{2 alpha} = 1 + 4(u^2+v^2): alpha_u = 4u/g, alpha_v = 4v/g
         for _ in range(10):
             u, v = rng.uniform(-1, 1, size=2)
-            jets = jets_of("holo_square", u, v)
-            G = christoffel_tangential(jets, first_form(jets))
+            G = surface_point_data(CATALOG["holo_square"].surface, u, v).christoffel
             g = 1 + 4 * (u * u + v * v)
             au, av = 4 * u / g, 4 * v / g
             assert abs(G[0, 0, 0] - au) <= 1e-12   # G^1_11 = alpha_u
@@ -146,8 +141,7 @@ class TestChristoffel:
         u, v = 0.31, 0.17
 
         def gram_gamma():
-            jets = eval_surface_jet(surface, u, v)
-            return christoffel_tangential(jets, first_form(jets))
+            return surface_point_data(surface, u, v).christoffel
 
         def metric_gamma(h):
             def g(uu, vv):
@@ -243,10 +237,10 @@ class TestFrame:
         sin = rng.uniform(1.0e-6, 1.5e-6, (n, 1))
         Fu, Fv = (x * 10 ** rng.uniform(0.2, 1.5, (n, 1)) for x in (
             q[..., 0], np.sqrt(1 - sin ** 2) * q[..., 0] + sin * q[..., 1]))
-        g11, _, g22, det = geometry._metric(Fu, Fv)
+        g11, _, g22, det = geometry._metric(Fu.T, Fv.T)
         assert geometry._immersed(g11, g22, det).all()
-        fr = geometry._seeded_frames(Fu, Fv, None)
-        M = np.stack([fr.t1, fr.t2, fr.n1, fr.n2], axis=-1)
+        fr = geometry._seeded_frames(Fu.T, Fv.T, None)
+        M = np.stack([fr.t1.T, fr.t2.T, fr.n1.T, fr.n2.T], axis=-1)
         assert np.abs(M.swapaxes(-1, -2) @ M - np.eye(4)).max() <= 1e-13
         for fu, fv in zip(Fu[:200].tolist(), Fv[:200].tolist()):
             s = parse_surface(", ".join(f"{a!r}*u + {b!r}*v" for a, b in zip(fu, fv)))
@@ -271,8 +265,8 @@ class TestFrame:
         for i, j in np.ndindex(g.seed_branch.shape):
             fr = surface_point_data(surface, g.us[i], g.vs[j],
                                     seed_branch=int(g.seed_branch[i, j])).frame
-            assert np.abs(fr.n1 - g.n1[i, j]).max() <= 1e-14
-            assert np.abs(fr.n2 - g.n2[i, j]).max() <= 1e-14
+            assert np.abs(fr.n1 - g.n1[:, i, j]).max() <= 1e-14
+            assert np.abs(fr.n2 - g.n2[:, i, j]).max() <= 1e-14
 
     def test_normals_match_gram_schmidt_on_random_planes(self, rng):
         # n2 = *(t1 ^ t2 ^ e_s)/|p1| is the last vector of Gram-Schmidt on
@@ -288,15 +282,16 @@ class TestFrame:
             q[..., 0], np.sqrt(1 - sin ** 2) * q[..., 0] + sin * q[..., 1]))
         Fu[n:n + n // 2] = np.eye(4)[2] + 1e-9 * rng.normal(size=(n // 2, 4))
         Fv[n:n + n // 4] = np.eye(4)[1] + 1e-9 * rng.normal(size=(n // 4, 4))
-        fr = geometry._seeded_frames(Fu, Fv, None)
+        fr = geometry._seeded_frames(Fu.T, Fv.T, None)
         assert np.bincount(fr.seed_branch).min() >= n // 4
+        t1, t2, n1, n2 = fr.t1.T, fr.t2.T, fr.n1.T, fr.n2.T
 
         def orthogonalize(x, basis):
             for _ in range(2):  # twice is enough
                 x = x - sum(np.sum(x * e, -1, keepdims=True) * e for e in basis)
             return x
 
-        basis = [fr.t1, fr.t2]
+        basis = [t1, t2]
         p1 = orthogonalize(np.eye(4)[np.take(SEEDS, fr.seed_branch)], basis)
         basis.append(p1 / np.linalg.norm(p1, axis=-1, keepdims=True))
         rest = np.stack([orthogonalize(np.broadcast_to(e, p1.shape), basis)
@@ -305,8 +300,8 @@ class TestFrame:
         basis.append(p2 / np.linalg.norm(p2, axis=-1, keepdims=True))
         M = np.stack(basis, axis=-1)
         M[..., 3] *= np.sign(np.linalg.det(M))[:, None]
-        assert np.abs(fr.n1 - M[..., 2]).max() <= 1e-13
-        assert np.abs(fr.n2 - M[..., 3]).max() <= 1e-13
+        assert np.abs(n1 - M[..., 2]).max() <= 1e-13
+        assert np.abs(n2 - M[..., 3]).max() <= 1e-13
 
     def test_catenoid_waist_degenerates_first_seed(self):
         s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
@@ -494,12 +489,12 @@ class TestNormalConnection:
 
         def err(n):
             g = FieldGrid(s, n)
-            dn1_u = (g.n1[2:, 1:-1] - g.n1[:-2, 1:-1]) / (2 * g.hu)
-            dn1_v = (g.n1[1:-1, 2:] - g.n1[1:-1, :-2]) / (2 * g.hv)
-            n2 = g.n2[1:-1, 1:-1]
+            dn1_u = (g.n1[:, 2:, 1:-1] - g.n1[:, :-2, 1:-1]) / (2 * g.hu)
+            dn1_v = (g.n1[:, 1:-1, 2:] - g.n1[:, 1:-1, :-2]) / (2 * g.hv)
+            n2 = g.n2[:, 1:-1, 1:-1]
             g1, g2 = (x[1:-1, 1:-1] for x in g.gamma_fields())
-            return max(np.abs(np.sum(dn1_u * n2, axis=-1) - g1).max(),
-                       np.abs(np.sum(dn1_v * n2, axis=-1) - g2).max())
+            return max(np.abs(np.sum(dn1_u * n2, axis=0) - g1).max(),
+                       np.abs(np.sum(dn1_v * n2, axis=0) - g2).max())
         assert 3.5 <= err(21) / err(41) <= 4.5
 
 
@@ -611,9 +606,9 @@ class TestPointData:
             pairs = [((pd.form.g11, pd.form.g12, pd.form.g22),
                       (g.g11[i, j], g.g12[i, j], g.g22[i, j])),
                      (frame_matrix(pd.frame),
-                      np.column_stack([g.t1[i, j], g.t2[i, j],
-                                       g.n1[i, j], g.n2[i, j]])),
-                     (pd.second, g.b[i, j]), (pd.H, g.H[i, j]),
+                      np.column_stack([g.t1[:, i, j], g.t2[:, i, j],
+                                       g.n1[:, i, j], g.n2[:, i, j]])),
+                     (pd.second, g.b[..., i, j]), (pd.H, g.H[:, i, j]),
                      ((pd.connection.gamma1, pd.connection.gamma2),
                       (g1[i, j], g2[i, j]))]
             for a, b in pairs:
@@ -630,8 +625,40 @@ class TestPointData:
 
     def test_plane_betas_vanish(self):
         pd = surface_point_data(CATALOG["plane"].surface, 0.5, 0.5)
-        b1, b2, g = beta_gamma(pd)
+        b1, b2, g = pd.beta1, pd.beta2, pd.gamma
         assert b1 == 0.0 and b2 == 0.0 and abs(g) <= 1e-12
+
+
+class TestLayout:
+    """Fields over points are component-major; one point's results keep the
+    shapes of a single vector, form or matrix."""
+
+    def test_jet_arrays_are_component_major(self):
+        s = CATALOG["holo_cube"].surface
+        U, V = np.meshgrid(np.linspace(-1, 1, 7), np.linspace(-1, 1, 5),
+                           indexing="ij")
+        a = jet_arrays(eval_surface_jet(s, U, V))
+        assert a.shape == (6, 4, 7, 5) and a.flags.c_contiguous
+
+    def test_grid_fields_are_component_major(self, grids):
+        g = grids("holo_cube", 11)
+        for x in (g.F, g.Fu, g.Fvv, g.t1, g.t2, g.n1, g.n2, g.H, g.psi):
+            assert x.shape == (4, 11, 11)
+        assert g.b.shape == (2, 2, 2, 11, 11)
+        assert all(c.shape == (3, 11, 11) for c in lift_sphere_fields(g))
+
+    @pytest.mark.parametrize("name", ["holo_cube", "nonisothermal_graph"])
+    def test_point_results_keep_their_shapes(self, name):
+        pd = surface_point_data(CATALOG[name].surface, 0.3, -0.2)
+        f = pd.frame
+        assert all(np.shape(x) == (4,) for x in (f.t1, f.t2, f.n1, f.n2, pd.H))
+        assert np.shape(pd.second) == np.shape(pd.christoffel) == (2, 2, 2)
+        assert pd.shape.a1.shape == pd.shape.a2.shape == (2, 2)
+        assert all(s.shape == (4, 4) for s in gauss_weingarten_matrices(pd))
+        lp = gauss_map(pd)
+        assert lp.cplus.shape == lp.cminus.shape == (3,)
+        assert lp.fplus.matrix.shape == lp.fminus.matrix.shape == (4, 4)
+        assert (lp.fplus.chirality, lp.fminus.chirality) == (1, -1)
 
 
 class TestFieldGrid:
@@ -683,7 +710,7 @@ class TestFieldGrid:
             pointwise = jet_arrays(eval_surface_jet(g.surface, g.us[i], g.vs[j]))
             grid = (g.F, g.Fu, g.Fv, g.Fuu, g.Fuv, g.Fvv)
             for a, b in zip(grid, pointwise):
-                assert np.array_equal(a[i, j], b)
+                assert np.array_equal(a[:, i, j], b)
 
 
 class TestStructureResiduals:

@@ -77,13 +77,13 @@ class TestWedge:
         for k in (1, 2, 3):
             assert basis_I(eps, k).tobytes() == ref[k - 1].tobytes()
 
-    def test_broadcasts_over_leading_axes(self, rng):
-        a, b = rng.normal(size=(2, 5, 3, 4))
+    def test_broadcasts_over_trailing_axes(self, rng):
+        a, b = rng.normal(size=(2, 4, 5, 3))
         m = wedge(a, b)
-        assert m.shape == (5, 3, 4, 4)
+        assert m.shape == (4, 4, 5, 3)
         for i in range(5):
             for j in range(3):
-                assert np.array_equal(m[i, j], wedge(a[i, j], b[i, j]))
+                assert np.array_equal(m[..., i, j], wedge(a[:, i, j], b[:, i, j]))
 
 
 class TestPairCoords:
@@ -103,11 +103,12 @@ class TestPairCoords:
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_broadcasts_over_a_batch(self, rng, eps):
-        p, q = rng.normal(size=(2, 7, 4))
+        p, q = rng.normal(size=(2, 4, 7))
         got = pair_coords(p, q, eps)
-        assert got.shape == (7, 3)
+        assert got.shape == (3, 7)
         for i in range(7):
-            assert np.max(np.abs(got[i] - self.reference(p[i], q[i], eps))) <= 1e-13
+            ref = self.reference(p[:, i], q[:, i], eps)
+            assert np.max(np.abs(got[:, i] - ref)) <= 1e-13
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_bilinear_over_complex(self, rng, eps):

@@ -83,8 +83,8 @@ class TestPsi:
         for name in ("holo_cube", "catenoid_E3"):
             gc, gf = grids(name, 21), grids(name, 41)
             for k in range(4):
-                rc = holomorphicity_residual(gc.psi[..., k], gc.hu, gc.hv)
-                rf = holomorphicity_residual(gf.psi[..., k], gf.hu, gf.hv)
+                rc = holomorphicity_residual(gc.psi[k], gc.hu, gc.hv)
+                rf = holomorphicity_residual(gf.psi[k], gf.hu, gf.hv)
                 assert rf <= 1e-12 or 3.0 <= rc / rf <= 5.5
 
 
@@ -167,11 +167,26 @@ class TestGaussMap:
         assert np.array_equal(lp.fminus.matrix, basis_I(-1, 1))
         assert lp.gplus.value == 1.0 + 0.0j and not lp.gplus.antipode
 
+    def test_stacked_lifts_equal_each_lift_alone(self, rng):
+        # gauss_map classifies and charts both lift matrices as one stack:
+        # bit for bit what each chirality gives alone
+        for _ in range(40):
+            _, surface, u, v = random_catalog_point(rng)
+            pd = surface_point_data(surface, u, v)
+            lp = gauss_map(pd)
+            for f, g, eps in ((lp.fplus, lp.gplus, 1), (lp.fminus, lp.gminus, -1)):
+                one = lift_frame(pd.frame, eps)
+                assert f.chirality == one.chirality == eps
+                assert np.array_equal(f.matrix, one.matrix)
+                assert np.array_equal(f.coords, one.coords)
+                assert g == chart(one.coords)
+                assert type(g.value) is complex and type(g.antipode) is bool
+
     def test_holo_square_plus_constant_minus_moving(self, grids):
         g = grids("holo_square", 11)
         cp, cm = lift_sphere_fields(g)
-        assert np.max(np.abs(cp - np.array([1.0, 0.0, 0.0]))) <= 1e-12
-        assert np.ptp(cm[..., 2]) > 0.5  # genuinely varies
+        assert np.max(np.abs(cp - np.array([1.0, 0.0, 0.0])[:, None, None])) <= 1e-12
+        assert np.ptp(cm[2]) > 0.5  # genuinely varies
 
     def test_recovers_oriented_tangent_plane(self, rng):
         for _ in range(40):
@@ -211,7 +226,7 @@ class TestChart:
     def test_field_of_vectors_matches_one_by_one(self, rng):
         cs = np.array([random_unit3(rng) for _ in range(20)]
                       + [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]).reshape(2, 11, 3)
-        field = chart(cs)
+        field = chart(np.moveaxis(cs, -1, 0))
         assert field.value.shape == field.antipode.shape == (2, 11)
         for idx in np.ndindex(2, 11):
             one = chart(cs[idx])
@@ -289,16 +304,16 @@ class TestChartResiduals:
         # fields, each interior point in the chart that chart_residuals uses
         out = []
         for c, eps in zip(lift_sphere_fields(grid), (1, -1)):
-            z = c[..., 0] + 1j * c[..., 1]
+            z = c[0] + 1j * c[1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                north, south = z / (1.0 - c[..., 2]), z / (1.0 + c[..., 2])
+                north, south = z / (1.0 - c[2]), z / (1.0 + c[2])
             if eps < 0:
                 north = np.conj(north)
             else:
                 south = np.conj(south)
             res_n, res_s = (np.abs(dwbar_field(f, grid.hu, grid.hv))
                             for f in (north, south))
-            out.append(float(np.where(c[1:-1, 1:-1, 2] <= 0.0, res_n, res_s).max()))
+            out.append(float(np.where(c[2, 1:-1, 1:-1] <= 0.0, res_n, res_s).max()))
         return out
 
     def test_holo_square_minus_chart_second_order(self, grids):
@@ -337,8 +352,8 @@ class TestLiftGradientSups:
     def central(grid):
         # sup over the interior of the central differences of each lift's
         # sphere coordinates along u and along v
-        return [max(np.abs(c[2:, 1:-1] - c[:-2, 1:-1]).max() / (2 * grid.hu),
-                    np.abs(c[1:-1, 2:] - c[1:-1, :-2]).max() / (2 * grid.hv))
+        return [max(np.abs(c[:, 2:, 1:-1] - c[:, :-2, 1:-1]).max() / (2 * grid.hu),
+                    np.abs(c[:, 1:-1, 2:] - c[:, 1:-1, :-2]).max() / (2 * grid.hv))
                 for c in lift_sphere_fields(grid)]
 
     @pytest.mark.parametrize("name", ["catenoid_E3", "clifford_torus"])
@@ -450,7 +465,7 @@ class TestWeierstrassFamily:
             rep = isotropy_report(grid)
             assert rep.consensus is True and rep.constant_lift == lift
             c = lift_sphere_fields(grid)[k]
-            assert np.abs(c - [1.0, 0.0, 0.0]).max() <= 1e-12
+            assert np.abs(c - np.array([1.0, 0.0, 0.0])[:, None, None]).max() <= 1e-12
 
 
 # (degree of g1, degree of g2): every verdict, 'none' from degrees 1 to 3
@@ -485,7 +500,7 @@ class TestHoffmanOssermanFamily:
     def S(g):
         """Inverse of the standard chart, written out for arrays of g."""
         r2 = np.abs(g) ** 2
-        return np.stack([2 * g.real, 2 * g.imag, r2 - 1], axis=-1) / (r2 + 1)[..., None]
+        return np.stack([2 * g.real, 2 * g.imag, r2 - 1]) / (r2 + 1)
 
     @pytest.fixture(scope="class", params=_HO_DEGREES, ids="deg{0[0]}-{0[1]}".format)
     def member(self, request):
