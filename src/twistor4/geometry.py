@@ -266,7 +266,7 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
         smooth = np.flatnonzero(
             sq.reshape(len(SEEDS), -1).min(axis=1) > _BRANCH_MARGIN ** 2)
         branch = int(smooth[0]) if smooth.size else (sq > SEED_TOL ** 2).argmax(0)
-    # e_s, for all points or per point; <e_s, t> = t_s exactly, and cheaper
+    # e_s for all points or per point; <e_s, t> is t_s exactly, with no gather
     e = E4[:, np.take(SEEDS, np.reshape(branch, np.shape(branch)
                                         or (1,) * (t1.ndim - 1)))]
     p1 = e - _dot(e, t1) * t1 - _dot(e, t2) * t2
