@@ -2,19 +2,20 @@
 """Paired benchmark runs of a change against its parent, as BENCH_<label>.json.
 
 Usage:
-    python3 tools/bench_pairs.py --label LABEL --parent REV [--change REV]
+    python3 tools/bench_pairs.py --label LABEL --parent REV
         --describe TEXT --pairs WORKLOAD:SEEDS [--pairs ...]
-        [--traced WORKLOAD:SEED ...] [--seconds 40] [--machine TEXT]
-        [--protocol-note TEXT] [--out-dir DIR]
+        [--traced WORKLOAD:SEED ...] [--protocol-note TEXT]
 
 e.g. --pairs classify:1-11 --pairs grid-export:1-5 --traced classify:2.
 
-Each side is the committed files of its revision, exported with `git
-archive` into a temporary directory outside the repository, so that neither
+The change is HEAD, and the file is written at the repository root.  Each
+side is the committed files of its revision, exported with `git archive`
+into a temporary directory outside the repository, so that neither
 uncommitted edits nor build output of the working tree take part, and
-`perfbench/run.py` runs there, one process at a time:
+`perfbench/run.py` runs there, one process at a time, with the benchmark's
+run length and no tracing:
 
-    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds 40 --trace 0
 
 For each workload and seed the side that runs first alternates with the
 seed's parity, parent first on odd seeds, so that a drift of the machine
@@ -39,7 +40,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {} --trace {}"
+SECONDS = 40  # the run length of the benchmark's command
+MACHINE = "2-core Xeon, shared with other workloads"
+COMMAND = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace {{}}"
 
 
 def commit(rev: str) -> str:
@@ -69,9 +72,9 @@ def seed_spec(text: str):
     return workload, out
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -83,38 +86,33 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    p.add_argument("--out-dir", type=Path, default=ROOT,
-                   help="where to write it (default: the repository root)")
     p.add_argument("--parent", required=True, help="parent revision")
-    p.add_argument("--change", default="HEAD", help="changed revision (HEAD)")
     p.add_argument("--describe", required=True, help="what the change does")
     p.add_argument("--pairs", type=seed_spec, action="append", required=True,
                    metavar="WORKLOAD:SEEDS")
     p.add_argument("--traced", type=seed_spec, action="append", default=[],
                    metavar="WORKLOAD:SEED")
-    p.add_argument("--seconds", type=float, default=40)
-    p.add_argument("--machine", default="2-core Xeon, shared with other workloads")
     p.add_argument("--protocol-note", default="",
                    help="appended to the protocol, e.g. which seeds carry a claim")
     args = p.parse_args(argv)
 
-    revs = {"parent": commit(args.parent), "change": commit(args.change)}
-    out = args.out_dir / f"BENCH_{args.label}.json"
+    revs = {"parent": commit(args.parent), "change": commit("HEAD")}
+    out = ROOT / f"BENCH_{args.label}.json"
     doc = {
         "change": args.describe,
         "parent": revs["parent"],
-        "command": COMMAND.format(f"{args.seconds:g}", 0),
+        "command": COMMAND.format(0),
         "protocol": ("parent and change each run from a fresh copy of the "
                      "committed files of its revision (git archive), one "
                      "process at a time; the side that runs first alternates "
                      "with the seed (parent first on odd seeds); change "
                      f"revision {revs['change']}" + (
                          f"; {args.protocol_note}" if args.protocol_note else "")),
-        "machine": args.machine,
+        "machine": MACHINE,
         "runs": [],
     }
     if args.traced:
-        doc["traced"] = {"command": COMMAND.format(f"{args.seconds:g}", 1),
+        doc["traced"] = {"command": COMMAND.format(1),
                          "runs": []}
     plan = [(doc["runs"], w, s, 0) for w, seeds in args.pairs for s in seeds]
     plan += [(doc["traced"]["runs"], w, s, 1)
@@ -126,7 +124,7 @@ def main(argv=None) -> int:
         for runs, workload, seed, trace in plan:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                result = run(trees[side], workload, seed, args.seconds, trace)
+                result = run(trees[side], workload, seed, trace)
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "result": result})
                 out.write_text(json.dumps(doc, indent=1) + "\n")
