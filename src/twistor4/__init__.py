@@ -34,12 +34,10 @@ from .geometry import (
     ShapeOperators,
     SurfacePointData,
     StructureResiduals,
-    build_frame,
     build_frame_auto,
     convergence_order,
     first_form,
     gauss_weingarten_matrices,
-    is_isothermal,
     mean_curvature,
     normal_connection,
     second_form,

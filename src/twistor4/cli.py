@@ -411,7 +411,12 @@ def cmd_isotropy(args) -> int:
 
 def cmd_residuals(args) -> int:
     surface = _resolve_surface(args)
-    coarse, fine = (_grid(args, surface, n) for n in (args.n, 2 * args.n - 1))
+    try:  # the h grid is every other node of the h/2 grid
+        fine = _grid(args, surface, 2 * args.n - 1)
+        coarse = fine.every_other()
+    except tuple(_EXIT_CODES):  # the h grid's refusal, naming --n, comes first
+        _grid(args, surface, args.n)
+        raise
     rc, rf = map(structure_residuals, (coarse, fine))
     table = [(k, c, f, convergence_order(c, f))
              for (k, c), f in zip(rc.as_dict().items(), rf.as_dict().values())]

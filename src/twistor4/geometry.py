@@ -4,8 +4,8 @@ Pointwise quantities (fundamental forms, Christoffel symbols, frames, shape
 operators, mean curvature vector, and the normal connection, which depends
 only on F_u, F_v and a seed) are exact from the 2-jets, by one set of
 array functions that a FieldGrid applies to its grid and surface_point_data
-to one point; first_form, build_frame, second_form and the like are adapters
-over them.  Only the structure-equation residuals (third order) come from
+to one point; first_form, second_form and the like are adapters over
+them.  Only the structure-equation residuals (third order) come from
 central differences of these fields, an O(h^2) error the tests measure.
 
 Fields are component-major, so that inner products and minors run over
@@ -51,8 +51,6 @@ __all__ = [
     "StructureResiduals",
     "jet_arrays",
     "first_form",
-    "is_isothermal",
-    "build_frame",
     "build_frame_auto",
     "second_form",
     "shape_operators",
@@ -271,7 +269,10 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
                                         or (1,) * (t1.ndim - 1)))]
     p1 = e - _dot(e, t1) * t1 - _dot(e, t2) * t2
     p1n = np.sqrt(_dot(p1, p1))
-    n2 = np.einsum("m...,...ml->l...", minors, _STAR[branch])
+    n2 = np.einsum("m...,ml->l...", minors, _STAR[np.min(branch)])
+    if np.ndim(branch):  # per point: the (few) points of other branches anew
+        off = branch != np.min(branch)
+        n2[:, off] = np.einsum("mp,pml->lp", minors[:, off], _STAR[branch[off]])
     return Frame(t1, t2, p1 / p1n, n2 / p1n, seed_branch=branch)
 
 
@@ -330,19 +331,6 @@ def first_form(jets) -> FirstForm:
     g11, g12, g22, det = _metric(Fu, Fv)
     _require_immersed(g11, g22, det)
     return FirstForm(float(g11), float(g12), float(g22))
-
-
-def is_isothermal(form: FirstForm) -> bool:
-    return bool(_isothermal_mask(form.g11, form.g12, form.g22, ISOTHERMAL_TOL))
-
-
-def build_frame(jets, branch: int) -> Frame:
-    """Orthonormal frame of seed branch `branch`: unit tangents, the unit
-    projection of the axis SEEDS[branch] off them as n1, and the n2 that
-    makes det = +1.  Raises DegenerateSeed where that projection has norm
-    <= SEED_TOL."""
-    _, Fu, Fv, *_ = jet_arrays(jets)
-    return _seeded_frames(Fu, Fv, branch)
 
 
 def build_frame_auto(jets) -> Frame:
@@ -431,8 +419,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     alpha = 0.5 * math.log(form.g11) if iso else None
     beta1 = beta2 = gamma = None
     if iso:
-        beta1 = 0.5 * (b[0, 0, 0] - 1j * b[0, 0, 1])
-        beta2 = 0.5 * (b[1, 0, 0] - 1j * b[1, 0, 1])
+        beta1, beta2 = 0.5 * (b[:, 0, 0] - 1j * b[:, 0, 1])
         gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
     jets = tuple(Jet2(*point[:, k]) for k in range(4))
     return SurfacePointData(u, v, jets, form, iso, alpha,
@@ -468,10 +455,8 @@ class FieldGrid:
         # the surface's own rectangle, which SurfaceDef holds finite and non-empty
         self.domain = tuple(map(float, surface.domain))
         u0, u1, v0, v1 = self.domain
-        self.us = np.linspace(u0, u1, n)
-        self.vs = np.linspace(v0, v1, n)
-        self.hu = float(self.us[1] - self.us[0])
-        self.hv = float(self.vs[1] - self.vs[0])
+        self.us, self.vs = np.linspace(u0, u1, n), np.linspace(v0, v1, n)
+        self.hu, self.hv = (float(w[1] - w[0]) for w in (self.us, self.vs))
 
         U, V = np.meshgrid(self.us, self.vs, indexing="ij")
         arrays, ok = _jet_fields(surface, U, V)
@@ -482,11 +467,9 @@ class FieldGrid:
         _require_finite(U, V, "metric", {"g11, g12, g22 or det g": self.det})
         _require_immersed(self.g11, self.g22, self.det, (U, V))
 
-        self.isothermal_mask = _isothermal_mask(self.g11, self.g12, self.g22,
-                                                ISOTHERMAL_TOL)
+        self.isothermal_mask = _isothermal_mask(*g[:3], ISOTHERMAL_TOL)
         self.isothermal = bool(self.isothermal_mask.all())
         self.e2a = self.g11
-        self.alpha = 0.5 * np.log(self.g11) if self.isothermal else None
 
         fr = _seeded_frames(self.Fu, self.Fv, seed_branch, (U, V))
         self.seed_branch = fr.seed_branch
@@ -498,12 +481,26 @@ class FieldGrid:
             self.H, self.H_norm = _mean_curvature(*g, b, self.n1, self.n2)
         _require_finite(U, V, "second-order geometry", {"b": b, "H": self.H})
         self.b = b
-        self.beta1 = 0.5 * (b[0, 0, 0] - 1j * b[0, 0, 1])
-        self.beta2 = 0.5 * (b[1, 0, 0] - 1j * b[1, 0, 1])
+        self.beta1, self.beta2 = 0.5 * (b[:, 0, 0] - 1j * b[:, 0, 1])
 
     @functools.cached_property
     def psi(self):  # built at first use: only the lifts read it
         return 0.5 * (self.Fu - 1j * self.Fv)
+
+    def every_other(self) -> FieldGrid:
+        """The grid of every other node, at twice the step: bit for bit
+        FieldGrid(surface, (n + 1)/2) with this grid's seed branch, since
+        np.linspace(a, b, m) is np.linspace(a, b, 2m - 1)[::2]."""
+        if self.n % 2 == 0 or self.n < 5:
+            raise GridTooSmall(f"every other node needs an odd n >= 5, got n={self.n}")
+        sub = object.__new__(FieldGrid)
+        for name, x in vars(self).items():  # fields as views; caches rebuilt
+            if name not in ("psi", "_kept"):
+                setattr(sub, name, x[..., ::2, ::2] if np.ndim(x) >= 2 else x)
+        sub.n, sub.us, sub.vs = (self.n + 1) // 2, self.us[::2], self.vs[::2]
+        sub.hu, sub.hv = (float(w[1] - w[0]) for w in (sub.us, sub.vs))
+        sub.isothermal = bool(sub.isothermal_mask.all())
+        return sub
 
     def sup_H(self) -> float:
         return float(self.H_norm.max())
@@ -582,7 +579,7 @@ def structure_residuals(grid: FieldGrid) -> StructureResiduals:
     inner = np.s_[1:-1, 1:-1]
 
     e2a = grid.e2a
-    lap_alpha = laplacian_field(grid.alpha, hu, hv)
+    lap_alpha = laplacian_field(0.5 * np.log(e2a), hu, hv)  # e2a = e^(2 alpha)
     rhs = 4.0 / e2a[inner] * (np.abs(grid.beta1[inner]) ** 2
                               + np.abs(grid.beta2[inner]) ** 2)
     gauss = float(np.abs(lap_alpha - rhs).max())

@@ -88,6 +88,17 @@ def hoffman_osserman(g1, g2):
     return ", ".join(comps)
 
 
+# Coefficients (g1, g2) of two Hoffman-Osserman members on [-0.5, 0.5]^2
+# whose Gauss maps both move, so neither is isotropic: the first takes the
+# seed-e3 frame, the second the seed-e2 one, since e3 comes within 1e-2 of
+# some of its tangent planes.
+HO_SEED_E3 = ([0.25 + 0.27j, -0.88 + 0.40j, 0.02 - 0.25j],
+              [0.73 + 0.37j, -0.53 + 0.02j, -0.26 + 0.80j])
+HO_SEED_E2 = ([0.6 - 0.17j, -0.36 + 0.3j, -0.4 - 0.16j, -0.16 - 0.08j],
+              [-0.49 + 0.72j, 0.66 + 0.32j, 0.2 + 0.6j])
+HO_DOMAIN = (-0.5, 0.5, -0.5, 0.5)
+
+
 def random_catalog_point(rng, names=None, margin=0.05):
     """A random interior parameter point of a random catalog surface."""
     if names is None:

@@ -753,6 +753,14 @@ class TestResidualsCommand:
                          "--n", "11")
         assert code == 3
 
+    def test_refusal_names_the_first_bad_node_of_the_h_grid(self, capsys):
+        # the h/2 grid is undefined first at (-0.5, -1), a node the h grid
+        # (u, v in {-1, 0, 1}) lacks; the h grid's own first one is named
+        code, out, err = run(capsys, "residuals", "--expr",
+                             "u, v, 1/(u*(u + 0.5)), 0", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: undefined or infinite at (u, v) = (0, -1)")
+
 
 class TestFuzz:
     @staticmethod

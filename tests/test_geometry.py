@@ -19,18 +19,17 @@ from twistor4.errors import (
     NotIsothermal,
     NotMinimal,
     SeedBranchFlip,
+    Twistor4Error,
 )
 from twistor4.geometry import (
     SEED_TOL,
     SEEDS,
     FieldGrid,
     Frame,
-    build_frame,
     build_frame_auto,
     convergence_order,
     first_form,
     gauss_weingarten_matrices,
-    is_isothermal,
     jet_arrays,
     mean_curvature,
     normal_connection,
@@ -41,9 +40,21 @@ from twistor4.geometry import (
 )
 from twistor4.surface_expr import eval_surface_jet, parse_surface
 from twistor4.twistor import gauss_map, lift_sphere_fields
-from helpers import random_catalog_point
+from helpers import (
+    HO_DOMAIN,
+    HO_SEED_E2,
+    HO_SEED_E3,
+    hoffman_osserman,
+    random_catalog_point,
+)
 
 MINIMAL_ISOTHERMAL = ("plane", "holo_square", "holo_cube", "catenoid_E3")
+# --expr surfaces of the every-other-node test: (text, domain)
+EVERY_OTHER_EXPRS = {
+    "helicoid": ("sinh(v)*cos(u), sinh(v)*sin(u), u, 0", (-1.0, 1.0, 0.3, 1.3)),
+    "ho_seed_e3": (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
+    "ho_seed_e2": (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
+}
 
 
 def jets_of(name, u, v):
@@ -97,19 +108,19 @@ class TestFirstForm:
 
 class TestIsothermal:
     def test_flat_form(self):
-        from twistor4.geometry import FirstForm
-        assert is_isothermal(FirstForm(1.0, 0.0, 1.0))
-        assert is_isothermal(FirstForm(0.5, 0.0, 0.5))
+        # first forms (1, 0, 1) and (0.5, 0, 0.5)
+        for text in ("u, v, 0, 0", "u/2, v/2, u/2, v/2"):
+            assert surface_point_data(parse_surface(text), 0.3, 0.2).isothermal
 
     def test_graph_fails_off_diagonal(self):
-        f = first_form(jets_of("nonisothermal_graph", 1.0, 0.0))
-        assert not is_isothermal(f)
+        surface = CATALOG["nonisothermal_graph"].surface
+        assert not surface_point_data(surface, 1.0, 0.0).isothermal
 
     def test_accidental_pointwise_equality_is_caught_by_pipeline(self):
         # at (1, 1) the graph has g11 = g22 = 5 and g12 = 0 pointwise, but
         # the coordinates are not isothermal on any neighbourhood
         f = first_form(jets_of("nonisothermal_graph", 1.0, 1.0))
-        assert is_isothermal(f)  # pointwise test alone is fooled
+        assert (f.g11, f.g12) == (f.g22, 0.0)  # pointwise test alone is fooled
         pd = surface_point_data(CATALOG["nonisothermal_graph"].surface, 1.0, 1.0)
         assert not pd.isothermal
         assert pd.beta1 is pd.beta2 is pd.gamma is None
@@ -168,11 +179,13 @@ class TestChristoffel:
 
 class TestFrame:
     def test_plane_standard_frame(self):
-        fr = build_frame(jets_of("plane", 0.0, 0.0), 0)
+        fr = surface_point_data(CATALOG["plane"].surface, 0.0, 0.0,
+                                seed_branch=0).frame
         assert np.array_equal(frame_matrix(fr), np.eye(4))
 
     def test_holo_square_origin(self):
-        fr = build_frame(jets_of("holo_square", 0.0, 0.0), 0)
+        fr = surface_point_data(CATALOG["holo_square"].surface, 0.0, 0.0,
+                                seed_branch=0).frame
         assert np.array_equal(frame_matrix(fr), np.eye(4))
 
     def test_determinant_plus_one_sweep(self, rng):
@@ -196,13 +209,10 @@ class TestFrame:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     M, p1n = gram_schmidt_frame(Fu, Fv, np.eye(4)[axis])
                 if p1n > SEED_TOL:
-                    for fr in (build_frame(jets, k), surface_point_data(
-                            surface, u, v, seed_branch=k).frame):
-                        assert np.abs(frame_matrix(fr) - M).max() <= 1e-12
+                    fr = surface_point_data(surface, u, v, seed_branch=k).frame
+                    assert np.abs(frame_matrix(fr) - M).max() <= 1e-12
                 else:
                     refused.add((name, k))
-                    with pytest.raises(DegenerateSeed):
-                        build_frame(jets, k)
                     with pytest.raises(DegenerateSeed):
                         surface_point_data(surface, u, v, seed_branch=k)
         assert refused == {("plane", 1), ("plane", 2)}
@@ -305,18 +315,18 @@ class TestFrame:
 
     def test_catenoid_waist_degenerates_first_seed(self):
         s = parse_surface("cosh(v)*cos(u), cosh(v)*sin(u), v, 0")
-        jets = eval_surface_jet(s, 0.0, 0.0)
         with pytest.raises(DegenerateSeed):
-            build_frame(jets, 0)
+            surface_point_data(s, 0.0, 0.0, seed_branch=0)
         # at u = v = 0 the first two seeds, e3 and e2, are both tangent
-        fr = build_frame_auto(jets)
+        fr = build_frame_auto(eval_surface_jet(s, 0.0, 0.0))
         assert fr.seed_branch == 2
 
 
 class TestSecondFormAndShape:
     def test_plane_vanishes(self):
         jets = jets_of("plane", 0.4, 0.6)
-        fr = build_frame(jets, 0)
+        fr = surface_point_data(CATALOG["plane"].surface, 0.4, 0.6,
+                                seed_branch=0).frame
         b = second_form(jets, fr)
         assert np.max(np.abs(b)) == 0.0
         ops = shape_operators(first_form(jets), b)
@@ -324,7 +334,8 @@ class TestSecondFormAndShape:
 
     def test_holo_square_origin_values(self):
         jets = jets_of("holo_square", 0.0, 0.0)
-        fr = build_frame(jets, 0)
+        fr = surface_point_data(CATALOG["holo_square"].surface, 0.0, 0.0,
+                                seed_branch=0).frame
         b = second_form(jets, fr)
         assert b[0, 0, 0] == 2.0 and b[0, 1, 1] == -2.0 and b[0, 0, 1] == 0.0
         assert b[1, 0, 1] == 2.0 and b[1, 0, 0] == 0.0 and b[1, 1, 1] == 0.0
@@ -449,7 +460,7 @@ class TestNormalConnection:
         u, v, h = 0.3, 0.4, 1e-4
         nc = normal_connection(surface, u, v, seed_branch=0)
         def frame_at(uu, vv):
-            return build_frame(eval_surface_jet(surface, uu, vv), 0)
+            return surface_point_data(surface, uu, vv, seed_branch=0).frame
         f0 = frame_at(u, v)
         dn2_u = (frame_at(u + h, v).n2 - frame_at(u - h, v).n2) / (2 * h)
         dn2_v = (frame_at(u, v + h).n2 - frame_at(u, v - h).n2) / (2 * h)
@@ -680,6 +691,44 @@ class TestFieldGrid:
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmall):
             FieldGrid(CATALOG["plane"].surface, 2)
+
+    @pytest.mark.parametrize("name, seed_branch", [
+        *((name, None) for name in CATALOG), ("helicoid", None),
+        ("ho_seed_e3", None), ("ho_seed_e2", None), ("catenoid_E3", 2)])
+    @pytest.mark.parametrize("n", [5, 11])
+    def test_every_other_node_is_the_coarser_grid(self, name, seed_branch, n):
+        # every field of the grid of every other node is bit for bit that of
+        # the grid built at that size, seed branch included (round_sphere's is
+        # per point); lifts kept for the finer grid are not carried over
+        s = (CATALOG[name].surface if name in CATALOG
+             else parse_surface(EVERY_OTHER_EXPRS[name][0],
+                                domain=EVERY_OTHER_EXPRS[name][1]))
+        fine = FieldGrid(s, 2 * n - 1, seed_branch=seed_branch)
+        if fine.isothermal:
+            lift_sphere_fields(fine)
+        sub, ref = fine.every_other(), FieldGrid(s, n, seed_branch=seed_branch)
+        assert vars(sub).keys() == vars(ref).keys()
+        assert (sub.n, sub.hu, sub.hv) == (ref.n, ref.hu, ref.hv)
+        assert sub.branch_uniform == ref.branch_uniform == (name != "round_sphere")
+        for key, want in vars(ref).items():
+            got = getattr(sub, key)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), key
+                assert got.tobytes() == want.tobytes(), key
+            else:
+                assert got == want, key
+
+        def residuals(grid):
+            try:
+                return structure_residuals(grid)
+            except Twistor4Error as exc:
+                return type(exc), str(exc)
+        assert residuals(sub) == residuals(ref)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_every_other_needs_an_odd_grid_of_at_least_5(self, n):
+        with pytest.raises(GridTooSmall, match=f"odd n >= 5, got n={n}"):
+            FieldGrid(CATALOG["plane"].surface, n).every_other()
 
     def test_samples_the_surfaces_own_domain(self):
         # a grid's rectangle is its surface's, held to SurfaceDef's rule: no

@@ -6,19 +6,27 @@ Usage:
 Imports twistor4 from SRC_DIR (the `src/` directory of a checkout) and runs
 commands in-process through `cli.main`:
 
-- eleven commands on each of the seven catalog surfaces and on five `--expr`
+- twelve commands on each of the seven catalog surfaces and on six `--expr`
   surfaces (a degree-5 polynomial graph and its mirror, whose monomials
   repeat u^p and v^q, the helicoid, a graph whose components repeat calls,
-  and a non-isotropic Hoffman-Osserman minimal surface, built by
-  `tests/helpers.py`): `grid --n 41` as JSON and as CSV, `grid --n 5`,
-  `grid --n 3` (the smallest grid) as JSON and as CSV, `isotropy` and
-  `residuals` each as text and as `--json`, and `analyze` at two interior
-  points of the surface's domain;
+  and two non-isotropic Hoffman-Osserman minimal surfaces, built by
+  `tests/helpers.py`, whose smooth frames are those of seed e3 and of seed
+  e2): `grid --n 41` as JSON and as CSV, `grid --n 5`, `grid --n 3` (the
+  smallest grid) as JSON and as CSV, `isotropy` and `residuals` each as text
+  and as `--json`, `residuals --n 5 --json` (the smallest h grid, every other
+  node of a 9x9 one), and `analyze` at two interior points of the surface's
+  domain;
 - `analyze` and a 5x5 `grid` on `holo_square` with each seed branch pinned,
   which fingerprint the normal frame of every seed (at (0, 0) e2 and e1
   are tangent, so the pinned grids of branches 1 and 2 are refused), and
-  `isotropy` and `residuals` with branch 0 pinned;
-- a few refusals of a `--domain` or an `--at` that no tree should accept;
+  `isotropy` and `residuals` with branch 0 pinned; `residuals --json` with
+  branch 1 or 2 pinned on the surfaces where that frame is continuous
+  (`catenoid_E3` and the Hoffman-Osserman surfaces);
+- a few refusals of a `--domain` or an `--at` that no tree should accept,
+  of a surface undefined at a node of the h grid and, earlier, at one of
+  the h/2 grid only, and of `residuals --n 1000000`, a grid memory cannot
+  hold, run with the address space capped 2 GiB above its present size
+  (Linux);
 - `analyze --expr` on text that each refusal of the expression parser
   rejects, nesting past its depth limit with and without spaces included,
   so that a parser change is checked on its messages and offsets.
@@ -92,7 +100,12 @@ REFUSALS = (
     ("analyze", "--surface", "plane", "--domain", "0", "inf", "0", "1",
      "--at", "0.1", "0.1"),
     ("analyze", "--surface", "holo_square", "--at", "1.5", "0"),
+    # undefined on u = -0.5 and u = 0: the h/2 grid meets (-0.5, -1) first,
+    # the h grid (0, -1)
+    ("residuals", "--expr", "u, v, 1/(u*(u + 0.5)), 0", "--n", "3"),
 )
+# refused with exit 2: no n x n grid of this size fits in memory
+TOO_LARGE = ("residuals", "--surface", "plane", "--n", "1000000")
 
 # each refusal of the expression parser, with its message and offset
 _DEEP = 101  # one level past surface_expr.MAX_DEPTH
@@ -124,6 +137,7 @@ def _commands(surface_args, domain):
     for command in ("isotropy", "residuals"):
         yield (command, *surface_args)
         yield (command, *surface_args, "--json")
+    yield ("residuals", *surface_args, "--n", "5", "--json")
     for fu, fv in _POINTS:
         yield ("analyze", *surface_args, "--at",
                f"{u0 + fu * (u1 - u0):.6g}", f"{v0 + fv * (v1 - v0):.6g}")
@@ -139,28 +153,47 @@ def _run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_capped(main, argv):
+    """_run with this process's address space capped 2 GiB above its present
+    size, so that a grid too large for memory is refused at once wherever
+    memory is overcommitted."""
+    import resource
+    with open("/proc/self/statm") as fh:
+        cap = int(fh.read().split()[0]) * resource.getpagesize() + 2 ** 31
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        return _run(main, argv)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 def _outputs(src):
     """[command, exit code, stdout, stderr] for each command of the matrix,
     run on the twistor4 under the directory src."""
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
-    from helpers import hoffman_osserman
+    from helpers import HO_DOMAIN, HO_SEED_E2, HO_SEED_E3, hoffman_osserman
     from twistor4 import cli
     from twistor4.catalog import catalog_entries
 
-    # g1 = 0.25+0.27i - (0.88-0.40i) z + (0.02-0.25i) z^2, g2 likewise: both
-    # Gauss maps move, so neither lift is constant
-    ho = hoffman_osserman([0.25 + 0.27j, -0.88 + 0.40j, 0.02 - 0.25j],
-                          [0.73 + 0.37j, -0.53 + 0.02j, -0.26 + 0.80j])
-
+    ho = [("--expr", hoffman_osserman(*coefs), "--domain", *map(repr, HO_DOMAIN))
+          for coefs in (HO_SEED_E3, HO_SEED_E2)]
     matrix = [_commands(("--surface", e.name), e.surface.domain)
               for e in catalog_entries()]
     matrix += [_commands(("--expr", text, "--domain", *map(repr, domain)), domain)
-               for _, text, domain in (*EXPR_SURFACES,
-                                       ("hoffman_osserman", ho, (-0.5, 0.5, -0.5, 0.5)))]
+               for _, text, domain in EXPR_SURFACES]
+    matrix += [_commands(surface_args, HO_DOMAIN) for surface_args in ho]
+    pinned = [("residuals", *surface_args, "--seed-normal", k, "--json")
+              for surface_args, branches in ((("--surface", "catenoid_E3"), "2"),
+                                             (ho[0], "2"), (ho[1], "12"))
+              for k in branches]
     return [[list(command), *_run(cli.main, command)]
             for command in (*(c for commands in matrix for c in commands),
-                            *SEED_BRANCHES, *REFUSALS, *PARSER_REFUSALS)]
+                            *SEED_BRANCHES, *pinned, *REFUSALS, *PARSER_REFUSALS)
+            ] + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]]
 
 
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
