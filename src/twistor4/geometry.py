@@ -270,7 +270,7 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
     p1 = e - _dot(e, t1) * t1 - _dot(e, t2) * t2
     p1n = np.sqrt(_dot(p1, p1))
     n2 = np.einsum("m...,ml->l...", minors, _STAR[np.min(branch)])
-    if np.ndim(branch):  # per point: the (few) points of other branches anew
+    if np.ndim(branch):  # per point: redo the (few) points off the first branch
         off = branch != np.min(branch)
         n2[:, off] = np.einsum("mp,pml->lp", minors[:, off], _STAR[branch[off]])
     return Frame(t1, t2, p1 / p1n, n2 / p1n, seed_branch=branch)
