@@ -13,7 +13,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import replace
 
@@ -119,13 +121,18 @@ def _config(surface, **extra) -> dict:
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if not getattr(args, "out", None):
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return
+    # overwritten in place, then cut to length: truncating to zero first
+    # makes the file system drop the last output before the next write
+    with open(args.out, "w", encoding="utf-8",
+              opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as fh:
+        try:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        finally:  # never old bytes after new; /dev/null or a FIFO has no length
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _json(doc) -> str:
@@ -209,18 +216,13 @@ def cmd_analyze(args) -> int:
         "christoffel": _mat(pd.christoffel),
         "normal_connection": {"gamma1": pd.connection.gamma1,
                               "gamma2": pd.connection.gamma2},
-        "mean_curvature": {
-            "vector": _mat(pd.H),
-            "norm": pd.H_norm,
-        },
+        "mean_curvature": {"vector": _mat(pd.H), "norm": pd.H_norm},
         "gauss_weingarten": {"S1": _mat(s1), "S2": _mat(s2)},
         "beta1": None, "beta2": None, "gamma": None,
         "psi": None, "lifts": None, "g_plus_closed_form": None,
     }
     if pd.isothermal:
-        doc["beta1"] = _c(pd.beta1)
-        doc["beta2"] = _c(pd.beta2)
-        doc["gamma"] = _c(pd.gamma)
+        doc.update({k: _c(getattr(pd, k)) for k in ("beta1", "beta2", "gamma")})
         ps = psi(pd.jets)
         doc["psi"] = [_c(z) for z in ps]
         lp = gauss_map(pd)
@@ -425,11 +427,11 @@ def cmd_residuals(args) -> int:
             "config": _config(surface, n=coarse.n, n_fine=fine.n,
                               h=[coarse.hu, coarse.hv],
                               domain=list(coarse.domain)),
-            # an order is null where none is finite: both sups at the
-            # roundoff floor, or sup_h2 exactly 0 (text output: "inf")
+            # an order is null where none is finite: both sups at the roundoff
+            # floor, or sup_h2 or sup_h exactly 0 (text output: "inf", "-inf")
             "residuals": [
                 {"name": k, "sup_h": c, "sup_h2": f,
-                 "order": None if o == math.inf else o}
+                 "order": None if o in (math.inf, -math.inf) else o}
                 for k, c, f, o in table
             ],
         }
@@ -474,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list built-in surfaces")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("analyze", help="full pointwise report")
@@ -483,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("U", "V"))
     p.add_argument("--tol", type=float, default=_DEFAULTS["isothermal_tol"],
                    help="isothermality tolerance")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("grid", help="sample a grid and export plot-ready data")
@@ -491,22 +491,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=None,
                    help="grid spacing (alternative to --n)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("isotropy", help="five-way isotropy report")
     _add_surface_args(p, with_grid=True)
     p.add_argument("--tol", type=float, default=_DEFAULTS["isotropy_tol"])
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_isotropy)
 
     p = sub.add_parser("residuals", help="structure-equation residuals at h, h/2")
     _add_surface_args(p, with_grid=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_residuals)
 
+    for p in sub.choices.values():  # every subcommand writes through _emit
+        p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 

@@ -606,11 +606,11 @@ def convergence_order(coarse: float, fine: float,
                       floor: float = 1e-12) -> Optional[float]:
     """Observed order log2(coarse/fine) for residuals at h and h/2.
 
-    Returns None when both values sit at the roundoff floor (the residual is
-    exactly zero in theory, so no order can be measured).
+    Returns None when both values sit at the roundoff floor (no order can be
+    measured), inf or -inf when fine or coarse alone is exactly zero.
     """
     if max(coarse, fine) <= floor:
         return None
-    if fine == 0.0:
-        return math.inf
+    if 0.0 in (coarse, fine):
+        return math.inf if fine == 0.0 else -math.inf
     return math.log2(coarse / fine)

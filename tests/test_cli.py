@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -355,6 +357,18 @@ class TestHostileInput:
         code, out, _ = run(capsys, *args)
         assert code == 0 and " inf" in out
 
+    def test_negative_infinite_order_is_null_in_json(self, capsys, monkeypatch):
+        # an exactly vanishing coarse residual gives order -inf: "-inf" in
+        # the text table, null in strict JSON, and success either way
+        import twistor4.cli as cli
+        monkeypatch.setattr(cli, "convergence_order", lambda c, f: -math.inf)
+        args = ("residuals", "--surface", "holo_square", "--n", "11")
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        assert all(r["order"] is None for r in json.loads(out)["residuals"])
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and " -inf" in out
+
     @pytest.mark.parametrize("argv", [
         ("grid", "--surface", "plane", "--n", "5", "--domain", "0", "inf", "0", "1"),
         ("grid", "--surface", "plane", "--n", "5", "--domain", "0", "nan", "0", "1"),
@@ -438,6 +452,57 @@ class TestHostileInput:
                            "--domain", "0", "2", "0", "2", "--at", "2", "1.5")
         doc = json.loads(out, parse_constant=_strict)
         assert code == 0 and doc["config"]["surface"]["domain"] == [0, 2, 0, 2]
+
+
+class TestOut:
+    """--out holds the bytes stdout gets, whatever the file held before."""
+
+    COMMANDS = (
+        ("grid", "--surface", "holo_square", "--n", "5", "--format", "csv"),
+        ("grid", "--surface", "holo_square", "--n", "5"),
+        ("isotropy", "--surface", "holo_square", "--n", "5", "--json"),
+        ("residuals", "--surface", "holo_square", "--n", "5", "--json"),
+    )
+
+    @pytest.mark.parametrize("argv", COMMANDS,
+                             ids=["grid-csv", "grid-json", "isotropy", "residuals"])
+    @pytest.mark.parametrize("old_size", [10, 10 ** 5], ids=["shorter", "longer"])
+    def test_overwrites_a_longer_or_shorter_file(self, capsys, tmp_path, argv,
+                                                 old_size):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and 10 < len(out) < 10 ** 5
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * old_size)
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        data = path.read_bytes()
+        # stdout ends in a newline the file does not have (CSV rows end in CRLF)
+        assert data + b"\n" * (not data.endswith(b"\n")) == out.encode()
+
+    def test_dev_null(self, capsys):
+        # /dev/null cannot be truncated, so it is written without
+        for argv in self.COMMANDS[:2]:
+            assert run(capsys, *argv, "--out", "/dev/null") == (0, "", "")
+
+    @pytest.mark.parametrize("argv,refusal", [
+        (("isotropy", "--surface", "clifford_torus", "--n", "5"), 3),
+        (("grid", "--surface", "plane", "--n", "5", "--seed-normal", "2"), 4),
+    ])
+    def test_refusal_leaves_the_file(self, capsys, tmp_path, argv, refusal):
+        path = tmp_path / "out"
+        path.write_bytes(b"earlier output\n")
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == refusal and out == "" and err.startswith("error: ")
+        assert path.read_bytes() == b"earlier output\n"
+
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path):
+        old = os.umask(0o027)
+        try:
+            code, _, _ = run(capsys, *self.COMMANDS[0], "--out",
+                             str(tmp_path / "new.csv"))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
 
 
 class TestOneParser:

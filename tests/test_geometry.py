@@ -776,6 +776,14 @@ class TestStructureResiduals:
             if order is not None:
                 assert 1.7 <= order <= 2.3, key
 
+    def test_convergence_order_of_an_exact_zero(self):
+        # one sup exactly 0 gives an infinite order, with no log2(0) error;
+        # both at the roundoff floor give none
+        assert convergence_order(0.0, 1e-3) == -math.inf
+        assert convergence_order(1e-3, 0.0) == math.inf
+        assert convergence_order(0.0, 1e-13) is None
+        assert convergence_order(4e-3, 1e-3) == 2.0
+
     def test_codazzi_sign_is_discriminated(self, grids):
         # the residual of d beta1/dwbar - beta2 gamma must be far smaller
         # than with the opposite sign of the right-hand side

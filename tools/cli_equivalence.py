@@ -29,10 +29,14 @@ commands in-process through `cli.main`:
   (Linux);
 - `analyze --expr` on text that each refusal of the expression parser
   rejects, nesting past its depth limit with and without spaces included,
-  so that a parser change is checked on its messages and offsets.
+  so that a parser change is checked on its messages and offsets;
+- `--out FILE` on `holo_square` and `catenoid_E3`: `grid --n 41` as JSON
+  and as CSV, `isotropy --json` and `residuals --json`, each written over a
+  temporary file that already holds 5 MiB of junk, longer than any of
+  these outputs, so that the file must end where the output ends.
 
 Prints one line per command: the command, its exit code, the sha256 of its
-stdout and its stderr.  Two trees give the same CLI output on the matrix
+stdout and its stderr, and for `--out FILE` the sha256 of the file.  Two trees give the same CLI output on the matrix
 exactly when their outputs are identical, e.g.
 
     diff <(python3 tools/cli_equivalence.py old/src) \\
@@ -49,7 +53,8 @@ numbers with |x| > 1e-12 (and where it is) and the largest absolute one
 among the others, then the command.  JSON output is compared leaf by leaf,
 CSV cell by cell and text token by token.  Exit codes, stderr, booleans,
 strings and the shape of the output must match exactly; a mismatch is
-printed as such and makes the exit status 1.
+printed as such and makes the exit status 1.  A file written by `--out`
+is compared as its stdout is, after it.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # interior points of the domain, as fractions of its extents
@@ -104,6 +110,14 @@ REFUSALS = (
     # the h grid (0, -1)
     ("residuals", "--expr", "u, v, 1/(u*(u + 0.5)), 0", "--n", "3"),
 )
+# written with --out over a longer file, on each of these surfaces
+TO_FILE = tuple(
+    (*command[:1], "--surface", name, *command[1:])
+    for name in ("holo_square", "catenoid_E3") for command in (
+        ("grid", "--n", "41"), ("grid", "--n", "41", "--format", "csv"),
+        ("isotropy", "--json"), ("residuals", "--json")))
+_JUNK = b"junk\n" * (1 << 20)  # 5 MiB
+
 # refused with exit 2: no n x n grid of this size fits in memory
 TOO_LARGE = ("residuals", "--surface", "plane", "--n", "1000000")
 
@@ -153,6 +167,14 @@ def _run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_to_file(main, argv, path):
+    """_run with --out path, over a file that already holds _JUNK; the file's
+    text is returned after stdout and stderr."""
+    path.write_bytes(_JUNK)
+    return (*_run(main, (*argv, "--out", str(path))),
+            path.read_bytes().decode("utf-8"))
+
+
 def _run_capped(main, argv):
     """_run with this process's address space capped 2 GiB above its present
     size, so that a grid too large for memory is refused at once wherever
@@ -172,7 +194,8 @@ def _run_capped(main, argv):
 
 def _outputs(src):
     """[command, exit code, stdout, stderr] for each command of the matrix,
-    run on the twistor4 under the directory src."""
+    run on the twistor4 under the directory src, with the text of the file
+    after stderr for each command that writes one."""
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
     from helpers import HO_DOMAIN, HO_SEED_E2, HO_SEED_E3, hoffman_osserman
@@ -190,10 +213,14 @@ def _outputs(src):
               for surface_args, branches in ((("--surface", "catenoid_E3"), "2"),
                                              (ho[0], "2"), (ho[1], "12"))
               for k in branches]
+    with tempfile.TemporaryDirectory() as tmp:
+        to_file = [[[*command, "--out", "FILE"],
+                    *_run_to_file(cli.main, command, Path(tmp) / "out")]
+                   for command in TO_FILE]
     return [[list(command), *_run(cli.main, command)]
             for command in (*(c for commands in matrix for c in commands),
                             *SEED_BRANCHES, *pinned, *REFUSALS, *PARSER_REFUSALS)
-            ] + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]]
+            ] + to_file + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]]
 
 
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
@@ -233,10 +260,13 @@ def _leaves(text, csv_format):
 def _compare(command, old, new):
     """One line on how the output of command differs between two trees,
     and whether it differs in anything but the values of numbers."""
-    (old_code, old_out, old_err), (new_code, new_out, new_err) = old, new
+    (old_code, old_out, old_err, *old_file), (new_code, new_out, new_err,
+                                              *new_file) = old, new
     if (old_code, old_err) != (new_code, new_err):
         return f"exit {old_code} -> {new_code}, stderr {old_err!r} -> {new_err!r}", True
-    a, b = (list(_leaves(x, "csv" in command)) for x in (old_out, new_out))
+    a, b = ([leaf for text in texts if text
+             for leaf in _leaves(text, "csv" in command)]
+            for texts in ((old_out, *old_file), (new_out, *new_file)))
     if len(a) != len(b):
         return f"{len(a)} -> {len(b)} leaves", True
     differ = signs = 0
@@ -268,9 +298,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     if len(argv) == 1:
-        for command, code, out, err in _outputs(argv[0]):
+        for command, code, out, err, *file in _outputs(argv[0]):
             digest = hashlib.sha256(out.encode()).hexdigest()
-            print(f"{' '.join(command)} | exit {code} | {digest} | {err!r}")
+            print(f"{' '.join(command)} | exit {code} | {digest} | {err!r}"
+                  + "".join(f" | {hashlib.sha256(x.encode()).hexdigest()}"
+                            for x in file))
         return 0
     old, new = (json.loads(subprocess.run(
         [sys.executable, __file__, "--outputs", src], capture_output=True,
