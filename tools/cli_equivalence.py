@@ -36,8 +36,9 @@ commands in-process through `cli.main`:
   these outputs, so that the file must end where the output ends.
 
 Prints one line per command: the command, its exit code, the sha256 of its
-stdout and its stderr, and for `--out FILE` the sha256 of the file.  Two trees give the same CLI output on the matrix
-exactly when their outputs are identical, e.g.
+stdout and its stderr, and for `--out FILE` the sha256 of the file.  Two
+trees give the same CLI output on the matrix exactly when their outputs are
+identical, e.g.
 
     diff <(python3 tools/cli_equivalence.py old/src) \\
          <(python3 tools/cli_equivalence.py src)
