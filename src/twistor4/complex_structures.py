@@ -29,7 +29,7 @@ from .errors import (
     NotAComplexStructure,
     NotSO4,
 )
-from .linalg4 import (DERIVED_TOL, E4, EXACT_TOL, basis_I_stack, det4,
+from .linalg4 import (DERIVED_TOL, E4, EXACT_TOL, _I_STACKS, basis_I_stack, det4,
                       is_special_orthogonal, pair_coords)
 
 __all__ = [
@@ -89,9 +89,9 @@ class OrientedPlane:
 
 
 def _check_structure_matrix(A: np.ndarray, tol: float) -> None:
-    if not np.max(np.abs(A.swapaxes(-1, -2) @ A - E4)) <= tol:
+    if not np.abs(A.swapaxes(-1, -2) @ A - E4).max() <= tol:
         raise NotAComplexStructure("matrix is not orthogonal")
-    if not np.max(np.abs(A @ A + E4)) <= tol:
+    if not np.abs(A @ A + E4).max() <= tol:
         raise NotAComplexStructure("matrix squared is not minus the identity")
 
 
@@ -108,10 +108,9 @@ def classify_ocs(A) -> OrthogonalComplexStructure:
     A = np.array(A, float)
     _check_structure_matrix(A, EXACT_TOL)
     c = A[..., 1:, 0]
-    eps = np.where(np.sum(c * A[..., [3, 1, 2], [2, 3, 1]], axis=-1) > 0, 1, -1)
-    recon = np.einsum("...k,...kij->...ij", c, np.where(
-        eps[..., None, None, None] > 0, basis_I_stack(1), basis_I_stack(-1)))
-    if not np.max(np.abs(recon - A)) <= 20 * EXACT_TOL:
+    eps = np.where((c * A[..., [3, 1, 2], [2, 3, 1]]).sum(-1) > 0, 1, -1)
+    recon = np.einsum("...k,...kij->...ij", c, _I_STACKS[(1 - eps) // 2])
+    if not np.abs(recon - A).max() <= 20 * EXACT_TOL:
         raise NotAComplexStructure(
             "matrix does not decompose over a single chirality basis")
     return OrthogonalComplexStructure(A, eps if eps.ndim else int(eps), c)

@@ -157,7 +157,7 @@ def _dot(a, b):
 def jet_arrays(jets):
     """Stack componentwise jets into one (6, 4, ...) array: six E^4 vectors
     (F, Fu, Fv, Fuu, Fuv, Fvv) over the points the jets were taken at."""
-    shape = np.broadcast_shapes(*(np.shape(j.val) for j in jets))
+    shape = np.broadcast(*(j.val for j in jets)).shape
     out = np.empty((6, len(jets)) + shape)
     for k, j in enumerate(jets):
         for m, x in enumerate(j.as_tuple()):
@@ -220,12 +220,12 @@ def _isothermal_mask(g11, g12, g22, tol):
     return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
 
 
-# The 2x2 minors of [t1 t2] on the row pairs _MINOR_ROWS, and _STAR[k][m, l]
-# = det[e_i e_j e_s e_l] for (i, j) = _MINOR_ROWS[m] and the axis s = SEEDS[k],
-# so that (minors @ _STAR[k])_l = det[t1 t2 e_s e_l] = *(t1 ^ t2 ^ e_s)_l.
-_MINOR_ROWS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# The 2x2 minors of [t1 t2] on the row pairs (i, j) = (_MINOR_I[m], _MINOR_J[m]),
+# and _STAR[k][m, l] = det[e_i e_j e_s e_l] for the axis s = SEEDS[k], so
+# that (minors @ _STAR[k])_l = det[t1 t2 e_s e_l] = *(t1 ^ t2 ^ e_s)_l.
+_MINOR_I, _MINOR_J = np.array([(0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)])
 _STAR = np.array([[[round(np.linalg.det(E4[[i, j, s, l]])) for l in range(4)]
-                   for i, j in _MINOR_ROWS] for s in SEEDS], float)
+                   for i, j in zip(_MINOR_I, _MINOR_J)] for s in SEEDS], float)
 
 
 def _tangent_plane(Fu, Fv):
@@ -237,8 +237,7 @@ def _tangent_plane(Fu, Fv):
     # pass leaves <t1, t2> up to 5e-10 and the frame 1e-7 off orthonormal.
     w = w - _dot(w, t1) * t1
     t2 = w / np.sqrt(_dot(w, w))
-    i, j = np.transpose(_MINOR_ROWS)
-    return t1, t2, t1[i] * t2[j] - t1[j] * t2[i]
+    return t1, t2, t1[_MINOR_I] * t2[_MINOR_J] - t1[_MINOR_J] * t2[_MINOR_I]
 
 
 def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
@@ -261,18 +260,19 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
                 *(np.ravel(x)[bad[0]] for x in at)) if at else ""
             raise DegenerateSeed(f"seed branch {branch} degenerates{where}")
     else:  # some seed works at every point (see SEEDS), so argmax finds one
-        smooth = np.flatnonzero(
-            sq.reshape(len(SEEDS), -1).min(axis=1) > _BRANCH_MARGIN ** 2)
-        branch = int(smooth[0]) if smooth.size else (sq > SEED_TOL ** 2).argmax(0)
-    # e_s for all points or per point; <e_s, t> is t_s exactly, with no gather
-    e = E4[:, np.take(SEEDS, np.reshape(branch, np.shape(branch)
-                                        or (1,) * (t1.ndim - 1)))]
-    p1 = e - _dot(e, t1) * t1 - _dot(e, t2) * t2
-    p1n = np.sqrt(_dot(p1, p1))
-    n2 = np.einsum("m...,ml->l...", minors, _STAR[np.min(branch)])
+        safe = sq.reshape(len(SEEDS), -1).min(axis=1) > _BRANCH_MARGIN ** 2
+        branch = int(safe.argmax()) if safe.any() else (sq > SEED_TOL ** 2).argmax(0)
+    # the first branch at every point, with <e_s, t> read off t as t_s
+    first = branch if np.ndim(branch) == 0 else branch.min()
+    s = SEEDS[first]
+    p1 = E4[s].reshape((4,) + (1,) * (t1.ndim - 1)) - t1[s] * t1 - t2[s] * t2
+    n2 = np.einsum("m...,ml->l...", minors, _STAR[first])
     if np.ndim(branch):  # per point: redo the (few) points off the first branch
-        off = branch != np.min(branch)
+        off = branch != first
+        s = np.take(SEEDS, branch[off])
+        p1[:, off] = E4[:, s] - t1[s, off] * t1[:, off] - t2[s, off] * t2[:, off]
         n2[:, off] = np.einsum("mp,pml->lp", minors[:, off], _STAR[branch[off]])
+    p1n = np.sqrt(_dot(p1, p1))
     return Frame(t1, t2, p1 / p1n, n2 / p1n, seed_branch=branch)
 
 
@@ -368,7 +368,7 @@ def gauss_weingarten_matrices(pd: SurfacePointData):
     """Coefficient matrices S1, S2 of the combined frame derivative:
     d/du (F_u, F_v, n1, n2) = (F_u, F_v, n1, n2) S1 and likewise S2 for d/dv.
     """
-    A = np.stack([pd.shape.a1, pd.shape.a2])
+    A = np.array([pd.shape.a1, pd.shape.a2])
     gam = np.array([pd.connection.gamma1, pd.connection.gamma2])
     S = np.zeros((2, 4, 4))                           # S1, S2
     S[:, :2, :2] = pd.christoffel.transpose(2, 0, 1)  # S[j, k, i] = G[k, i, j]
@@ -389,39 +389,41 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     for a grid."""
     u0, u1, v0, v1 = surface.domain
     d = 1e-3 * max(u1 - u0, v1 - v0)
-    pu = np.concatenate([[u], np.clip([u - d, u + d], u0, u1), [u, u]])
-    pv = np.concatenate([[v, v, v], np.clip([v - d, v + d], v0, v1)])
+    pu = np.array([u, min(max(u - d, u0), u1), min(max(u + d, u0), u1), u, u])
+    pv = np.array([v, v, v, min(max(v - d, v0), v1), min(max(v + d, v0), v1)])
     arrays, ok = _jet_fields(surface, pu, pv)
-    require_finite(surface.components, ok[:1], pu[:1], pv[:1])
     point = arrays[..., 0]
     _, Fu, Fv, Fuu, Fuv, Fvv = point
     g = _metric(arrays[1], arrays[2])
     g0 = tuple(x[0] for x in g)
-    _require_finite(u, v, "metric", {"g11, g12, g22 or det g": g0[3]})
-    _require_immersed(g0[0], g0[2], g0[3], (u, v))
+    # One mask holds the first-order checks of the point and its probes.  The
+    # point must pass them, and is named by the first it fails.  The probes
+    # that pass must be isothermal too, lest a pointwise coincidence g11 = g22
+    # pass for isothermal coordinates; the others may hold an inf metric.
+    fine = ok & np.isfinite(g[3]) & _immersed(g[0], g[2], g[3])
+    if not fine[0]:
+        require_finite(surface.components, ok[:1], pu[:1], pv[:1])
+        _require_finite(u, v, "metric", {"g11, g12, g22 or det g": g0[3]})
+        _require_immersed(g0[0], g0[2], g0[3], (u, v))
     form = FirstForm(*map(float, g0[:3]))
-    # The probes must be isothermal too, lest a pointwise coincidence g11 = g22
-    # pass for isothermal coordinates; undefined, overflowing or non-immersed
-    # ones are skipped.
-    probes = ok & np.isfinite(g[3]) & _immersed(g[0], g[2], g[3])
-    iso = bool(_isothermal_mask(*(x[probes] for x in g[:3]),
-                                isothermal_tol).all())
     frame = _seeded_frames(Fu, Fv, seed_branch, (u, v))
     # products of finite 2-jets can overflow where the metric does not
     with np.errstate(over="ignore", invalid="ignore"):
+        iso = bool(_isothermal_mask(*g[:3], isothermal_tol)[fine].all())
         b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
         christoffel = _christoffel(point, *g0)
         H, H_norm = _mean_curvature(*g0, b, frame.n1, frame.n2)
         gammas = _connection(SEEDS[frame.seed_branch], frame, *g0, b)
-    _require_finite(u, v, "second-order geometry",
-                    {"b": b, "Gamma": christoffel, "H": H, "gamma": gammas})
+    if not np.isfinite(np.concatenate((b, christoffel, H, gammas), axis=None)).all():
+        _require_finite(u, v, "second-order geometry",
+                        {"b": b, "Gamma": christoffel, "H": H, "gamma": gammas})
     conn = NormalConnection(*map(float, gammas))
     alpha = 0.5 * math.log(form.g11) if iso else None
     beta1 = beta2 = gamma = None
     if iso:
         beta1, beta2 = 0.5 * (b[:, 0, 0] - 1j * b[:, 0, 1])
         gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
-    jets = tuple(Jet2(*point[:, k]) for k in range(4))
+    jets = tuple(Jet2(*parts) for parts in point.T.tolist())
     return SurfacePointData(u, v, jets, form, iso, alpha,
                             frame, b, shape_operators(form, b), christoffel,
                             H, float(H_norm), conn, beta1, beta2, gamma)

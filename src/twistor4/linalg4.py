@@ -69,11 +69,11 @@ def wedge(a, b) -> np.ndarray:
     return b[:, None] * a[None] - a[:, None] * b[None]
 
 
-# I[eps, k] = e_i ^ e_j + eps e_l ^ e_m for (i, j, l, m) = _PAIRS[k - 1], 0-based
+# I[eps, k] = e_i ^ e_j + eps e_l ^ e_m for (i, j, l, m) = _PAIRS[k - 1], 0-based,
+# stacked as _I_STACKS[(1 - eps) // 2, k - 1]
 _PAIRS = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
-_I_PLUS, _I_MINUS = (
-    np.array([wedge(E4[i], E4[j]) + eps * wedge(E4[l], E4[m])
-              for i, j, l, m in _PAIRS]) for eps in CHIRALITIES)
+_I_STACKS = np.array([[wedge(E4[i], E4[j]) + eps * wedge(E4[l], E4[m])
+                       for i, j, l, m in _PAIRS] for eps in CHIRALITIES])
 
 
 def pair_coords(p, q, eps: int) -> np.ndarray:
@@ -111,7 +111,7 @@ def basis_I_stack(eps: int) -> np.ndarray:
     """The three I[eps, k] stacked into shape (3, 4, 4)."""
     if eps not in CHIRALITIES:
         raise ValueError(f"chirality must be +1 or -1, got {eps!r}")
-    return (_I_PLUS if eps == 1 else _I_MINUS).copy()
+    return _I_STACKS[(1 - eps) // 2].copy()
 
 
 def bivector_coords(m):
@@ -126,17 +126,15 @@ def bivector_coords(m):
         raise ValueError("expected a 4x4 matrix")
     if not np.max(np.abs(m + m.T)) <= EXACT_TOL:
         raise ValueError("matrix is not alternating")
-    cplus = np.array([mat_inner(_I_PLUS[k], m) for k in range(3)])
-    cminus = np.array([mat_inner(_I_MINUS[k], m) for k in range(3)])
-    return cplus, cminus
+    return tuple(np.array([mat_inner(I, m) for I in stack]) for stack in _I_STACKS)
 
 
 def bivector_from_coords(cplus, cminus) -> np.ndarray:
     """Inverse of :func:`bivector_coords`."""
     cplus = np.asarray(cplus, float)
     cminus = np.asarray(cminus, float)
-    return np.einsum("k,kij->ij", cplus, _I_PLUS) + np.einsum(
-        "k,kij->ij", cminus, _I_MINUS)
+    return np.einsum("k,kij->ij", cplus, _I_STACKS[0]) + np.einsum(
+        "k,kij->ij", cminus, _I_STACKS[1])
 
 
 def det4(A) -> float:

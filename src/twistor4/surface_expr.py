@@ -100,14 +100,14 @@ _VARIABLES = ("u", "v")
 # Outside a function's domain numpy returns nan or inf, which the finiteness
 # check reports, so no function carries its own domain test.
 _FUNCTIONS = {
-    "sin": lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
-    "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
+    "sin": lambda x: ((s := np.sin(x)), np.cos(x), -s),
+    "cos": lambda x: ((c := np.cos(x)), -np.sin(x), -c),
     "tan": lambda x: ((t := np.tan(x)), 1.0 + t * t, 2.0 * t * (1.0 + t * t)),
     "exp": lambda x: ((y := np.exp(x)), y, y),
     "log": lambda x: (np.log(x), 1.0 / x, -1.0 / (x * x)),
     "sqrt": lambda x: ((r := np.sqrt(x)), 0.5 / r, -0.25 / (x * r)),
-    "sinh": lambda x: (np.sinh(x), np.cosh(x), np.sinh(x)),
-    "cosh": lambda x: (np.cosh(x), np.sinh(x), np.cosh(x)),
+    "sinh": lambda x: ((s := np.sinh(x)), np.cosh(x), s),
+    "cosh": lambda x: ((c := np.cosh(x)), np.sinh(x), c),
     "atan": lambda x: (np.arctan(x), 1.0 / (1.0 + x * x),
                        -2.0 * x / (1.0 + x * x) ** 2),
 }
@@ -420,7 +420,7 @@ class Jet2:
                 _sum(_mul(a.dvv, b.val), _mul(_mul(2.0, a.dv), b.dv),
                      _mul(a.val, b.dvv)),
             )
-        return Jet2(*(_mul(x, o) for x in self.as_tuple()))
+        return Jet2(*[x if x is _ZERO else x * o for x in self.as_tuple()])
 
     __rmul__ = __mul__
 
@@ -456,16 +456,7 @@ def _eval(node: Expr, u, v, memo: dict):
     """Jet of node over the points (u, v); a sub-expression without u or v
     gives a plain number.  Undefined points hold nan or inf, unchecked.  Each
     power and call object is computed once per memo (nothing mutates a jet)."""
-    if isinstance(node, Var):
-        return (Jet2(u, 1.0, _ZERO, _ZERO, _ZERO, _ZERO) if node.name == "u"
-                else Jet2(v, _ZERO, 1.0, _ZERO, _ZERO, _ZERO))
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Const):
-        return np.float64(_CONSTANTS[node.name])
-    if isinstance(node, Neg):
-        return -_eval(node.arg, u, v, memo)
-    if isinstance(node, Bin):
+    if isinstance(node, Bin):  # the most common node first
         lhs = _eval(node.left, u, v, memo)
         rhs = _eval(node.right, u, v, memo)
         if node.op == "+":
@@ -475,6 +466,15 @@ def _eval(node: Expr, u, v, memo: dict):
         if node.op == "*":
             return lhs * rhs
         return lhs / rhs
+    if isinstance(node, Var):
+        return (Jet2(u, 1.0, _ZERO, _ZERO, _ZERO, _ZERO) if node.name == "u"
+                else Jet2(v, _ZERO, 1.0, _ZERO, _ZERO, _ZERO))
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Const):
+        return np.float64(_CONSTANTS[node.name])
+    if isinstance(node, Neg):
+        return -_eval(node.arg, u, v, memo)
     if not isinstance(node, (Pow, Call)):
         raise TypeError(f"not an expression node: {node!r}")
     if id(node) not in memo:
@@ -524,9 +524,9 @@ def _operator(node, u, v, memo: dict):
 
 def _jets(exprs, u, v):
     u, v = np.asarray(u, float), np.asarray(v, float)
-    memo = {}  # one per batch, shared by its components
+    points = (*np.atleast_1d(u, v), {})  # one memo per batch, for all components
     with np.errstate(all="ignore"):
-        jets = [_eval(e, np.atleast_1d(u), np.atleast_1d(v), memo) for e in exprs]
+        jets = [_eval(e, *points) for e in exprs]
     # a component without u or v is a plain number: give it the points' shape
     jets = [j if isinstance(j, Jet2) else Jet2(np.full(u.shape, j)) for j in jets]
     if u.ndim == v.ndim == 0:

@@ -134,12 +134,13 @@ def chart(c) -> ChartValue:
     """
     c1, c2, c3 = np.asarray(c, float)
     norm = np.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    bad = ~(np.abs(norm - 1.0) <= DERIVED_TOL)
-    if np.any(bad):
-        raise NonUnitCoords(f"|c| = {np.ravel(norm)[np.ravel(bad)][0]!r} is not 1")
-    antipode = 1.0 - c3 <= DERIVED_TOL
+    unit = np.abs(norm - 1.0) <= DERIVED_TOL
+    if not unit.all():
+        raise NonUnitCoords(f"|c| = {np.ravel(norm)[~np.ravel(unit)][0]!r} is not 1")
+    den = 1.0 - c3
+    antipode = den <= DERIVED_TOL
     # the chosen projection's denominator is at least DERIVED_TOL, or about 2
-    value = (c1 + 1j * c2) / np.where(antipode, 1.0 + c3, 1.0 - c3)
+    value = (c1 + 1j * c2) / np.where(antipode, 1.0 + c3, den)
     if np.ndim(value) == 0:
         return ChartValue(complex(value), bool(antipode))
     return ChartValue(value, antipode)

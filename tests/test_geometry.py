@@ -605,25 +605,45 @@ class TestPointData:
             surface_point_data(s, 0.0999, 0.0)
         assert "sqrt" in str(err.value) and "(u, v) = (0.0999" in str(err.value)
 
-    @pytest.mark.parametrize("name,n", [("holo_cube", 21),
-                                        ("nonisothermal_graph", 11)])
+    def test_non_immersed_probe_is_skipped(self):
+        # F_v = (0, 3v^2, 0, 0) vanishes on v = 0: the probe at v - d of the
+        # point (0.3, 0.002) lands there and is skipped, while the point
+        # itself, immersed, passes; on v = 0 the point is refused
+        s = parse_surface("u, v^3, 0, 0")
+        assert not surface_point_data(s, 0.3, 0.002).isothermal
+        with pytest.raises(NotImmersed) as err:
+            surface_point_data(s, 0.3, 0.0)
+        assert str(err.value) == ("tangent vectors are dependent at (u, v) = "
+                                  "(0.3, 0) (g11=1, g22=0, det=0)")
+
+    @pytest.mark.parametrize("name,n", [(name, 21 if name == "holo_cube" else 11)
+                                        for name in sorted(CATALOG)])
     def test_point_equals_grid(self, grids, name, n):
-        # one kernel: a point is the grid's arithmetic on a 1-point batch
+        # one kernel: a point is the grid's arithmetic on a 1-point batch, bit
+        # for bit at every interior node, each node's seed branch pinned (a
+        # grid without a smooth branch, round_sphere, picks one per node)
         g = grids(name, n)
-        g1, g2 = g.gamma_fields()
-        for i, j in ((1, 1), (n // 2, 3), (n - 2, n // 3)):
+        branches = np.broadcast_to(g.seed_branch, (n, n))
+        # the grid's gamma_fields where it has one smooth branch, else the
+        # same formula on each node's fields
+        grid_gammas = np.array(g.gamma_fields()) if g.branch_uniform else None
+        for i, j in np.ndindex(n - 2, n - 2):
+            i, j = i + 1, j + 1
             pd = surface_point_data(g.surface, g.us[i], g.vs[j],
-                                    seed_branch=g.seed_branch)
+                                    seed_branch=int(branches[i, j]))
+            frame = Frame(*(x[:, i, j] for x in (g.t1, g.t2, g.n1, g.n2)))
+            gammas = (grid_gammas[:, i, j] if g.branch_uniform else
+                      geometry._connection(SEEDS[branches[i, j]], frame, g.g11[i, j],
+                                           g.g12[i, j], g.g22[i, j], g.det[i, j],
+                                           g.b[..., i, j]))
             pairs = [((pd.form.g11, pd.form.g12, pd.form.g22),
                       (g.g11[i, j], g.g12[i, j], g.g22[i, j])),
-                     (frame_matrix(pd.frame),
-                      np.column_stack([g.t1[:, i, j], g.t2[:, i, j],
-                                       g.n1[:, i, j], g.n2[:, i, j]])),
+                     (frame_matrix(pd.frame), frame_matrix(frame)),
                      (pd.second, g.b[..., i, j]), (pd.H, g.H[:, i, j]),
-                     ((pd.connection.gamma1, pd.connection.gamma2),
-                      (g1[i, j], g2[i, j]))]
+                     (pd.H_norm, g.H_norm[i, j]),
+                     ((pd.connection.gamma1, pd.connection.gamma2), gammas)]
             for a, b in pairs:
-                assert np.max(np.abs(np.subtract(a, b))) <= 1e-12
+                assert np.array_equal(a, b), (name, i, j)
 
     def test_holo_square_origin_betas(self):
         pd = surface_point_data(CATALOG["holo_square"].surface, 0.0, 0.0)

@@ -15,11 +15,14 @@ commands in-process through `cli.main`:
   smallest grid) as JSON and as CSV, `isotropy` and `residuals` each as text
   and as `--json`, `residuals --n 5 --json` (the smallest h grid, every other
   node of a 9x9 one), and `analyze` at two interior points of the surface's
-  domain;
+  domain and at four points on its boundary, two corners and two edges,
+  where the isothermality probes are clipped into the domain;
 - `analyze` and a 5x5 `grid` on `holo_square` with each seed branch pinned,
   which fingerprint the normal frame of every seed (at (0, 0) e2 and e1
-  are tangent, so the pinned grids of branches 1 and 2 are refused), and
-  `isotropy` and `residuals` with branch 0 pinned; `residuals --json` with
+  are tangent, so the pinned grids of branches 1 and 2 are refused),
+  `analyze` with each seed branch pinned at two interior points of
+  `catenoid_E3` and of the degree-5 polynomial graph, and `isotropy` and
+  `residuals` with branch 0 pinned; `residuals --json` with
   branch 1 or 2 pinned on the surfaces where that frame is continuous
   (`catenoid_E3` and the Hoffman-Osserman surfaces);
 - a few refusals of a `--domain` or an `--at` that no tree should accept,
@@ -153,9 +156,17 @@ def _commands(surface_args, domain):
         yield (command, *surface_args)
         yield (command, *surface_args, "--json")
     yield ("residuals", *surface_args, "--n", "5", "--json")
-    for fu, fv in _POINTS:
-        yield ("analyze", *surface_args, "--at",
-               f"{u0 + fu * (u1 - u0):.6g}", f"{v0 + fv * (v1 - v0):.6g}")
+    for u, v in _points(domain):
+        yield ("analyze", *surface_args, "--at", u, v)
+    for u, v in ((u0, v0), (u1, v1), (u0, 0.5 * (v0 + v1)), (0.5 * (u0 + u1), v1)):
+        yield ("analyze", *surface_args, "--at", repr(u), repr(v))
+
+
+def _points(domain):
+    """The interior points _POINTS of the domain, as --at arguments."""
+    u0, u1, v0, v1 = domain
+    return [(f"{u0 + fu * (u1 - u0):.6g}", f"{v0 + fv * (v1 - v0):.6g}")
+            for fu, fv in _POINTS]
 
 
 def _run(main, argv):
@@ -201,7 +212,7 @@ def _outputs(src):
     sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
     from helpers import HO_DOMAIN, HO_SEED_E2, HO_SEED_E3, hoffman_osserman
     from twistor4 import cli
-    from twistor4.catalog import catalog_entries
+    from twistor4.catalog import CATALOG, catalog_entries
 
     ho = [("--expr", hoffman_osserman(*coefs), "--domain", *map(repr, HO_DOMAIN))
           for coefs in (HO_SEED_E3, HO_SEED_E2)]
@@ -214,6 +225,13 @@ def _outputs(src):
               for surface_args, branches in ((("--surface", "catenoid_E3"), "2"),
                                              (ho[0], "2"), (ho[1], "12"))
               for k in branches]
+    _, graph, graph_domain = EXPR_SURFACES[0]
+    pinned += [("analyze", *surface_args, "--at", u, v, "--seed-normal", k)
+               for surface_args, domain in (
+                   (("--surface", "catenoid_E3"), CATALOG["catenoid_E3"].surface.domain),
+                   (("--expr", graph, "--domain", *map(repr, graph_domain)),
+                    graph_domain))
+               for u, v in _points(domain) for k in "012"]
     with tempfile.TemporaryDirectory() as tmp:
         to_file = [[[*command, "--out", "FILE"],
                     *_run_to_file(cli.main, command, Path(tmp) / "out")]
@@ -233,6 +251,8 @@ def _leaves(text, csv_format):
     two numbers is one token.  Floats are the numbers compared by value
     (JSON integers, such as a seed branch, are compared exactly)."""
     if csv_format:
+        # no field can be longer than the text (csv refuses fields over 128 KiB)
+        csv.field_size_limit(max(csv.field_size_limit(), len(text)))
         header, *rows = csv.reader(io.StringIO(text))
         for row in rows:
             for name, cell in zip(header, row):
