@@ -220,12 +220,12 @@ def _isothermal_mask(g11, g12, g22, tol):
     return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
 
 
-# The 2x2 minors of [t1 t2] on the row pairs (i, j) = (_MINOR_I[m], _MINOR_J[m]),
-# and _STAR[k][m, l] = det[e_i e_j e_s e_l] for the axis s = SEEDS[k], so
+# The 2x2 minors of [t1 t2] on the row pairs (i, j) = _MINORS[m], and
+# _STAR[k][m, l] = det[e_i e_j e_s e_l] for the axis s = SEEDS[k], so
 # that (minors @ _STAR[k])_l = det[t1 t2 e_s e_l] = *(t1 ^ t2 ^ e_s)_l.
-_MINOR_I, _MINOR_J = np.array([(0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)])
+_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _STAR = np.array([[[round(np.linalg.det(E4[[i, j, s, l]])) for l in range(4)]
-                   for i, j in zip(_MINOR_I, _MINOR_J)] for s in SEEDS], float)
+                   for i, j in _MINORS] for s in SEEDS], float)
 
 
 def _tangent_plane(Fu, Fv):
@@ -237,7 +237,7 @@ def _tangent_plane(Fu, Fv):
     # pass leaves <t1, t2> up to 5e-10 and the frame 1e-7 off orthonormal.
     w = w - _dot(w, t1) * t1
     t2 = w / np.sqrt(_dot(w, w))
-    return t1, t2, t1[_MINOR_I] * t2[_MINOR_J] - t1[_MINOR_J] * t2[_MINOR_I]
+    return t1, t2, np.array([t1[i] * t2[j] - t1[j] * t2[i] for i, j in _MINORS])
 
 
 def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
@@ -248,20 +248,24 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
     degenerates, naming the first such point of at = (U, V) when given.
 
     For the axis s of a point's seed, p1 = e_s - t1_s t1 - t2_s t2, so
-    |p1|^2 = 1 - t1_s^2 - t2_s^2 gates every seed at once.  n1 = p1/|p1| and
-    n2 = *(t1 ^ t2 ^ e_s)/|p1| = (minors @ _STAR[k])/|p1|, whence
-    det [t1 t2 n1 n2] = +1 by construction."""
+    |p1|^2 = 1 - t1_s^2 - t2_s^2 gates each seed tried: a pinned one, else e3,
+    e2, e1 up to the first smooth one (all three for a frame per point).
+    n1 = p1/|p1| and n2 = *(t1 ^ t2 ^ e_s)/|p1| = (minors @ _STAR[k])/|p1|,
+    whence det [t1 t2 n1 n2] = +1 by construction."""
     t1, t2, minors = _tangent_plane(Fu, Fv)
-    sq = 1 - t1[SEEDS, ...] ** 2 - t2[SEEDS, ...] ** 2  # |p1|^2 of each seed
-    if branch is not None:
-        bad = np.flatnonzero(~(sq[branch] > SEED_TOL ** 2))
-        if bad.size:
+    sq = []  # |p1|^2 of the seeds tried ([s, ...] keeps a point's 0-d)
+    for k in range(len(SEEDS)) if branch is None else (branch,):
+        sq.append(1 - t1[SEEDS[k], ...] ** 2 - t2[SEEDS[k], ...] ** 2)
+        if sq[-1].min() > _BRANCH_MARGIN ** 2:  # smooth, so above SEED_TOL
+            branch = k
+            break
+    else:  # no seed is smooth: some seed works at every point (see SEEDS)
+        if branch is None:
+            branch = (np.array(sq) > SEED_TOL ** 2).argmax(0)
+        elif (bad := np.flatnonzero(~(sq[0] > SEED_TOL ** 2))).size:
             where = " at (u, v) = ({:g}, {:g})".format(
                 *(np.ravel(x)[bad[0]] for x in at)) if at else ""
             raise DegenerateSeed(f"seed branch {branch} degenerates{where}")
-    else:  # some seed works at every point (see SEEDS), so argmax finds one
-        safe = sq.reshape(len(SEEDS), -1).min(axis=1) > _BRANCH_MARGIN ** 2
-        branch = int(safe.argmax()) if safe.any() else (sq > SEED_TOL ** 2).argmax(0)
     # the first branch at every point, with <e_s, t> read off t as t_s
     first = branch if np.ndim(branch) == 0 else branch.min()
     s = SEEDS[first]
@@ -286,11 +290,15 @@ def _second_form(Fuu, Fuv, Fvv, n1, n2):
     return b
 
 
+def _traces(g11, g12, g22, det, b):
+    """tr_k = tr(g^-1 b_k) for k = 1, 2."""
+    return [(g22 * bk[0, 0] - 2 * g12 * bk[0, 1] + g11 * bk[1, 1]) / det for bk in b]
+
+
 def _mean_curvature(g11, g12, g22, det, b, n1, n2):
-    """H = (tr(g^-1 b_1) n_1 + tr(g^-1 b_2) n_2) / 2 and |H| = hypot(tr_1,
-    tr_2) / 2, which unlike sqrt(<H, H>) is finite wherever H is."""
-    tr1, tr2 = ((g22 * bk[0, 0] - 2 * g12 * bk[0, 1] + g11 * bk[1, 1]) / det
-                for bk in b)
+    """H = (tr_1 n_1 + tr_2 n_2) / 2 and |H| = hypot(tr_1, tr_2) / 2, which
+    unlike sqrt(<H, H>) is finite up to half the largest float."""
+    tr1, tr2 = _traces(g11, g12, g22, det, b)
     return 0.5 * (tr1 * n1 + tr2 * n2), 0.5 * np.hypot(tr1, tr2)
 
 
@@ -479,15 +487,24 @@ class FieldGrid:
         self.t1, self.t2, self.n1, self.n2 = fr.t1, fr.t2, fr.n1, fr.n2
         # products of finite 2-jets can overflow where the metric does not
         with np.errstate(over="ignore", invalid="ignore"):
-            b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
-            self.H, self.H_norm = _mean_curvature(*g, b, self.n1, self.n2)
-        _require_finite(U, V, "second-order geometry", {"b": b, "H": self.H})
-        self.b = b
+            self.b = b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
+            self.H_norm = 0.5 * np.hypot(*_traces(*g, b))
+            # In each component |tr_1 n_1 + tr_2 n_2| <= |tr_1| + |tr_2| <=
+            # 2 sqrt(2) |H|: H is finite where |H| < max/8, and the check
+            # builds H only where that fails at some node
+            fine = self.H_norm.max() < np.finfo(float).max / 8
+            _require_finite(U, V, "second-order geometry",
+                            {"b": b} if fine else {"b": b, "H": self.H})
         self.beta1, self.beta2 = 0.5 * (b[:, 0, 0] - 1j * b[:, 0, 1])
 
     @functools.cached_property
     def psi(self):  # built at first use: only the lifts read it
         return 0.5 * (self.Fu - 1j * self.Fv)
+
+    @functools.cached_property
+    def H(self):  # built at first use: no command reads the vector
+        return _mean_curvature(self.g11, self.g12, self.g22, self.det,
+                               self.b, self.n1, self.n2)[0]
 
     def every_other(self) -> FieldGrid:
         """The grid of every other node, at twice the step: bit for bit
@@ -497,7 +514,7 @@ class FieldGrid:
             raise GridTooSmall(f"every other node needs an odd n >= 5, got n={self.n}")
         sub = object.__new__(FieldGrid)
         for name, x in vars(self).items():  # fields as views; caches rebuilt
-            if name not in ("psi", "_kept"):
+            if name not in ("psi", "H", "_kept"):
                 setattr(sub, name, x[..., ::2, ::2] if np.ndim(x) >= 2 else x)
         sub.n, sub.us, sub.vs = (self.n + 1) // 2, self.us[::2], self.vs[::2]
         sub.hu, sub.hv = (float(w[1] - w[0]) for w in (sub.us, sub.vs))

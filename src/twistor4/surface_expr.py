@@ -201,10 +201,13 @@ class _Parser:
         caret = self._offset()
         if self._take("^"):
             exponent = self.nested(self.parse_unary, caret + 1)
-            # The evaluator folds the exponent: a sub-expression without u or v
-            # evaluates to a plain number, which must also be finite.
-            with np.errstate(all="ignore"):
-                value = _eval(exponent, *np.zeros(2), {})
+            # A literal is its own value, and the evaluator folds any other
+            # exponent without u or v to a plain number; both must be finite.
+            if isinstance(exponent, Num):
+                value = exponent.value
+            else:
+                with np.errstate(all="ignore"):
+                    value = _eval(exponent, *np.zeros(2), {})
             if isinstance(value, Jet2) or not np.isfinite(value):
                 raise ExprSyntaxError("exponent must be a finite constant", caret)
             return self.share(Pow(base, float(value)))
@@ -350,23 +353,6 @@ def surface_from_json(obj) -> SurfaceDef:
 _ZERO = float("0")
 
 
-def _mul(a, b):
-    return _ZERO if a is _ZERO or b is _ZERO else a * b
-
-
-def _sum(*terms):
-    """The terms added in their order, skipping structural zeros."""
-    total = _ZERO
-    for t in terms:
-        if t is not _ZERO:
-            total = t if total is _ZERO else total + t
-    return total
-
-
-def _sub(a, b):
-    return a if b is _ZERO else -b if a is _ZERO else a - b
-
-
 class Jet2:
     """Value and exact partials (du, dv, duu, duv, dvv) of a scalar at a point
     or elementwise over points; a part may be a plain number, 0.0 where it
@@ -390,51 +376,66 @@ class Jet2:
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(*map(_sum, self.as_tuple(), o.as_tuple()))
+            return Jet2(*[y if x is _ZERO else x if y is _ZERO else x + y
+                          for x, y in zip(self.as_tuple(), o.as_tuple())])
         return Jet2(self.val + o, self.du, self.dv, self.duu, self.duv, self.dvv)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(*(_sub(_ZERO, x) for x in self.as_tuple()))
+        return Jet2(*[x if x is _ZERO else -x for x in self.as_tuple()])
 
     def __sub__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(*map(_sub, self.as_tuple(), o.as_tuple()))
+            return Jet2(*[x if y is _ZERO else -y if x is _ZERO else x - y
+                          for x, y in zip(self.as_tuple(), o.as_tuple())])
         return Jet2(self.val - o, self.du, self.dv, self.duu, self.duv, self.dvv)
 
     def __rsub__(self, o):
         return (-self) + o
 
     def __mul__(self, o):
-        if isinstance(o, Jet2):
-            a, b = self, o
-            return Jet2(
-                a.val * b.val,
-                _sum(_mul(a.du, b.val), _mul(a.val, b.du)),
-                _sum(_mul(a.dv, b.val), _mul(a.val, b.dv)),
-                _sum(_mul(a.duu, b.val), _mul(_mul(2.0, a.du), b.du),
-                     _mul(a.val, b.duu)),
-                _sum(_mul(a.duv, b.val), _mul(a.du, b.dv), _mul(a.dv, b.du),
-                     _mul(a.val, b.duv)),
-                _sum(_mul(a.dvv, b.val), _mul(_mul(2.0, a.dv), b.dv),
-                     _mul(a.val, b.dvv)),
-            )
-        return Jet2(*[x if x is _ZERO else x * o for x in self.as_tuple()])
+        if not isinstance(o, Jet2):
+            return Jet2(*[x if x is _ZERO else x * o for x in self.as_tuple()])
+        # Leibniz: each part adds, in the order written, the products that no
+        # structural zero enters, and stays Z where none is left.
+        Z = _ZERO
+        a, au, av, auu, auv, avv = self.as_tuple()
+        b, bu, bv, buu, buv, bvv = o.as_tuple()
+        du = Z if au is Z or b is Z else au * b
+        du = du if a is Z or bu is Z else a * bu if du is Z else du + a * bu
+        dv = Z if av is Z or b is Z else av * b
+        dv = dv if a is Z or bv is Z else a * bv if dv is Z else dv + a * bv
+        uu = Z if auu is Z or b is Z else auu * b
+        uu = (uu if au is Z or bu is Z
+              else 2.0 * au * bu if uu is Z else uu + 2.0 * au * bu)
+        uu = uu if a is Z or buu is Z else a * buu if uu is Z else uu + a * buu
+        uv = Z if auv is Z or b is Z else auv * b
+        uv = uv if au is Z or bv is Z else au * bv if uv is Z else uv + au * bv
+        uv = uv if av is Z or bu is Z else av * bu if uv is Z else uv + av * bu
+        uv = uv if a is Z or buv is Z else a * buv if uv is Z else uv + a * buv
+        vv = Z if avv is Z or b is Z else avv * b
+        vv = (vv if av is Z or bv is Z
+              else 2.0 * av * bv if vv is Z else vv + 2.0 * av * bv)
+        vv = vv if a is Z or bvv is Z else a * bvv if vv is Z else vv + a * bvv
+        return Jet2(a * b, du, dv, uu, uv, vv)
 
     __rmul__ = __mul__
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given f(x), f'(x), f''(x) at x = val."""
-        f2u, f2v = _mul(f2, self.du), _mul(f2, self.dv)
-        return Jet2(
-            f0,
-            _mul(f1, self.du),
-            _mul(f1, self.dv),
-            _sum(_mul(f2u, self.du), _mul(f1, self.duu)),
-            _sum(_mul(f2u, self.dv), _mul(f1, self.duv)),
-            _sum(_mul(f2v, self.dv), _mul(f1, self.dvv)),
-        )
+        Z = _ZERO
+        _, du, dv, duu, duv, dvv = self.as_tuple()
+        f2u = Z if f2 is Z or du is Z else f2 * du
+        f2v = Z if f2 is Z or dv is Z else f2 * dv
+        uu = Z if f2u is Z or du is Z else f2u * du
+        uu = uu if f1 is Z or duu is Z else f1 * duu if uu is Z else uu + f1 * duu
+        uv = Z if f2u is Z or dv is Z else f2u * dv
+        uv = uv if f1 is Z or duv is Z else f1 * duv if uv is Z else uv + f1 * duv
+        vv = Z if f2v is Z or dv is Z else f2v * dv
+        vv = vv if f1 is Z or dvv is Z else f1 * dvv if vv is Z else vv + f1 * dvv
+        return Jet2(f0, Z if f1 is Z or du is Z else f1 * du,
+                    Z if f1 is Z or dv is Z else f1 * dv, uu, uv, vv)
 
     def reciprocal(self) -> "Jet2":
         x = self.val

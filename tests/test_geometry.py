@@ -1,6 +1,7 @@
 """Fundamental forms, frames, curvature, connection and structure residuals."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from twistor4.errors import (
     NotImmersed,
     NotIsothermal,
     NotMinimal,
+    NumericError,
     SeedBranchFlip,
     Twistor4Error,
 )
@@ -320,6 +322,108 @@ class TestFrame:
         # at u = v = 0 the first two seeds, e3 and e2, are both tangent
         fr = build_frame_auto(eval_surface_jet(s, 0.0, 0.0))
         assert fr.seed_branch == 2
+
+
+# The frame kernel with the minors gathered into (6, ...) copies and the gate
+# |p1|^2 computed for every seed at once: the reference that _tangent_plane
+# and _seeded_frames must equal bit for bit.
+_REF_I, _REF_J = np.array([(0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)])
+
+
+def reference_frames(Fu, Fv, branch, at=()):
+    """(minors, Frame) of the reference kernel, or its DegenerateSeed."""
+    dot = geometry._dot
+    t1 = Fu / np.sqrt(dot(Fu, Fu))
+    w = Fv - dot(Fv, t1) * t1
+    w = w - dot(w, t1) * t1
+    t2 = w / np.sqrt(dot(w, w))
+    minors = t1[_REF_I] * t2[_REF_J] - t1[_REF_J] * t2[_REF_I]
+    sq = 1 - t1[SEEDS, ...] ** 2 - t2[SEEDS, ...] ** 2
+    if branch is not None:
+        bad = np.flatnonzero(~(sq[branch] > SEED_TOL ** 2))
+        if bad.size:
+            where = " at (u, v) = ({:g}, {:g})".format(
+                *(np.ravel(x)[bad[0]] for x in at)) if at else ""
+            raise DegenerateSeed(f"seed branch {branch} degenerates{where}")
+    else:
+        safe = sq.reshape(len(SEEDS), -1).min(axis=1) > geometry._BRANCH_MARGIN ** 2
+        branch = int(safe.argmax()) if safe.any() else (sq > SEED_TOL ** 2).argmax(0)
+    first = branch if np.ndim(branch) == 0 else branch.min()
+    s = SEEDS[first]
+    p1 = np.eye(4)[s].reshape((4,) + (1,) * (t1.ndim - 1)) - t1[s] * t1 - t2[s] * t2
+    n2 = np.einsum("m...,ml->l...", minors, geometry._STAR[first])
+    if np.ndim(branch):
+        off = branch != first
+        s = np.take(SEEDS, branch[off])
+        p1[:, off] = np.eye(4)[:, s] - t1[s, off] * t1[:, off] - t2[s, off] * t2[:, off]
+        n2[:, off] = np.einsum("mp,pml->lp", minors[:, off], geometry._STAR[branch[off]])
+    p1n = np.sqrt(dot(p1, p1))
+    return minors, Frame(t1, t2, p1 / p1n, n2 / p1n, seed_branch=branch)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit: dtype, shape, values and the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestFrameKernelReference:
+    """_tangent_plane and _seeded_frames against reference_frames, on random
+    tangent planes.  A plane through the axis e_s makes seed e_s degenerate
+    at its point; one tilted 1e-4 off it leaves |p1| above SEED_TOL but below
+    _BRANCH_MARGIN.  So the planes of each batch decide which seed is smooth."""
+
+    # batch -> (axes s with a point whose plane is (nearly) through e_s, the
+    # tilt off e_s, the automatic seed branch or None for one per point)
+    BATCHES = {"e3": ((), 0, 0), "e2": ((2,), 0, 1), "e2, near e3": ((2,), 1e-4, 1),
+               "e1": ((2, 1), 0, 2), "e1, near e3 and e2": ((2, 1), 1e-4, 2),
+               "per point": ((2, 1, 0), 0, None),
+               "per point, near each": ((2, 1, 0), 1e-4, None)}
+
+    def batch(self, rng, axes, tilt):
+        Fu, Fv = rng.normal(size=(2, 4, 12))
+        for i, s in enumerate(axes):
+            Fu[:, 3 * i] = 2.5 * (np.eye(4)[s] + tilt * Fu[:, 3 * i])
+        return Fu, Fv
+
+    def check(self, Fu, Fv, branch, at=()):
+        try:
+            ref_minors, ref = reference_frames(Fu, Fv, branch, at)
+        except DegenerateSeed as exc:
+            with pytest.raises(DegenerateSeed) as err:
+                geometry._seeded_frames(Fu, Fv, branch, at)
+            assert str(err.value) == str(exc)
+            return None
+        fr = geometry._seeded_frames(Fu, Fv, branch, at)
+        assert _same_bits(geometry._tangent_plane(Fu, Fv)[2], ref_minors)
+        for x, y in zip((fr.t1, fr.t2, fr.n1, fr.n2), (ref.t1, ref.t2, ref.n1, ref.n2)):
+            assert _same_bits(x, y)
+        assert type(fr.seed_branch) is type(ref.seed_branch)
+        assert _same_bits(fr.seed_branch, ref.seed_branch)
+        return fr.seed_branch
+
+    @pytest.mark.parametrize("name", list(BATCHES))
+    def test_automatic_seed(self, rng, name):
+        axes, tilt, want = self.BATCHES[name]
+        Fu, Fv = self.batch(rng, axes, tilt)
+        got = self.check(Fu, Fv, None)
+        assert got == want if want is not None else np.ndim(got) == 1
+        self.check(Fu.reshape(4, 3, 4), Fv.reshape(4, 3, 4), None)
+        for i in range(0, 12, 3):  # one point: 0-d gates and (6,) minors
+            self.check(Fu[:, i], Fv[:, i], None)
+
+    @pytest.mark.parametrize("name", list(BATCHES))
+    @pytest.mark.parametrize("branch", [0, 1, 2])
+    def test_pinned_seed(self, rng, name, branch):
+        axes, tilt, _ = self.BATCHES[name]
+        Fu, Fv = self.batch(rng, axes, tilt)
+        at = np.meshgrid(np.linspace(0, 1, 3), np.linspace(-1, 0, 4), indexing="ij")
+        degenerate = SEEDS[branch] in axes and not tilt
+        assert (self.check(Fu, Fv, branch) is None) == degenerate
+        assert (self.check(Fu.reshape(4, 3, 4), Fv.reshape(4, 3, 4), branch,
+                           at) is None) == degenerate
+        for i in range(0, 12, 3):
+            self.check(Fu[:, i], Fv[:, i], branch, (0.5, float(i)))
 
 
 class TestSecondFormAndShape:
@@ -744,6 +848,34 @@ class TestFieldGrid:
             except Twistor4Error as exc:
                 return type(exc), str(exc)
         assert residuals(sub) == residuals(ref)
+
+    @pytest.mark.parametrize("name", ["round_sphere", "nonisothermal_graph"])
+    def test_mean_curvature_vector_is_built_when_read(self, name):
+        # a grid keeps |H| = hypot(tr_1, tr_2)/2; the vector H is built at its
+        # first read, bit for bit (tr_1 n_1 + tr_2 n_2)/2, and a grid of every
+        # other node builds its own, whether this grid's was read or not
+        grid = FieldGrid(CATALOG[name].surface, 9)
+        assert "H" not in vars(grid)
+        tr1, tr2 = ((grid.g22 * bk[0, 0] - 2 * grid.g12 * bk[0, 1]
+                     + grid.g11 * bk[1, 1]) / grid.det for bk in grid.b)
+        want = 0.5 * (tr1 * grid.n1 + tr2 * grid.n2)
+        assert _same_bits(grid.H_norm, 0.5 * np.hypot(tr1, tr2))
+        sub = grid.every_other()
+        assert "H" not in vars(sub)
+        assert _same_bits(grid.H, want) and "H" in vars(grid)
+        for sub in (sub, grid.every_other()):
+            assert _same_bits(sub.H, want[..., ::2, ::2])
+
+    def test_mean_curvature_vector_is_checked_where_its_norm_overflows(self):
+        # tr_1 = tr_2 = 1.3e308: |H| overflows though H does not, so the check
+        # builds H and the grid stands; a larger step tilts the normals until
+        # H overflows too, and the check names H at its first such node
+        text = "u, v, 0.65e308*u^2, 0.65e308*v^2"
+        grid = FieldGrid(parse_surface(text, domain=(0, 1e-320, 0, 1e-320)), 3)
+        assert np.isinf(grid.H_norm).all() and np.isfinite(vars(grid)["H"]).all()
+        with pytest.raises(NumericError, match=re.escape(
+                "overflows at (u, v) = (0, 2.5e-301): H is not finite")):
+            FieldGrid(parse_surface(text, domain=(0, 1e-300, 0, 1e-300)), 5)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_every_other_needs_an_odd_grid_of_at_least_5(self, n):

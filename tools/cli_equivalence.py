@@ -6,9 +6,10 @@ Usage:
 Imports twistor4 from SRC_DIR (the `src/` directory of a checkout) and runs
 commands in-process through `cli.main`:
 
-- twelve commands on each of the seven catalog surfaces and on six `--expr`
+- twelve commands on each of the seven catalog surfaces and on seven `--expr`
   surfaces (a degree-5 polynomial graph and its mirror, whose monomials
   repeat u^p and v^q, the helicoid, a graph whose components repeat calls,
+  an isotropic quadric whose automatic seed is e1, the third one tried,
   and two non-isotropic Hoffman-Osserman minimal surfaces, built by
   `tests/helpers.py`, whose smooth frames are those of seed e3 and of seed
   e2): `grid --n 41` as JSON and as CSV, `grid --n 5`, `grid --n 3` (the
@@ -90,6 +91,9 @@ EXPR_SURFACES = (
     # f = exp(w)/4 + sin(w)/5
     ("calls", "u, v, exp(u)*cos(v)/4 + sin(u)*cosh(v)/5, "
               "exp(u)*sin(v)/4 + cos(u)*sinh(v)/5", (-1.0, 1.0, -1.0, 1.0)),
+    # (Re f, u, v, Im f) for f = 0.3 w^2: isotropic, and e3 and e2 lie near its
+    # tangent planes, so the automatic seed is the last one tried, e1
+    ("seed_e1", "0.3*u^2 - 0.3*v^2, u, v, 0.6*u*v", (-1.0, 1.0, -1.0, 1.0)),
 )
 
 # the frame of each seed (--seed-normal 0..2: e3, e2, e1)
