@@ -259,11 +259,12 @@ def _grid_columns(grid: FieldGrid) -> list:
     cols = {"u": us, "v": vs, "g11": grid.g11, "g12": grid.g12,
             "g22": grid.g22, "H_norm": grid.H_norm}
     if grid.isothermal:
-        for sign, c in zip(("plus", "minus"), lift_sphere_fields(grid)):
-            g = chart(c)
-            cols.update({f"c{sign}_{k + 1}": c[k] for k in range(3)})
-            cols.update({f"g{sign}_re": g.value.real, f"g{sign}_im": g.value.imag,
-                         f"g{sign}_antipode": g.antipode})
+        c = lift_sphere_fields(grid)
+        g = chart(c.swapaxes(0, 1))  # both lifts' charts, (2, n, n) each
+        for e, sign in enumerate(("plus", "minus")):
+            cols.update({f"c{sign}_{k + 1}": c[e, k] for k in range(3)})
+            cols.update({f"g{sign}_re": g.value[e].real, f"g{sign}_im": g.value[e].imag,
+                         f"g{sign}_antipode": g.antipode[e]})
         cols.update(zip(("res_a", "res_b", "res_c", "res_d"),
                         isotropy_fields(grid)))
     return [np.ravel(cols[c]) if c in cols else None for c in _GRID_COLUMNS]

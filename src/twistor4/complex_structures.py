@@ -29,8 +29,8 @@ from .errors import (
     NotAComplexStructure,
     NotSO4,
 )
-from .linalg4 import (DERIVED_TOL, E4, EXACT_TOL, _I_STACKS, basis_I_stack, det4,
-                      is_special_orthogonal, pair_coords)
+from .linalg4 import (CHIRALITIES, DERIVED_TOL, E4, EXACT_TOL, _I_STACKS,
+                      basis_I_stack, det4, is_special_orthogonal, pair_coords)
 
 __all__ = [
     "OrthogonalComplexStructure",
@@ -135,12 +135,12 @@ def _compose_ocs(eps, coords, tol) -> OrthogonalComplexStructure:
 def plane_to_pair(plane: OrientedPlane):
     """The unique pair (A+, A-) of structures mapping plane.a to plane.b.
 
-    The sphere coordinates are c_eps = pair_coords(a, b, eps), the
-    coordinates 2 <I[eps, k], a ^ b> of the plane's bivector, and come out
-    unit automatically.
+    The sphere coordinates are pair_coords(a, b), the coordinates
+    2 <I[eps, k], a ^ b> of the plane's bivector for both chiralities, and
+    come out unit automatically.
     """
-    return tuple(_compose_ocs(eps, pair_coords(plane.a, plane.b, eps),
-                              DERIVED_TOL) for eps in (1, -1))
+    return tuple(_compose_ocs(eps, c, DERIVED_TOL)
+                 for eps, c in zip(CHIRALITIES, pair_coords(plane.a, plane.b)))
 
 
 def pair_to_plane(plus: OrthogonalComplexStructure,
@@ -163,13 +163,12 @@ def pair_to_plane(plus: OrthogonalComplexStructure,
 
 
 def same_oriented_plane(p: OrientedPlane, q: OrientedPlane) -> bool:
-    """Equality of oriented planes: same projector and same structure pair."""
+    """Equality of oriented planes: same projector and same structure pair,
+    compared through its coordinates pair_coords(a, b), since each entry of
+    its matrices is one of them, negated or not, or 0."""
     if np.max(np.abs(p.projector() - q.projector())) > EXACT_TOL:
         return False
-    pp, pm = plane_to_pair(p)
-    qp, qm = plane_to_pair(q)
-    return (np.max(np.abs(pp.matrix - qp.matrix)) <= EXACT_TOL
-            and np.max(np.abs(pm.matrix - qm.matrix)) <= EXACT_TOL)
+    return bool(np.abs(pair_coords(p.a, p.b) - pair_coords(q.a, q.b)).max() <= EXACT_TOL)
 
 
 # --- SO(4) = H1 . H2 and the double covers ---------------------------------

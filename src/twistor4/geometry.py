@@ -296,10 +296,10 @@ def _traces(g11, g12, g22, det, b):
 
 
 def _mean_curvature(g11, g12, g22, det, b, n1, n2):
-    """H = (tr_1 n_1 + tr_2 n_2) / 2 and |H| = hypot(tr_1, tr_2) / 2, which
-    unlike sqrt(<H, H>) is finite up to half the largest float."""
+    """H = (tr_1 n_1 + tr_2 n_2) / 2 and |H| = hypot(tr_1 / 2, tr_2 / 2),
+    which unlike sqrt(<H, H>) is finite up to the largest float."""
     tr1, tr2 = _traces(g11, g12, g22, det, b)
-    return 0.5 * (tr1 * n1 + tr2 * n2), 0.5 * np.hypot(tr1, tr2)
+    return 0.5 * (tr1 * n1 + tr2 * n2), np.hypot(0.5 * tr1, 0.5 * tr2)
 
 
 def _christoffel(arrays, g11, g12, g22, det):
@@ -488,7 +488,7 @@ class FieldGrid:
         # products of finite 2-jets can overflow where the metric does not
         with np.errstate(over="ignore", invalid="ignore"):
             self.b = b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
-            self.H_norm = 0.5 * np.hypot(*_traces(*g, b))
+            self.H_norm = np.hypot(*(0.5 * tr for tr in _traces(*g, b)))
             # In each component |tr_1 n_1 + tr_2 n_2| <= |tr_1| + |tr_2| <=
             # 2 sqrt(2) |H|: H is finite where |H| < max/8, and the check
             # builds H only where that fails at some node

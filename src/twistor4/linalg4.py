@@ -8,9 +8,10 @@ of such matrices is 6-dimensional and carries the quarter-trace inner product
 (eps = +1/-1, k = 1..3) are orthonormal.  The +1 triple spans a 3-space
 orthogonal to the -1 triple.
 
-This module is the one home of the I[eps, k] layout: it builds their tables
-from the definition and holds `pair_coords`, the one kernel for coordinates
-of a wedge in that basis (a plane's structure pair, the lifts from psi).
+This module is the one home of the I[eps, k] layout, stacked over eps at
+index (1 - eps) // 2: it builds their tables from the definition and holds
+`pair_coords`, the one kernel for coordinates of a wedge in that basis, both
+chiralities at once (a plane's structure pair, the lifts from psi).
 
 Everything here is a pure function of its arguments.
 """
@@ -76,15 +77,16 @@ _I_STACKS = np.array([[wedge(E4[i], E4[j]) + eps * wedge(E4[l], E4[m])
                        for i, j, l, m in _PAIRS] for eps in CHIRALITIES])
 
 
-def pair_coords(p, q, eps: int) -> np.ndarray:
-    """B_eps(p, q)[k, ...] = 2 <I[eps, k], p ^ q>, bilinear in p[4, ...] and
-    q[4, ...] (real or complex), broadcasting over their trailing axes; e.g.
-    B^1 = p^1 q^2 - p^2 q^1 + eps (p^3 q^4 - p^4 q^3)."""
+def pair_coords(p, q) -> np.ndarray:
+    """B[(1 - eps) // 2, k, ...] = 2 <I[eps, k], p ^ q> = A_k + eps B_k for the
+    minors A_k of e_i ^ e_j and B_k of e_l ^ e_m (e.g. A_1 = p^1 q^2 - p^2 q^1),
+    bilinear in p[4, ...], q[4, ...] (real or complex), broadcast over the rest."""
     p, q = np.asarray(p), np.asarray(q)
-    out = np.empty((3,) + np.broadcast_shapes(p.shape[1:], q.shape[1:]),
+    out = np.empty((2, 3) + np.broadcast_shapes(p.shape[1:], q.shape[1:]),
                    np.result_type(p, q))
     for k, (i, j, l, m) in enumerate(_PAIRS):
-        out[k] = (p[i] * q[j] - p[j] * q[i] + eps * (p[l] * q[m] - p[m] * q[l]))
+        a, b = p[i] * q[j] - p[j] * q[i], p[l] * q[m] - p[m] * q[l]
+        out[:, k] = a + b, a - b
     return out
 
 
@@ -131,10 +133,7 @@ def bivector_coords(m):
 
 def bivector_from_coords(cplus, cminus) -> np.ndarray:
     """Inverse of :func:`bivector_coords`."""
-    cplus = np.asarray(cplus, float)
-    cminus = np.asarray(cminus, float)
-    return np.einsum("k,kij->ij", cplus, _I_STACKS[0]) + np.einsum(
-        "k,kij->ij", cminus, _I_STACKS[1])
+    return np.einsum("ek,ekij->ij", np.array([cplus, cminus], float), _I_STACKS)
 
 
 def det4(A) -> float:

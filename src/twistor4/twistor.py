@@ -2,13 +2,14 @@
 
 At an isothermal point, psi = dF/dw packs the whole tangent plane into four
 complex numbers; quadratic combinations of psi produce the sphere coordinates
-of the two twistor lifts.  Independently, the lifts are wedge expressions
-t1 ^ t2 + eps n1 ^ n2 in any positively oriented adapted frame; both routes
-must agree, which the tests exploit.  Stereographic charts g+/g- of the lift
-spheres are holomorphic (respectively antiholomorphic) exactly when the
-surface is minimal, and a minimal surface is isotropic precisely when one of
-the lifts is constant; the five equivalent characterizations are evaluated as
-residual fields over a grid.
+of the two twistor lifts, both at once: a field of both lifts is one stack
+whose leading axis holds chirality eps at (1 - eps) // 2.  Independently, the
+lifts are wedge expressions t1 ^ t2 + eps n1 ^ n2 in any positively oriented
+adapted frame; both routes must agree, which the tests exploit.  Stereographic
+charts g+/g- of the lift spheres are holomorphic (respectively antiholomorphic)
+exactly when the surface is minimal, and a minimal surface is isotropic
+precisely when one of the lifts is constant; the five equivalent
+characterizations are evaluated as residual fields over a grid.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .geometry import (ISOTHERMAL_TOL, FieldGrid, Frame, SurfacePointData, _dot,
                        dwbar_field)
-from .linalg4 import CHIRALITIES, DERIVED_TOL, basis_I_stack, pair_coords, wedge
+from .linalg4 import CHIRALITIES, DERIVED_TOL, _I_STACKS, pair_coords, wedge
 
 __all__ = [
     "ChartValue",
@@ -60,6 +61,8 @@ __all__ = [
 
 # Default tolerance of the five isotropy residuals (isotropy --tol).
 ISOTROPY_TOL = 1e-6
+# eps over the leading axis of a (2, ...) stack of both lifts
+_EPS = np.reshape(CHIRALITIES, (2, 1, 1))
 
 
 def psi(jets) -> np.ndarray:
@@ -68,23 +71,25 @@ def psi(jets) -> np.ndarray:
 
 
 def big_psi(ps, eps: int) -> np.ndarray:
-    """Quadratic lift components Psi = pair_coords(psi, conj(psi), eps);
-    broadcasts over trailing axes of ps[4, ...].
+    """Quadratic lift components Psi_eps, the slice (1 - eps) // 2 of
+    pair_coords(psi, conj(psi)); broadcasts over trailing axes of ps[4, ...].
 
     Psi^1 = psi^1 conj(psi^2) - psi^2 conj(psi^1)
             + eps (psi^3 conj(psi^4) - psi^4 conj(psi^3)),
     and likewise Psi^2, Psi^3 following the bivector basis pattern.
     """
-    return pair_coords(ps, np.conj(ps), eps)
+    return pair_coords(ps, np.conj(ps))[(1 - eps) // 2]
+
+
+def _sphere_pair(ps, e2a) -> np.ndarray:
+    """Unit sphere coordinates -2i Psi / e2a of both lifts, (2, 3, ...): real
+    by construction (each Psi component is a difference of conjugates)."""
+    return np.real(-2j * pair_coords(ps, np.conj(ps)) / np.asarray(e2a))
 
 
 def sphere_coords(ps, e2a, eps: int) -> np.ndarray:
-    """Unit sphere coordinates -2i Psi_eps / e2a of a twistor lift.
-
-    The entries are real by construction (each Psi component is a difference
-    of conjugates); the imaginary part is dropped.
-    """
-    return np.real(-2j * big_psi(ps, eps) / np.asarray(e2a))
+    """Unit sphere coordinates -2i Psi_eps / e2a of the lift of chirality eps."""
+    return _sphere_pair(ps, e2a)[(1 - eps) // 2]
 
 
 def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
@@ -102,7 +107,7 @@ def lift_isothermal(ps, e2a: float, eps: int) -> OrthogonalComplexStructure:
 
 def lift_matrix(t1, t2, n1, n2, eps: int) -> np.ndarray:
     """t1 ^ t2 + eps n1 ^ n2, of shape (4, 4, ...) for vectors t1[4, ...]
-    etc.; an array eps[..., 1, 1] stacks single points' lifts over its axes."""
+    etc.; an array eps[e, 1, 1, 1...] stacks the lifts over e (see _EPS)."""
     return wedge(t1, t2) + eps * wedge(n1, n2)
 
 
@@ -215,7 +220,7 @@ class LiftPoint:
 def gauss_map(pd: SurfacePointData) -> LiftPoint:
     """The pair of twistor lifts of the oriented tangent plane at a point,
     classified and charted as one stack of the two lift matrices."""
-    both = lift_frame(pd.frame, np.reshape(CHIRALITIES, (2, 1, 1)))
+    both = lift_frame(pd.frame, _EPS)
     g = chart(both.coords.T)
     return LiftPoint(*map(OrthogonalComplexStructure, both.matrix,
                           both.chirality.tolist(), both.coords),
@@ -241,24 +246,23 @@ def holomorphicity_residual(field: np.ndarray, hu: float,
 # --- grid-level lift machinery ------------------------------------------------
 
 def _kept(grid: FieldGrid, make):
-    """make(grid), a pair of fields built once per grid and kept on it,
+    """make(grid), a field of both lifts built once per grid and kept on it,
     read-only; a module-level cache would keep every grid alive."""
     kept = vars(grid).setdefault("_kept", {})
     if make not in kept:
         kept[make] = make(grid)
-        for field in kept[make]:
-            field.flags.writeable = False
+        kept[make].flags.writeable = False
     return kept[make]
 
 
 def _sphere_fields(grid: FieldGrid):
     grid.require_isothermal()
-    return tuple(sphere_coords(grid.psi, grid.e2a, eps) for eps in (1, -1))
+    return _sphere_pair(grid.psi, grid.e2a)
 
 
 def lift_sphere_fields(grid: FieldGrid):
-    """Sphere coordinates of both lifts over a grid (isothermal required),
-    built once per grid."""
+    """Sphere coordinates c[(1 - eps) // 2, k, i, j] of both lifts over a
+    grid (isothermal required), built once per grid."""
     return _kept(grid, _sphere_fields)
 
 
@@ -267,19 +271,18 @@ def lift_agreement_residual(grid: FieldGrid) -> float:
     chiralities, over all grid points.  The frame-based lift matrices work
     regardless of per-point seed branches; they are built on each call and
     not kept on the grid."""
-    return float(max(
-        np.abs(np.einsum("k...,kij->ij...", c, basis_I_stack(eps))
-               - lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, eps)).max()
-        for c, eps in zip(_kept(grid, _sphere_fields), (1, -1))))
+    by_frame = lift_matrix(grid.t1, grid.t2, grid.n1, grid.n2, _EPS[..., None, None])
+    return float(np.abs(np.einsum("ek...,ekij->eij...", _kept(grid, _sphere_fields),
+                                  _I_STACKS) - by_frame).max())
 
 
 def _lift_derivatives(grid: FieldGrid):
-    """dc[k, a, ...] = d c_k / d(u, v)_a of the sphere coordinates of each
-    lift on the interior, by forward mode over the 2-jet (no truncation
-    error).
+    """dc[(1 - eps) // 2, k, a, ...] = d c_k / d(u, v)_a of the sphere
+    coordinates of both lifts on the interior, by forward mode over the
+    2-jet (no truncation error).
 
     psi_u = (F_uu - i F_uv)/2, psi_v = (F_uv - i F_vv)/2 and
-    (e2a)_a = 2 <F_u, F_ua>.  For B(p, q) = pair_coords(p, conj(q), eps),
+    (e2a)_a = 2 <F_u, F_ua>.  For B(p, q) = pair_coords(p, conj(q))[e],
     Psi = B(psi, psi) is sesquilinear in psi and
     B(psi, d psi) = -conj(B(d psi, psi)), so Re(-2i d Psi) = 4 Im B(d psi, psi)
     and dc = 4 Im B(d psi, psi) / e2a - c d(e2a) / e2a.
@@ -289,9 +292,8 @@ def _lift_derivatives(grid: FieldGrid):
     Fu, Fuu, Fuv, Fvv = (a[inner] for a in (grid.Fu, grid.Fuu, grid.Fuv, grid.Fvv))
     dpsi = 0.5 * np.stack([Fuu - 1j * Fuv, Fuv - 1j * Fvv], axis=1)
     dlog_e2a = 2.0 * np.stack([_dot(Fu, Fuu), _dot(Fu, Fuv)]) / e2a
-    return tuple(4.0 * np.imag(pair_coords(dpsi, np.conj(psi), eps)) / e2a
-                 - c[inner][:, None] * dlog_e2a
-                 for c, eps in zip(_kept(grid, _sphere_fields), (1, -1)))
+    return (4.0 * np.imag(pair_coords(dpsi, np.conj(psi))) / e2a
+            - _kept(grid, _sphere_fields)[:, :, None, 1:-1, 1:-1] * dlog_e2a)
 
 
 def chart_residuals(grid: FieldGrid):
@@ -306,19 +308,17 @@ def chart_residuals(grid: FieldGrid):
     second-order quantities that the 2-jet holds exactly; they are pushed
     through the sphere coordinates and the chart, with no truncation error.
     """
-    out = []
-    for c, dc, eps in zip(_kept(grid, _sphere_fields),
-                          _kept(grid, _lift_derivatives), (1, -1)):
-        c1, c2, c3 = c[:, 1:-1, 1:-1]
-        # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
-        s = np.where(c3 <= 0.0, 1.0, -1.0)
-        den = 1.0 - s * c3
-        g = (c1 + 1j * c2) / den
-        gu, gv = (dc[0] + 1j * dc[1] + s * g * dc[2]) / den
-        # g+ is holomorphic in the standard chart, g- antiholomorphic, and the
-        # antipodal chart swaps the two: d/dwbar of conj(g) is conj(dg/dw).
-        out.append(0.5 * float(np.abs(gu + 1j * (s * eps) * gv).max()))
-    return tuple(out)
+    # components first, both lifts after: c_k[e, ...], dc_k[a, e, ...]
+    c1, c2, c3 = _kept(grid, _sphere_fields)[..., 1:-1, 1:-1].swapaxes(0, 1)
+    dc1, dc2, dc3 = np.moveaxis(_kept(grid, _lift_derivatives), (1, 2), (0, 1))
+    # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
+    s = np.where(c3 <= 0.0, 1.0, -1.0)
+    den = 1.0 - s * c3
+    g = (c1 + 1j * c2) / den
+    gu, gv = (dc1 + 1j * dc2 + s * g * dc3) / den
+    # g+ is holomorphic in the standard chart, g- antiholomorphic, and the
+    # antipodal chart swaps the two: d/dwbar of conj(g) is conj(dg/dw).
+    return tuple((0.5 * np.abs(gu + 1j * (s * _EPS) * gv).max(axis=(1, 2))).tolist())
 
 
 @dataclass(frozen=True)
@@ -384,20 +384,20 @@ def lift_gradient_sups(grid: FieldGrid):
     coordinates c of each lift (isothermal required), exact from the 2-jet.
     The I[eps, k] have their entries +-1 at disjoint positions, so this is
     also the sup of the lift matrix's entrywise gradient."""
-    return tuple(float(np.abs(dc).max())
-                 for dc in _kept(grid, _lift_derivatives))
+    return tuple(np.abs(_kept(grid, _lift_derivatives)).reshape(2, -1).max(1).tolist())
 
 
 def isotropy_fields(grid: FieldGrid):
     """Pointwise residuals of isotropy conditions (a)-(d) over a grid; their
     sup-norms are the residuals of isotropy_report."""
     (b111, b112), (b211, b212) = grid.b[:, 0]
-    # |theta-dependent Fourier coefficients| of the rotated shape operator
-    cos_abs = np.abs(b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2)
-    sin_abs = np.abs(b111 * b211 + b112 * b212)
-    res_a = np.abs(grid.beta1 ** 2 + grid.beta2 ** 2)
-    res_b = np.maximum(np.abs(b111 ** 2 - b112 ** 2 + b211 ** 2 - b212 ** 2),
-                       np.abs(b111 * b112 + b211 * b212))
+    with np.errstate(over="ignore", invalid="ignore"):  # b's squares may overflow
+        # |theta-dependent Fourier coefficients| of the rotated shape operator
+        cos_abs = np.abs(b111 ** 2 + b112 ** 2 - b211 ** 2 - b212 ** 2)
+        sin_abs = np.abs(b111 * b211 + b112 * b212)
+        res_a = np.abs(grid.beta1 ** 2 + grid.beta2 ** 2)
+        res_b = np.maximum(np.abs(b111 ** 2 - b112 ** 2 + b211 ** 2 - b212 ** 2),
+                           np.abs(b111 * b112 + b211 * b212))
     return (res_a, res_b, np.maximum(cos_abs, sin_abs),
             np.maximum(0.5 * cos_abs, sin_abs))
 

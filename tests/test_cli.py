@@ -248,6 +248,27 @@ class TestHostileInput:
             norm = json.loads(out, parse_constant=_strict)["summary"]["sup_H"]
         assert math.isclose(norm, 1e200, rel_tol=1e-15)
 
+    def test_mean_curvature_norm_is_finite_up_to_the_largest_float(self, capsys):
+        # tr_1 = tr_2 = 1.3e308: hypot(tr_1, tr_2) overflows, but
+        # |H| = hypot(tr_1/2, tr_2/2) = 9.19e307 does not
+        code, out, err = run(capsys, "analyze", "--expr",
+                             "u, v, 0.65e308*u^2, 0.65e308*v^2", "--domain",
+                             "0", "1e-320", "0", "1e-320", "--at", "0", "0")
+        assert code == 0 and err == ""
+        doc = json.loads(out, parse_constant=_strict)["mean_curvature"]
+        assert doc == {"vector": [0.0, 0.0, 6.5e307, 6.5e307],
+                       "norm": math.hypot(6.5e307, 6.5e307)}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_isotropy_residuals_warn_nothing(self, capsys, fmt):
+        # b is finite, but its squares in residuals (a)-(d) overflow: the
+        # export is refused with one error line and no numpy warning
+        code, out, err = run(capsys, "grid", "--n", "3", "--expr",
+                             "u, v, 1e160*u^2, 1e160*v^2", "--domain",
+                             "0", "1e-170", "0", "1e-170", "--format", fmt)
+        assert code == 4 and out == ""
+        assert err == "error: the result is not finite (column res_a holds inf)\n"
+
     @pytest.mark.parametrize("command", [("analyze", "--at", "0.3", "0.2"),
                                          ("grid", "--n", "5")])
     def test_parallel_tangents_are_not_immersed(self, capsys, command):
@@ -721,17 +742,20 @@ class TestGrid:
         assert code == 0 and out.count("\n") == 1 and ", " not in out
 
     def test_one_lift_pass_per_export(self, capsys, monkeypatch):
-        # the rows and every summary residual share one build of each lift
-        # field: two chiralities of sphere coordinates and of lift matrices
+        # the rows and every summary residual share one build of each stacked
+        # lift field, both chiralities at once: the sphere coordinates and
+        # their derivatives, one pair_coords call each, and the lift matrices
         import twistor4.twistor as tw
         calls = []
-        for name in ("sphere_coords", "lift_matrix"):
+        for name in ("_sphere_fields", "_lift_derivatives", "pair_coords",
+                     "lift_matrix"):
             fn = getattr(tw, name)
             monkeypatch.setattr(tw, name, lambda *a, fn=fn, name=name: (
                 calls.append(name), fn(*a))[1])
         code, _, _ = run(capsys, "grid", "--surface", "holo_square", "--n", "7")
         assert code == 0
-        assert sorted(calls) == ["lift_matrix"] * 2 + ["sphere_coords"] * 2
+        assert sorted(calls) == ["_lift_derivatives", "_sphere_fields",
+                                 "lift_matrix"] + ["pair_coords"] * 2
 
     def test_non_isothermal_grid_still_exports(self, capsys):
         code, out, _ = run(capsys, "grid", "--surface", "nonisothermal_graph",

@@ -209,6 +209,18 @@ class TestPairToPlane:
             assert np.max(np.abs(back.projector() - plane.projector())) <= 1e-10
             assert same_oriented_plane(back, plane)
 
+    def test_same_oriented_plane_tells_orientations_apart(self, rng):
+        # another basis of the plane, rotated within it, is the same oriented
+        # plane; the swapped pair spans the same plane with the other one
+        for _ in range(100):
+            plane = random_plane(rng)
+            t = rng.uniform(0, 2 * np.pi)
+            a, b = plane.a, plane.b
+            turned = OrientedPlane(np.cos(t) * a + np.sin(t) * b,
+                                   -np.sin(t) * a + np.cos(t) * b)
+            assert same_oriented_plane(turned, plane)
+            assert not same_oriented_plane(OrientedPlane(b, a), plane)
+
     def test_round_trip_pair_plane_pair(self, rng):
         for _ in range(100):
             p = random_ocs(rng, 1)

@@ -780,7 +780,7 @@ class TestLayout:
         for x in (g.F, g.Fu, g.Fvv, g.t1, g.t2, g.n1, g.n2, g.H, g.psi):
             assert x.shape == (4, 11, 11)
         assert g.b.shape == (2, 2, 2, 11, 11)
-        assert all(c.shape == (3, 11, 11) for c in lift_sphere_fields(g))
+        assert lift_sphere_fields(g).shape == (2, 3, 11, 11)
 
     @pytest.mark.parametrize("name", ["holo_cube", "nonisothermal_graph"])
     def test_point_results_keep_their_shapes(self, name):
@@ -851,7 +851,7 @@ class TestFieldGrid:
 
     @pytest.mark.parametrize("name", ["round_sphere", "nonisothermal_graph"])
     def test_mean_curvature_vector_is_built_when_read(self, name):
-        # a grid keeps |H| = hypot(tr_1, tr_2)/2; the vector H is built at its
+        # a grid keeps |H| = hypot(tr_1/2, tr_2/2); the vector H is built at its
         # first read, bit for bit (tr_1 n_1 + tr_2 n_2)/2, and a grid of every
         # other node builds its own, whether this grid's was read or not
         grid = FieldGrid(CATALOG[name].surface, 9)
@@ -859,20 +859,23 @@ class TestFieldGrid:
         tr1, tr2 = ((grid.g22 * bk[0, 0] - 2 * grid.g12 * bk[0, 1]
                      + grid.g11 * bk[1, 1]) / grid.det for bk in grid.b)
         want = 0.5 * (tr1 * grid.n1 + tr2 * grid.n2)
-        assert _same_bits(grid.H_norm, 0.5 * np.hypot(tr1, tr2))
+        assert _same_bits(grid.H_norm, np.hypot(0.5 * tr1, 0.5 * tr2))
         sub = grid.every_other()
         assert "H" not in vars(sub)
         assert _same_bits(grid.H, want) and "H" in vars(grid)
         for sub in (sub, grid.every_other()):
             assert _same_bits(sub.H, want[..., ::2, ::2])
 
-    def test_mean_curvature_vector_is_checked_where_its_norm_overflows(self):
-        # tr_1 = tr_2 = 1.3e308: |H| overflows though H does not, so the check
-        # builds H and the grid stands; a larger step tilts the normals until
-        # H overflows too, and the check names H at its first such node
+    def test_mean_curvature_vector_is_checked_where_its_norm_nears_overflow(self):
+        # tr_1 = tr_2 = 1.3e308: |H| = hypot(tr_1/2, tr_2/2) stays finite, but
+        # past max/8, where |H| no longer bounds H, so the check builds H,
+        # finite too, and the grid stands; a larger step tilts the normals
+        # until H itself overflows, and the check names H at its first such node
         text = "u, v, 0.65e308*u^2, 0.65e308*v^2"
         grid = FieldGrid(parse_surface(text, domain=(0, 1e-320, 0, 1e-320)), 3)
-        assert np.isinf(grid.H_norm).all() and np.isfinite(vars(grid)["H"]).all()
+        assert (grid.H_norm == np.hypot(0.65e308, 0.65e308)).all()
+        assert grid.sup_H() > np.finfo(float).max / 8
+        assert np.isfinite(vars(grid)["H"]).all()
         with pytest.raises(NumericError, match=re.escape(
                 "overflows at (u, v) = (0, 2.5e-301): H is not finite")):
             FieldGrid(parse_surface(text, domain=(0, 1e-300, 0, 1e-300)), 5)

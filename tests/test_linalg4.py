@@ -97,14 +97,16 @@ class TestPairCoords:
     def test_matches_definition(self, rng, eps):
         for _ in range(100):
             p, q = rng.normal(size=(2, 4))
-            assert np.max(np.abs(pair_coords(p, q, eps)
+            got = pair_coords(p, q)
+            assert got.shape == (2, 3)
+            assert np.max(np.abs(got[(1 - eps) // 2]
                                  - self.reference(p, q, eps))) <= 1e-14 * (
                 1 + np.linalg.norm(p) * np.linalg.norm(q))
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_broadcasts_over_a_batch(self, rng, eps):
         p, q = rng.normal(size=(2, 4, 7))
-        got = pair_coords(p, q, eps)
+        got = pair_coords(p, q)[(1 - eps) // 2]
         assert got.shape == (3, 7)
         for i in range(7):
             ref = self.reference(p[:, i], q[:, i], eps)
@@ -117,7 +119,21 @@ class TestPairCoords:
                   - self.reference(p.imag, q.imag, eps)
                   + 1j * (self.reference(p.real, q.imag, eps)
                           + self.reference(p.imag, q.real, eps)))
-        assert np.max(np.abs(pair_coords(p, q, eps) - expect)) <= 1e-13
+        got = pair_coords(p, q)[(1 - eps) // 2]
+        assert np.max(np.abs(got - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_each_slice_is_the_one_chirality_formula(self, rng, eps):
+        # minors (i, j) and (l, m) of _PAIRS's pattern, summed with eps:
+        # exact on reals, signed zeros and a field with a trailing axis
+        p, q = rng.normal(size=(2, 4, 5))
+        p[2:, 0] = q[:, 0] = 0.0
+        p[:, 1] = -0.0
+        want = np.array([p[i] * q[j] - p[j] * q[i]
+                         + eps * (p[l] * q[m] - p[m] * q[l])
+                         for i, j, l, m in ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))])
+        got = pair_coords(p, q)[(1 - eps) // 2]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBasisI:

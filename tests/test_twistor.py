@@ -202,6 +202,31 @@ class TestGaussMap:
             assert np.max(np.abs(m2.matrix - lp.fminus.matrix)) <= 1e-10
 
 
+class TestLiftStack:
+    """The grid lifts are one (2, ...) stack over both chiralities."""
+
+    @staticmethod
+    def one_chirality(ps, e2a, eps):
+        # -2i Psi_eps / e2a with Psi_eps built for eps alone, minor by minor
+        cs = np.conj(ps)
+        big = np.array([ps[i] * cs[j] - ps[j] * cs[i]
+                        + eps * (ps[l] * cs[m] - ps[m] * cs[l])
+                        for i, j, l, m in ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))])
+        return np.real(-2j * big / e2a)
+
+    @pytest.mark.parametrize("name", ISOTHERMAL + ("helicoid",))
+    def test_each_slice_is_that_chirality_alone(self, grids, name):
+        g = (FieldGrid(parse_surface("sinh(v)*cos(u), sinh(v)*sin(u), u, 0",
+                                     domain=(-1.0, 1.0, 0.3, 1.3)), 11)
+             if name == "helicoid" else grids(name, 11))
+        c = lift_sphere_fields(g)
+        assert c.shape == (2, 3, 11, 11) and not c.flags.writeable
+        for e, eps in enumerate((1, -1)):
+            for want in (sphere_coords(g.psi, g.e2a, eps),
+                         self.one_chirality(g.psi, g.e2a, eps)):
+                assert c[e].tobytes() == want.tobytes()
+
+
 class TestChart:
     def test_south_pole(self):
         assert chart([0.0, 0.0, -1.0]).value == 0.0
