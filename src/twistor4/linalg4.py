@@ -86,7 +86,7 @@ def pair_coords(p, q) -> np.ndarray:
                    np.result_type(p, q))
     for k, (i, j, l, m) in enumerate(_PAIRS):
         a, b = p[i] * q[j] - p[j] * q[i], p[l] * q[m] - p[m] * q[l]
-        out[:, k] = a + b, a - b
+        out[0, k], out[1, k] = a + b, a - b
     return out
 
 

@@ -2,10 +2,9 @@
 """The benchmark trajectory across the committed BENCH_pr<N>.json files.
 
 Usage:
-    python3 tools/bench_trajectory.py [FILE ...]
+    python3 tools/bench_trajectory.py
 
-With no FILE, reads every BENCH_pr<N>.json at the repository root.  Files
-are taken in PR order, by N.  For each workload and each end-to-end metric
+Reads every BENCH_pr<N>.json at the repository root, in PR order, by N.  For each workload and each end-to-end metric
 of BENCHMARK.json, prints one line per file: the number of change and parent
 runs, the change/parent ratio of their medians, and the running product of
 those ratios over the files so far.  Only ratios chain: absolute medians of
@@ -21,7 +20,6 @@ through a flagged file holds only where that count is 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import statistics
@@ -119,11 +117,8 @@ def parent_flags(files, added) -> list:
     return lines
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("files", nargs="*", type=Path)
-    args = ap.parse_args(argv)
-    files = sorted(args.files or ROOT.glob("BENCH_pr*.json"), key=pr_number)
+def main() -> int:
+    files = sorted(ROOT.glob("BENCH_pr*.json"), key=pr_number)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in bench["end_to_end"]]
     print("\n".join(trajectory(files, metrics)))
