@@ -4,7 +4,8 @@ Subcommands: catalog, analyze, grid, isotropy, residuals.  JSON output is
 self-describing (tool version, tolerances, grid step, seed branch) and
 deterministic, so re-running with the same configuration is bit-identical.
 Exit codes: 0 success, 2 expression/input error, 3 hypothesis failure
-(not immersed / not isothermal / not minimal), 4 numeric breakdown.
+(not immersed / not isothermal / not minimal), 4 numeric breakdown, such as
+a nan or inf in an output of any format, refused before anything is written.
 """
 
 from __future__ import annotations
@@ -110,7 +111,12 @@ def _checked_tol(args) -> float:
     return args.tol
 
 
-def _config(surface, **extra) -> dict:
+def _config(surface, grid=None, **extra) -> dict:
+    """The config block of a JSON document, with a grid's n, h and domain
+    ahead of extra; a "tolerances" in extra replaces the defaults in place."""
+    if grid is not None:
+        extra = {"n": grid.n, "h": [grid.hu, grid.hv],
+                 "domain": list(grid.domain), **extra}
     return {
         "tool": "twistor4",
         "version": __version__,
@@ -159,18 +165,16 @@ def _non_finite(doc, key: str):
 
 # --- catalog -----------------------------------------------------------------
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> str:
     if args.json:
-        doc = {
+        return _json({
             "tool": "twistor4",
             "version": __version__,
             "surfaces": [
                 {**e.surface.to_json(), "flags": e.flags_dict(), "note": e.note}
                 for e in catalog_entries()
             ],
-        }
-        _emit(args, _json(doc))
-        return 0
+        })
     rows = [("name", "isothermal", "minimal", "isotropic", "lift", "domain")]
     yes = {True: "yes", False: "no", None: "-"}
     for e in catalog_entries():
@@ -180,13 +184,12 @@ def cmd_catalog(args) -> int:
     widths = [max(len(r[k]) for r in rows) for k in range(len(rows[0]))]
     lines = ["  ".join(f"{c:<{w}}" for c, w in zip(r, widths)).rstrip()
              for r in rows]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # --- analyze -------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     surface = _sampled(args, _resolve_surface(args))
     tol = _checked_tol(args)
     u, v = args.at
@@ -236,8 +239,7 @@ def cmd_analyze(args) -> int:
             doc["g_plus_closed_form"] = _c(g_plus_closed_form(ps))
         except PoleOfChart:
             doc["g_plus_closed_form"] = "pole"
-    _emit(args, _json(doc))
-    return 0
+    return _json(doc)
 
 
 # --- grid ----------------------------------------------------------------------
@@ -330,7 +332,7 @@ def _grid(args, surface, n: int) -> FieldGrid:
         raise ExpressionError(f"an n = {n} grid does not fit in memory") from None
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args) -> str:
     surface = _resolve_surface(args)
     n = args.n
     if args.h is not None:
@@ -347,20 +349,16 @@ def cmd_grid(args) -> int:
                 f"grid is square, so give --n or a domain with equal extents")
     grid = _grid(args, surface, n)
     if args.format == "csv":  # rows end in CRLF, as csv.writer writes them
-        _emit(args, "\r\n".join([",".join(_GRID_COLUMNS),
-                                 *_grid_rows(_grid_columns(grid), "csv"), ""]))
-        return 0
+        return "\r\n".join([",".join(_GRID_COLUMNS),
+                             *_grid_rows(_grid_columns(grid), "csv"), ""])
     summary = _grid_summary(grid)
     doc = {
-        "config": _config(surface, n=grid.n, h=[grid.hu, grid.hv],
-                          domain=list(grid.domain),
-                          seed_branch=summary["seed_branch"]),
+        "config": _config(surface, grid, seed_branch=summary["seed_branch"]),
         "summary": summary,
         "columns": list(_GRID_COLUMNS),
     }
-    _emit(args, '{},"rows":[[{}]]}}'.format(
-        _json(doc)[:-1], "],[".join(_grid_rows(_grid_columns(grid), "json"))))
-    return 0
+    return '{},"rows":[[{}]]}}'.format(
+        _json(doc)[:-1], "],[".join(_grid_rows(_grid_columns(grid), "json")))
 
 
 # --- isotropy --------------------------------------------------------------------
@@ -374,7 +372,7 @@ _CONDITION_LABELS = {
 }
 
 
-def cmd_isotropy(args) -> int:
+def cmd_isotropy(args) -> str:
     surface = _resolve_surface(args)
     tol = _checked_tol(args)
     grid = _grid(args, surface, args.n)
@@ -384,16 +382,14 @@ def cmd_isotropy(args) -> int:
         what = "minimal" if isinstance(exc, NotMinimal) else "isothermal"
         raise type(exc)(f"refused: the hypothesis '{what}' fails for "
                         f"{surface.name} ({exc})") from None
+    # refused here if not finite, whichever format is asked for
+    text = _json({
+        "config": _config(surface, grid,
+                          tolerances={**_DEFAULTS, "isotropy_tol": tol}, tol=tol),
+        "report": rep.as_dict(),
+    })
     if args.json:
-        doc = {
-            "config": _config(surface,
-                              tolerances={**_DEFAULTS, "isotropy_tol": tol},
-                              n=grid.n, h=[grid.hu, grid.hv],
-                              domain=list(grid.domain), tol=tol),
-            "report": rep.as_dict(),
-        }
-        _emit(args, _json(doc))
-        return 0
+        return text
     u0, u1, v0, v1 = grid.domain
     lines = [f"isotropy analysis: {surface.name}  (n={grid.n}, "
              f"domain=[{u0:g}, {u1:g}] x [{v0:g}, {v1:g}], tol={tol:g})"]
@@ -406,13 +402,12 @@ def cmd_isotropy(args) -> int:
         lines.append(f"consensus: ISOTROPIC (constant lift: {rep.constant_lift})")
     else:
         lines.append("consensus: NON-ISOTROPIC")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # --- residuals --------------------------------------------------------------------
 
-def cmd_residuals(args) -> int:
+def cmd_residuals(args) -> str:
     surface = _resolve_surface(args)
     try:  # the h grid is every other node of the h/2 grid
         fine = _grid(args, surface, 2 * args.n - 1)
@@ -423,29 +418,27 @@ def cmd_residuals(args) -> int:
     rc, rf = map(structure_residuals, (coarse, fine))
     table = [(k, c, f, convergence_order(c, f))
              for (k, c), f in zip(rc.as_dict().items(), rf.as_dict().values())]
+    # refused here if not finite, whichever format is asked for
+    text = _json({
+        "config": _config(surface, n=coarse.n, n_fine=fine.n,
+                          h=[coarse.hu, coarse.hv], domain=list(coarse.domain)),
+        # an order is null where none is finite: both sups at the roundoff
+        # floor, or sup_h2 or sup_h exactly 0 (text output: "inf", "-inf")
+        "residuals": [
+            {"name": k, "sup_h": c, "sup_h2": f,
+             "order": None if o in (math.inf, -math.inf) else o}
+            for k, c, f, o in table
+        ],
+    })
     if args.json:
-        doc = {
-            "config": _config(surface, n=coarse.n, n_fine=fine.n,
-                              h=[coarse.hu, coarse.hv],
-                              domain=list(coarse.domain)),
-            # an order is null where none is finite: both sups at the roundoff
-            # floor, or sup_h2 or sup_h exactly 0 (text output: "inf", "-inf")
-            "residuals": [
-                {"name": k, "sup_h": c, "sup_h2": f,
-                 "order": None if o in (math.inf, -math.inf) else o}
-                for k, c, f, o in table
-            ],
-        }
-        _emit(args, _json(doc))
-        return 0
+        return text
     lines = [f"structure-equation residuals: {surface.name}  "
              f"(n={coarse.n} vs {fine.n})",
              f"  {'residual':<14} {'sup at h':>13} {'sup at h/2':>13} order"]
     for k, c, f, o in table:
         order = "exact" if o is None else f"{o:.2f}"
         lines.append(f"  {k:<14} {c:13.5e} {f:13.5e} {order}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # --- parser ---------------------------------------------------------------------
@@ -505,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_residuals)
 
-    for p in sub.choices.values():  # every subcommand writes through _emit
+    for p in sub.choices.values():  # main writes every subcommand's text
         p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
@@ -518,11 +511,12 @@ _parser = functools.cache(lambda: build_parser())
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args) or 0
+        _emit(args, args.func(args))
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items()
                     if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -597,26 +597,28 @@ def structure_residuals(grid: FieldGrid) -> StructureResiduals:
     hu, hv = grid.hu, grid.hv
     inner = np.s_[1:-1, 1:-1]
 
-    e2a = grid.e2a
-    lap_alpha = laplacian_field(0.5 * np.log(e2a), hu, hv)  # e2a = e^(2 alpha)
-    rhs = 4.0 / e2a[inner] * (np.abs(grid.beta1[inner]) ** 2
-                              + np.abs(grid.beta2[inner]) ** 2)
-    gauss = float(np.abs(lap_alpha - rhs).max())
+    # fields that overflow give inf or nan sups, left for callers to refuse
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e2a = grid.e2a
+        lap_alpha = laplacian_field(0.5 * np.log(e2a), hu, hv)  # e2a = e^(2 alpha)
+        rhs = 4.0 / e2a[inner] * (np.abs(grid.beta1[inner]) ** 2
+                                  + np.abs(grid.beta2[inner]) ** 2)
+        gauss = float(np.abs(lap_alpha - rhs).max())
 
-    g1, g2 = grid.gamma_fields()
-    gamma = 0.5 * (g1 + 1j * g2)
-    cod1 = dwbar_field(grid.beta1, hu, hv) - grid.beta2[inner] * gamma[inner]
-    cod2 = dwbar_field(grid.beta2, hu, hv) + grid.beta1[inner] * gamma[inner]
-    codazzi1 = float(np.abs(cod1).max())
-    codazzi2 = float(np.abs(cod2).max())
+        g1, g2 = grid.gamma_fields()
+        gamma = 0.5 * (g1 + 1j * g2)
+        cod1 = dwbar_field(grid.beta1, hu, hv) - grid.beta2[inner] * gamma[inner]
+        cod2 = dwbar_field(grid.beta2, hu, hv) + grid.beta1[inner] * gamma[inner]
+        codazzi1 = float(np.abs(cod1).max())
+        codazzi2 = float(np.abs(cod2).max())
 
-    dgamma = np.conj(dwbar_field(np.conj(gamma), hu, hv))  # d/dw gamma
-    ricci_term = (2.0 / e2a[inner] * grid.beta1[inner]
-                  * np.conj(grid.beta2[inner]))
-    ricci = float(np.abs(np.imag(dgamma + ricci_term)).max())
+        dgamma = np.conj(dwbar_field(np.conj(gamma), hu, hv))  # d/dw gamma
+        ricci_term = (2.0 / e2a[inner] * grid.beta1[inner]
+                      * np.conj(grid.beta2[inner]))
+        ricci = float(np.abs(np.imag(dgamma + ricci_term)).max())
 
-    beta_sq = grid.beta1 ** 2 + grid.beta2 ** 2
-    beta_sq_holo = float(np.abs(dwbar_field(beta_sq, hu, hv)).max())
+        beta_sq = grid.beta1 ** 2 + grid.beta2 ** 2
+        beta_sq_holo = float(np.abs(dwbar_field(beta_sq, hu, hv)).max())
 
     return StructureResiduals(gauss, codazzi1, codazzi2, ricci, beta_sq_holo)
 

@@ -330,11 +330,12 @@ class IsotropyReport:
     (d) theta-independence of the rotated shape operator's eigenvalues,
         tested through the two theta-dependent Fourier coefficients;
     (e) one twistor lift is constant, tested through the sup over the
-        interior of each lift's exact gradient (lift_gradient_sups),
-        cross-checked against the closed-form coefficients of the lift
-        derivatives, sup |2(beta^1 -+ i beta^2)| (const_plus_residual,
-        const_minus_residual): rotating the normal frame by theta multiplies
-        beta^1 -+ i beta^2 by exp(-+i theta), so their moduli do not change.
+        interior of the Euclidean norm of each lift's exact gradient
+        (lift_gradient_sups), cross-checked against the closed-form
+        coefficients of the lift derivatives, sup |2(beta^1 -+ i beta^2)|
+        (const_plus_residual, const_minus_residual): rotating the normal
+        frame by theta multiplies beta^1 -+ i beta^2 by exp(-+i theta), so
+        their moduli do not change.
     """
 
     res_a: float
@@ -380,11 +381,12 @@ class IsotropyReport:
 
 
 def lift_gradient_sups(grid: FieldGrid):
-    """Sup over the interior of |dc/du| and |dc/dv| for the sphere
-    coordinates c of each lift (isothermal required), exact from the 2-jet.
-    The I[eps, k] have their entries +-1 at disjoint positions, so this is
-    also the sup of the lift matrix's entrywise gradient."""
-    return tuple(np.abs(_kept(grid, _lift_derivatives)).reshape(2, -1).max(1).tolist())
+    """Sup over the interior of the Euclidean norms |dc/du| and |dc/dv| of
+    the sphere coordinates c of each lift (isothermal required), exact from
+    the 2-jet.  A rotation of the surface in E^4 rotates each lift's c in
+    R^3, so the sups do not depend on the surface's orientation."""
+    dc1, dc2, dc3 = _kept(grid, _lift_derivatives).swapaxes(0, 1)
+    return tuple(np.hypot(np.hypot(dc1, dc2), dc3).reshape(2, -1).max(1).tolist())
 
 
 def isotropy_fields(grid: FieldGrid):

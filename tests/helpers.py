@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from twistor4.catalog import CATALOG
+from twistor4.surface_expr import expr_text, parse_surface
 from twistor4.complex_structures import (
     OrientedPlane,
     compose_ocs,
@@ -97,6 +98,22 @@ HO_SEED_E3 = ([0.25 + 0.27j, -0.88 + 0.40j, 0.02 - 0.25j],
 HO_SEED_E2 = ([0.6 - 0.17j, -0.36 + 0.3j, -0.4 - 0.16j, -0.16 - 0.08j],
               [-0.49 + 0.72j, 0.66 + 0.32j, 0.2 + 0.6j])
 HO_DOMAIN = (-0.5, 0.5, -0.5, 0.5)
+
+
+def catalog_text(name):
+    """'f1, f2, f3, f4' text of a catalog surface."""
+    return ", ".join(map(expr_text, CATALOG[name].surface.components))
+
+
+def rigid_motion(text, seed):
+    """('f1, f2, f3, f4' text of R F + a, R) for the surface F of text and a
+    rotation R in SO(4) and a translation a drawn from seed."""
+    rng = np.random.default_rng(seed)
+    r, a = random_so4(rng), rng.normal(size=4)
+    fs = [expr_text(f) for f in parse_surface(text).components]
+    return ", ".join(" + ".join([*(f"{x!r}*{f}" for x, f in zip(row.tolist(), fs)),
+                                 repr(float(ai))])
+                     for row, ai in zip(r, a)), r
 
 
 def random_catalog_point(rng, names=None, margin=0.05):

@@ -19,7 +19,14 @@ from twistor4.cli import build_parser, main
 from twistor4.geometry import FieldGrid, surface_point_data
 from twistor4.surface_expr import expr_text, parse_surface
 from twistor4.twistor import ISOTROPY_TOL
-from helpers import hoffman_osserman
+from helpers import (
+    HO_DOMAIN,
+    HO_SEED_E2,
+    HO_SEED_E3,
+    catalog_text,
+    hoffman_osserman,
+    rigid_motion,
+)
 from test_surface_expr import _trees
 
 
@@ -268,6 +275,22 @@ class TestHostileInput:
                              "0", "1e-170", "0", "1e-170", "--format", fmt)
         assert code == 4 and out == ""
         assert err == "error: the result is not finite (column res_a holds inf)\n"
+
+    @pytest.mark.parametrize("command", [
+        ("isotropy",), ("isotropy", "--json"), ("residuals",),
+        ("residuals", "--json"), ("grid",), ("grid", "--format", "csv")],
+        ids=["isotropy-text", "isotropy-json", "residuals-text",
+             "residuals-json", "grid-json", "grid-csv"])
+    def test_every_format_refuses_a_non_finite_result(self, capsys, command):
+        # minimal, with b finite but its squares overflowing: residuals
+        # (a)-(d) and the structure residuals are nan or inf, refused in a
+        # text table as in JSON or CSV, with one error line and no warning
+        code, out, err = run(capsys, command[0], "--n", "5", "--expr",
+                             "u, v, 1e160*(u^2 - v^2), 2e160*u*v", "--domain",
+                             "0", "1e-170", "0", "1e-170", *command[1:])
+        assert code == 4 and out == ""
+        assert err.startswith("error: the result is not finite")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("command", [("analyze", "--at", "0.3", "0.2"),
                                          ("grid", "--n", "5")])
@@ -781,6 +804,37 @@ class TestIsotropyCommand:
         assert code == 0
         assert doc["report"]["consensus"] is False
         assert all(not v for v in doc["report"]["verdicts"].values())
+
+
+class TestRigidMotions:
+    @pytest.mark.parametrize("text, domain", [
+        (catalog_text("catenoid_E3"), get_surface("catenoid_E3").domain),
+        (catalog_text("holo_square"), get_surface("holo_square").domain),
+        ("sinh(v)*cos(u), sinh(v)*sin(u), u, 0", (-1.0, 1.0, 0.3, 1.3)),
+        (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
+        (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
+    ], ids=["catenoid_E3", "holo_square", "helicoid", "ho_seed_e3", "ho_seed_e2"])
+    def test_isotropy_report_does_not_depend_on_position(self, capsys, text, domain):
+        # a rotation and translation of E^4 keeps the verdicts, and the
+        # residuals and lift gradients that are norms of frame-free
+        # quantities: (a), (b) and (e) (c and d follow the normal frame)
+        def report(text):
+            code, out, _ = run(capsys, "isotropy", "--json", "--n", "21",
+                               "--expr", text, "--domain", *map(repr, domain))
+            assert code == 0
+            return json.loads(out)["report"]
+
+        def norms(rep):
+            return [*map(rep["residuals"].get, "abe"),
+                    rep["grad_plus"], rep["grad_minus"]]
+
+        rep = report(text)
+        for seed in range(3):
+            moved = report(rigid_motion(text, seed)[0])
+            for key in ("verdicts", "consensus", "constant_lift"):
+                assert moved[key] == rep[key]
+            for x, y in zip(norms(rep), norms(moved)):
+                assert math.isclose(x, y, rel_tol=1e-12) or max(x, y) <= 1e-12
 
 
 class TestCatalogFlags:

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistor4.catalog import CATALOG
-from twistor4.complex_structures import OrientedPlane, pair_to_plane, plane_to_pair
+from twistor4.complex_structures import (
+    OrientedPlane,
+    pair_to_plane,
+    phi_tilde,
+    plane_to_pair,
+)
 from twistor4.errors import (
     GridTooSmall,
     NonUnitCoords,
@@ -44,7 +49,16 @@ from twistor4.twistor import (
     psi,
     sphere_coords,
 )
-from helpers import hoffman_osserman, random_catalog_point, random_unit3
+from helpers import (
+    HO_DOMAIN,
+    HO_SEED_E2,
+    HO_SEED_E3,
+    catalog_text,
+    hoffman_osserman,
+    random_catalog_point,
+    random_unit3,
+    rigid_motion,
+)
 
 ISOTHERMAL = ("plane", "holo_square", "holo_cube", "clifford_torus",
               "catenoid_E3", "round_sphere")
@@ -227,6 +241,27 @@ class TestLiftStack:
                 assert c[e].tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("name", ISOTHERMAL + ("helicoid", "ho_seed_e3",
+                                                   "ho_seed_e2"))
+    def test_rigid_motions_act_through_the_double_cover(self, name):
+        # c+(R F + a) = P c+(F) and c-(R F + a) = M c-(F) at every node,
+        # for (P, M) = phi_tilde(R): the paper's SO(4) -> SO(3) x SO(3)
+        text, domain = {
+            "helicoid": ("sinh(v)*cos(u), sinh(v)*sin(u), u, 0", (-1.0, 1.0, 0.3, 1.3)),
+            "ho_seed_e3": (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
+            "ho_seed_e2": (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
+        }.get(name) or (catalog_text(name), CATALOG[name].surface.domain)
+
+        def lifts(text):
+            return lift_sphere_fields(FieldGrid(parse_surface(text, domain=domain), 11))
+
+        c = lifts(text)
+        for seed in range(3):
+            moved, r = rigid_motion(text, seed)
+            want = np.einsum("eij,ej...->ei...", np.stack(phi_tilde(r)), c)
+            assert np.abs(lifts(moved) - want).max() <= 1e-12
+
+
 class TestChart:
     def test_south_pole(self):
         assert chart([0.0, 0.0, -1.0]).value == 0.0
@@ -375,10 +410,12 @@ class TestChartResiduals:
 class TestLiftGradientSups:
     @staticmethod
     def central(grid):
-        # sup over the interior of the central differences of each lift's
-        # sphere coordinates along u and along v
-        return [max(np.abs(c[:, 2:, 1:-1] - c[:, :-2, 1:-1]).max() / (2 * grid.hu),
-                    np.abs(c[:, 1:-1, 2:] - c[:, 1:-1, :-2]).max() / (2 * grid.hv))
+        # sup over the interior of the Euclidean norms of the central
+        # differences of each lift's sphere coordinates along u and along v
+        def sup(d):
+            return np.linalg.norm(d, axis=0).max()
+        return [max(sup(c[:, 2:, 1:-1] - c[:, :-2, 1:-1]) / (2 * grid.hu),
+                    sup(c[:, 1:-1, 2:] - c[:, 1:-1, :-2]) / (2 * grid.hv))
                 for c in lift_sphere_fields(grid)]
 
     @pytest.mark.parametrize("name", ["catenoid_E3", "clifford_torus"])

@@ -31,6 +31,12 @@ commands in-process through `cli.main`:
   the h/2 grid only, and of `residuals --n 1000000`, a grid memory cannot
   hold, run with the address space capped 2 GiB above its present size
   (Linux);
+- seven commands on a minimal surface whose second fundamental form b is
+  finite but overflows when squared (`u, v, 1e160*(u^2 - v^2), 2e160*u*v`
+  on [0, 1e-170]^2): `isotropy` as text at n = 3 and n = 5, `isotropy
+  --json`, `residuals` as text and as `--json`, and `grid` as JSON and as
+  CSV, each at n = 5, which refuse their nan or inf results with exit 4,
+  one stderr line and no numpy warning, whatever the format;
 - `analyze --expr` on text that each refusal of the expression parser
   rejects, nesting past its depth limit with and without spaces included,
   so that a parser change is checked on its messages and offsets;
@@ -74,6 +80,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 # interior points of the domain, as fractions of its extents
@@ -126,6 +133,16 @@ TO_FILE = tuple(
         ("isotropy", "--json"), ("residuals", "--json")))
 _JUNK = b"junk\n" * (1 << 20)  # 5 MiB
 
+# refused with exit 4 in every format: residuals (a)-(d) and the structure
+# residuals overflow to nan or inf
+_OVERFLOW = ("--expr", "u, v, 1e160*(u^2 - v^2), 2e160*u*v",
+             "--domain", "0", "1e-170", "0", "1e-170")
+OVERFLOWS = tuple((command[0], *_OVERFLOW, *command[1:]) for command in (
+    ("isotropy", "--n", "3"), ("isotropy", "--n", "5"),
+    ("isotropy", "--n", "5", "--json"), ("residuals", "--n", "5"),
+    ("residuals", "--n", "5", "--json"), ("grid", "--n", "5"),
+    ("grid", "--n", "5", "--format", "csv")))
+
 # refused with exit 2: no n x n grid of this size fits in memory
 TOO_LARGE = ("residuals", "--surface", "plane", "--n", "1000000")
 
@@ -174,8 +191,12 @@ def _points(domain):
 
 
 def _run(main, argv):
+    """(exit code, stdout, stderr) of one command; each warning is written
+    to its stderr, even where an earlier command raised it already."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always")
         try:
             code = main(list(argv))
         except SystemExit as exc:
@@ -242,7 +263,8 @@ def _outputs(src):
                    for command in TO_FILE]
     return [[list(command), *_run(cli.main, command)]
             for command in (*(c for commands in matrix for c in commands),
-                            *SEED_BRANCHES, *pinned, *REFUSALS, *PARSER_REFUSALS)
+                            *SEED_BRANCHES, *pinned, *REFUSALS, *OVERFLOWS,
+                            *PARSER_REFUSALS)
             ] + to_file + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]]
 
 
