@@ -81,23 +81,22 @@ def _mat(a) -> list:
 
 
 def _resolve_surface(args):
+    """The surface of --surface, --expr or --surface-json on --domain, held
+    to SurfaceDef's rule, or on its own domain."""
     given = [x is not None for x in (args.surface, args.expr, args.surface_json)]
     if sum(given) != 1:
         raise ExpressionError(
             "exactly one of --surface, --expr, --surface-json is required")
     if args.surface is not None:
         try:
-            return get_surface(args.surface)
+            surface = get_surface(args.surface)
         except KeyError as exc:
             raise ExpressionError(str(exc)) from None
-    if args.expr is not None:
-        return _sampled(args, parse_surface(args.expr, name="cli-expr"))
-    with open(args.surface_json, "rb") as fh:
-        return surface_from_json(fh.read())
-
-
-def _sampled(args, surface):
-    """surface on --domain, held to SurfaceDef's rule, or on its own domain."""
+    elif args.expr is not None:
+        surface = parse_surface(args.expr, name="cli-expr")
+    else:
+        with open(args.surface_json, "rb") as fh:
+            surface = surface_from_json(fh.read())
     try:
         return replace(surface, domain=tuple(args.domain or surface.domain))
     except ExpressionError as exc:
@@ -190,7 +189,7 @@ def cmd_catalog(args) -> str:
 # --- analyze -------------------------------------------------------------------
 
 def cmd_analyze(args) -> str:
-    surface = _sampled(args, _resolve_surface(args))
+    surface = _resolve_surface(args)
     tol = _checked_tol(args)
     u, v = args.at
     u0, u1, v0, v1 = surface.domain
@@ -324,10 +323,10 @@ def _grid_summary(grid: FieldGrid) -> dict:
 
 
 def _grid(args, surface, n: int) -> FieldGrid:
-    """The n x n FieldGrid of surface on --domain, pinned to --seed-normal;
+    """The n x n FieldGrid of surface, pinned to --seed-normal;
     a grid that memory cannot hold exits 2."""
     try:
-        return FieldGrid(_sampled(args, surface), n, seed_branch=args.seed_normal)
+        return FieldGrid(surface, n, seed_branch=args.seed_normal)
     except MemoryError:
         raise ExpressionError(f"an n = {n} grid does not fit in memory") from None
 
@@ -338,7 +337,7 @@ def cmd_grid(args) -> str:
     if args.h is not None:
         if not args.h > 0:
             raise ExpressionError(f"--h must be positive, got {args.h:g}")
-        u0, u1, v0, v1 = _sampled(args, surface).domain
+        u0, u1, v0, v1 = surface.domain
         cu, cv = (u1 - u0) / args.h, (v1 - v0) / args.h
         if not grid_size_fits(max(cu, cv) + 1):  # cu, cv inf on overflow
             raise ExpressionError(f"--h {args.h!r} gives no grid size an array can hold")

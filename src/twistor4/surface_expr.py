@@ -26,6 +26,7 @@ the innermost such sub-expression and the first offending (u, v).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -296,8 +297,10 @@ class SurfaceDef:
         if len(self.components) != 4:
             raise ExpressionError(
                 f"a surface needs exactly 4 components, got {len(self.components)}")
-        u0, u1, v0, v1 = self.domain
-        if not (np.isfinite(self.domain).all() and u0 < u1 and v0 < v1):
+        u0, u1, v0, v1 = map(float, self.domain)
+        # a finite extent has finite ends; a float difference overflows quietly
+        if not (math.isfinite(u1 - u0) and math.isfinite(v1 - v0)
+                and u0 < u1 and v0 < v1):
             raise ExpressionError(f"empty or non-finite domain {self.domain!r}")
 
     def to_json(self) -> dict:
@@ -335,13 +338,16 @@ def surface_from_json(obj) -> SurfaceDef:
     texts = [obj.get(f"f{i}") for i in range(1, 5)]
     if not all(isinstance(t, str) for t in texts):
         raise ExpressionError("surface JSON needs keys f1..f4, each a string")
+    name = obj.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise ExpressionError("surface JSON name must be a string")
     shared = {}
     comps = tuple(_parse(t, shared) for t in texts)
     domain = obj.get("domain", [-1.0, 1.0, -1.0, 1.0])
     if not (isinstance(domain, (list, tuple)) and len(domain) == 4 and all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in domain)):
         raise ExpressionError("domain must be [u0, u1, v0, v1], four numbers")
-    return SurfaceDef(obj.get("name", "unnamed"), comps, tuple(map(float, domain)))
+    return SurfaceDef(name, comps, tuple(map(float, domain)))
 
 
 # --- second-order jets ------------------------------------------------------

@@ -15,7 +15,7 @@ characterizations are evaluated as residual fields over a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -321,9 +321,10 @@ def chart_residuals(grid: FieldGrid):
     return tuple((0.5 * np.abs(gu + 1j * (s * _EPS) * gv).max(axis=(1, 2))).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=True would add a __hash__ that raises on dicts
 class IsotropyReport:
-    """Residuals and verdicts for the five equivalent isotropy conditions.
+    """Residuals and verdicts for the five equivalent isotropy conditions,
+    as two dicts keyed "a".."e" in this order:
 
     (a) (beta^1)^2 + (beta^2)^2 vanishes;
     (b)/(c) the two quadratic second-form identities;
@@ -338,16 +339,8 @@ class IsotropyReport:
         their moduli do not change.
     """
 
-    res_a: float
-    res_b: float
-    res_c: float
-    res_d: float
-    res_e: float
-    ok_a: bool
-    ok_b: bool
-    ok_c: bool
-    ok_d: bool
-    ok_e: bool
+    residuals: dict
+    verdicts: dict
     consensus: Optional[bool]
     constant_lift: str          # '+', '-', 'both' or 'none'
     grad_plus: float
@@ -359,25 +352,13 @@ class IsotropyReport:
     n: int
 
     def conditions(self):
-        return (("a", self.res_a, self.ok_a), ("b", self.res_b, self.ok_b),
-                ("c", self.res_c, self.ok_c), ("d", self.res_d, self.ok_d),
-                ("e", self.res_e, self.ok_e))
+        return tuple((k, r, self.verdicts[k]) for k, r in self.residuals.items())
 
     def as_dict(self) -> dict:
-        return {
-            "residuals": {k: r for k, r, _ in self.conditions()},
-            "verdicts": {k: ok for k, _, ok in self.conditions()},
-            "consensus": self.consensus,
-            "isotropic": self.consensus,
-            "constant_lift": self.constant_lift,
-            "grad_plus": self.grad_plus,
-            "grad_minus": self.grad_minus,
-            "const_plus_residual": self.const_plus_residual,
-            "const_minus_residual": self.const_minus_residual,
-            "tol": self.tol,
-            "grad_threshold": self.grad_threshold,
-            "n": self.n,
-        }
+        """The fields, with fresh copies of the two dicts, and "isotropic"
+        (the consensus again) right after "consensus"."""
+        items = list(asdict(self).items())
+        return dict(items[:3] + [("isotropic", self.consensus)] + items[3:])
 
 
 def lift_gradient_sups(grid: FieldGrid):
@@ -410,7 +391,8 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
     grid.require_isothermal()
     grid.require_minimal()
 
-    res_a, res_b, res_c, res_d = (float(f.max()) for f in isotropy_fields(grid))
+    res = {k: float(f.max()) for k, f in zip("abcd", isotropy_fields(grid))}
+    ok = {k: r <= tol for k, r in res.items()}
 
     grad_plus, grad_minus = lift_gradient_sups(grid)
     u0, u1, v0, v1 = grid.domain
@@ -420,23 +402,18 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
     const_plus, const_minus = (float(np.abs(2 * (grid.beta1 + s * grid.beta2)).max())
                                for s in (-1j, 1j))
 
-    ok_a, ok_b, ok_c, ok_d = (r <= tol for r in (res_a, res_b, res_c, res_d))
     plus_const = grad_plus <= grad_threshold
     minus_const = grad_minus <= grad_threshold
-    ok_e = plus_const or minus_const
-    res_e = min(grad_plus, grad_minus)
+    res["e"], ok["e"] = min(grad_plus, grad_minus), plus_const or minus_const
 
     if plus_const and minus_const:
         which = "both"
-    elif ok_e:
+    elif ok["e"]:
         which = "+" if const_plus <= const_minus else "-"
     else:
         which = "none"
 
-    votes = (ok_a, ok_b, ok_c, ok_d, ok_e)
-    consensus = votes[0] if all(v == votes[0] for v in votes) else None
+    consensus = ok["a"] if len(set(ok.values())) == 1 else None
 
-    return IsotropyReport(res_a, res_b, res_c, res_d, res_e,
-                          ok_a, ok_b, ok_c, ok_d, ok_e,
-                          consensus, which, grad_plus, grad_minus,
+    return IsotropyReport(res, ok, consensus, which, grad_plus, grad_minus,
                           const_plus, const_minus, tol, grad_threshold, grid.n)

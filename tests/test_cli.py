@@ -429,6 +429,14 @@ class TestHostileInput:
         ("grid", "--expr", "u, v, 0, 0", "--format", "csv",
          "--domain", "-1e400", "1", "0", "1"),
         ("grid", "--surface", "plane", "--n", "5", "--domain", "-inf", "1", "0", "1"),
+        # finite ends, but an extent that overflows to inf
+        *((command, "--expr", "u, v, 0, 0", "--n", "5",
+           "--domain", "-1e308", "1e308", "-1e308", "1e308")
+          for command in ("grid", "isotropy", "residuals")),
+        ("analyze", "--expr", "u, v, 0, 0", "--domain", "-1.7e308", "1.7e308",
+         "-1", "1", "--at", "0", "0"),
+        ("grid", "--surface", "plane", "--n", "5", "--domain", "0", "1",
+         "-1.7e308", "1.7e308"),
     ])
     def test_domain_must_be_finite_and_non_empty(self, capsys, tmp_path, argv):
         # every subcommand holds --domain to SurfaceDef's rule: no warning
@@ -478,6 +486,13 @@ class TestHostileInput:
         pytest.param("[" * 100000 + "]" * 100000,
                      "invalid surface JSON: maximum recursion", id="deep-nesting"),
         (b'{"f1": "\x80"}', "invalid surface JSON: 'utf-8' codec can't decode"),
+        # an input error, not a numeric breakdown, a number or an echoed object
+        *(({"name": name, "f1": "u", "f2": "v", "f3": "0", "f4": "0"},
+           "surface JSON name must be a string")
+          for name in (math.nan, 5, {"a": 1}, None)),
+        ({"f1": "u", "f2": "v", "f3": "0", "f4": "0",
+          "domain": [-1e308, 1e308, 0, 1]},
+         "empty or non-finite domain (-1e+308, 1e+308, 0.0, 1.0)"),
     ])
     def test_hostile_surface_json(self, capsys, tmp_path, doc, message):
         # a message and exit 2, not a traceback
@@ -496,6 +511,21 @@ class TestHostileInput:
                            "--domain", "0", "2", "0", "2", "--at", "2", "1.5")
         doc = json.loads(out, parse_constant=_strict)
         assert code == 0 and doc["config"]["surface"]["domain"] == [0, 2, 0, 2]
+
+    @pytest.mark.parametrize("source", ["surface", "surface-json"])
+    @pytest.mark.parametrize("command", ["grid", "isotropy", "residuals"])
+    def test_config_names_the_sampled_domain(self, capsys, tmp_path, command, source):
+        # --domain replaces the surface's own domain for every source, so the
+        # surface block and the grid report the same rectangle
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(get_surface("holo_square").to_json()))
+        given = {"surface": "holo_square", "surface-json": str(path)}[source]
+        code, out, _ = run(capsys, command, f"--{source}", given, "--n", "5",
+                           "--domain", "0", "0.5", "0", "0.5",
+                           *(() if command == "grid" else ("--json",)))
+        config = json.loads(out, parse_constant=_strict)["config"]
+        assert code == 0
+        assert config["surface"]["domain"] == config["domain"] == [0, 0.5, 0, 0.5]
 
 
 class TestOut:
@@ -804,6 +834,46 @@ class TestIsotropyCommand:
         assert code == 0
         assert doc["report"]["consensus"] is False
         assert all(not v for v in doc["report"]["verdicts"].values())
+
+
+_REPORT_KEYS = ["residuals", "verdicts", "consensus", "isotropic", "constant_lift",
+                "grad_plus", "grad_minus", "const_plus_residual",
+                "const_minus_residual", "tol", "grad_threshold", "n"]
+_LIFT_KEYS = ["sup_grad_lift_plus", "sup_grad_lift_minus", "lift_formula_agreement",
+              "holo_residual_gplus", "holo_residual_gminus_conj"]
+
+
+class TestKeyOrder:
+    """The key order of the JSON documents, which scripts may index by."""
+
+    def test_isotropy_report(self, capsys):
+        code, out, _ = run(capsys, "isotropy", "--surface", "holo_square",
+                           "--n", "5", "--json")
+        report = json.loads(out)["report"]
+        assert code == 0 and list(report) == _REPORT_KEYS
+        assert list(report["residuals"]) == list(report["verdicts"]) == list("abcde")
+
+    @pytest.mark.parametrize("name, keys", [
+        ("catenoid_E3", [*_LIFT_KEYS, "structure_residuals", "isotropy"]),
+        ("clifford_torus", _LIFT_KEYS),  # isothermal, not minimal
+        ("nonisothermal_graph", []),
+    ])
+    def test_grid_summary(self, capsys, name, keys):
+        code, out, _ = run(capsys, "grid", "--surface", name, "--n", "5")
+        summary = json.loads(out)["summary"]
+        assert code == 0 and list(summary) == [
+            "sup_H", "min_metric_det", "isothermal", "minimal", "seed_branch", *keys]
+        if "isotropy" in summary:
+            assert list(summary["isotropy"]) == _REPORT_KEYS
+            assert list(summary["structure_residuals"]) == [
+                "gauss", "codazzi1", "codazzi2", "ricci", "beta_sq_holo"]
+
+    def test_residuals_entries(self, capsys):
+        code, out, _ = run(capsys, "residuals", "--surface", "holo_square",
+                           "--n", "5", "--json")
+        entries = json.loads(out)["residuals"]
+        assert code == 0 and len(entries) == 5
+        assert all(list(e) == ["name", "sup_h", "sup_h2", "order"] for e in entries)
 
 
 class TestRigidMotions:

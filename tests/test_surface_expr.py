@@ -76,7 +76,7 @@ class TestParser:
 
     @pytest.mark.parametrize("domain", [
         (0, math.inf, 0, 1), (0, 1, math.nan, 1), (-math.inf, 0, 0, 1),
-        (1, 0, 0, 1), (0, 1, 1, 1)])
+        (1, 0, 0, 1), (0, 1, 1, 1), (-1e308, 1e308, 0, 1), (0, 1, -1.7e308, 1.7e308)])
     def test_domain_must_be_finite_and_non_empty(self, domain):
         with pytest.raises(ExpressionError, match="empty or non-finite domain"):
             parse_surface("u, v, 0, 0", domain=domain)

@@ -476,7 +476,14 @@ class TestIsotropyReport:
             g = grids(name, 21)
             rep = isotropy_report(g)
             sups = [float(f.max()) for f in isotropy_fields(g)]
-            assert sups == [rep.res_a, rep.res_b, rep.res_c, rep.res_d]
+            assert sups == [rep.residuals[k] for k in "abcd"]
+
+    def test_as_dict_copies_the_tables(self, grids):
+        rep = isotropy_report(grids("holo_square", 11))
+        doc = rep.as_dict()
+        doc["residuals"]["a"] = doc["verdicts"]["a"] = None
+        assert isinstance(rep.residuals["a"], float) and rep.verdicts["a"] is True
+        assert doc["isotropic"] is doc["consensus"] is rep.consensus
 
     def test_refusals(self, grids):
         with pytest.raises(NotMinimal):

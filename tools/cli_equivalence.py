@@ -26,6 +26,9 @@ commands in-process through `cli.main`:
   `residuals` with branch 0 pinned; `residuals --json` with
   branch 1 or 2 pinned on the surfaces where that frame is continuous
   (`catenoid_E3` and the Hoffman-Osserman surfaces);
+- `grid`, `isotropy --json` and `residuals --json` on `holo_square` with
+  `--domain 0 0.5 0 0.5`, whose config names the sampled rectangle in its
+  surface block too;
 - a few refusals of a `--domain` or an `--at` that no tree should accept,
   of a surface undefined at a node of the h grid and, earlier, at one of
   the h/2 grid only, and of `residuals --n 1000000`, a grid memory cannot
@@ -111,6 +114,11 @@ SEED_BRANCHES = tuple(
         ("grid", "--surface", "holo_square", "--n", "5", "--seed-normal", k),
     )) + tuple((command, "--surface", "holo_square", "--seed-normal", "0", "--json")
                for command in ("isotropy", "residuals"))
+
+# a catalog surface sampled on a rectangle of its own
+_ON_DOMAIN = ("--surface", "holo_square", "--domain", "0", "0.5", "0", "0.5")
+ON_DOMAIN = (("grid", *_ON_DOMAIN), ("isotropy", *_ON_DOMAIN, "--json"),
+             ("residuals", *_ON_DOMAIN, "--json"))
 
 # refused with exit 2 since --domain and --at are checked
 REFUSALS = (
@@ -263,8 +271,8 @@ def _outputs(src):
                    for command in TO_FILE]
     return [[list(command), *_run(cli.main, command)]
             for command in (*(c for commands in matrix for c in commands),
-                            *SEED_BRANCHES, *pinned, *REFUSALS, *OVERFLOWS,
-                            *PARSER_REFUSALS)
+                            *SEED_BRANCHES, *pinned, *ON_DOMAIN, *REFUSALS,
+                            *OVERFLOWS, *PARSER_REFUSALS)
             ] + to_file + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]]
 
 
