@@ -563,8 +563,10 @@ def dwbar_field(f: np.ndarray, hu: float, hv: float) -> np.ndarray:
 
 
 def laplacian_field(f: np.ndarray, hu: float, hv: float) -> np.ndarray:
-    return ((f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hu ** 2
-            + (f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hv ** 2)
+    # a float64 h^2 overflows to inf, where a Python float's raises
+    hu2, hv2 = np.float64(hu) ** 2, np.float64(hv) ** 2
+    return ((f[2:, 1:-1] - 2 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hu2
+            + (f[1:-1, 2:] - 2 * f[1:-1, 1:-1] + f[1:-1, :-2]) / hv2)
 
 
 @dataclass(frozen=True)

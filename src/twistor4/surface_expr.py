@@ -18,15 +18,18 @@ nest, and the expression tree may grow, at most MAX_DEPTH levels deep.
 Evaluation walks the tree once over numpy arrays of (u, v) (a single point is
 a 0-d batch) and returns a Jet2 carrying the value and all partial
 derivatives up to second order, propagated by degree-2 truncated Taylor
-arithmetic, so the derivatives are exact to roundoff.  Leaving the real
-domain or overflowing leaves a non-finite jet, and one finiteness check names
-the innermost such sub-expression and the first offending (u, v).
+arithmetic, so the derivatives are exact to roundoff.  A surface object
+evaluated again runs its walk compiled: the same numpy operations as
+straight-line code, which gives the same bits.  Leaving the real domain or
+overflowing leaves a non-finite jet, and one finiteness check names the
+innermost such sub-expression and the first offending (u, v).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -303,6 +306,9 @@ class SurfaceDef:
                 and u0 < u1 and v0 < v1):
             raise ExpressionError(f"empty or non-finite domain {self.domain!r}")
 
+    def __getstate__(self):  # a copy or an unpickled surface compiles its own
+        return {k: x for k, x in vars(self).items() if k != "_program"}
+
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -529,11 +535,18 @@ def _operator(node, u, v, memo: dict):
     return base.chain(x ** p, p * x ** (p - 1), f2)
 
 
-def _jets(exprs, u, v):
+def _walk(exprs, u, v):
+    memo = {}  # one per batch, for all components
+    return [_eval(e, u, v, memo) for e in exprs]
+
+
+def _jets(exprs, u, v, program=None):
+    """Jets of exprs over the points (u, v), from program(u, v) when given,
+    which must return what _walk does, else by walking the trees."""
     u, v = np.asarray(u, float), np.asarray(v, float)
-    points = (*np.atleast_1d(u, v), {})  # one memo per batch, for all components
+    points = np.atleast_1d(u, v)
     with np.errstate(all="ignore"):
-        jets = [_eval(e, *points) for e in exprs]
+        jets = program(*points) if program else _walk(exprs, *points)
     # a component without u or v is a plain number: give it the points' shape
     jets = [j if isinstance(j, Jet2) else Jet2(np.full(u.shape, j)) for j in jets]
     if u.ndim == v.ndim == 0:
@@ -541,6 +554,63 @@ def _jets(exprs, u, v):
         # scalar arithmetic can differ from its array loops in the last bit.
         jets = [Jet2(*(np.ravel(x)[0] for x in j.as_tuple())) for j in jets]
     return tuple(jets)
+
+
+# --- compiled jets ----------------------------------------------------------
+
+class _Array(np.lib.mixins.NDArrayOperatorsMixin):
+    """A placeholder for an array over the points while _compile records a
+    walk: each numpy operation on it, an operator being its ufunc, appends
+    (result, function, operands) to the tape, and operations on plain
+    numbers run as in any walk."""
+
+    __slots__ = ("tape", "i")
+
+    def __init__(self, tape, func=None, args=()):
+        self.tape, self.i = tape, len(tape)
+        tape.append((self, func, args))
+
+    def __array_ufunc__(self, ufunc, method, *args):
+        return _Array(self.tape, ufunc, args) if method == "__call__" else NotImplemented
+
+    def __array_function__(self, func, types, args, kwargs):
+        return NotImplemented if kwargs else _Array(self.tape, func, args)
+
+    def __pow__(self, p):  # an array's ** may shortcut np.power: x ** 0.5 is sqrt
+        return _Array(self.tape, operator.pow, (self, p))
+
+
+def _compile(exprs):
+    """A function of the points (u, v) that returns what _walk(exprs, u, v)
+    does, bit for bit, as straight-line code: one walk recorded over two
+    placeholders, with its numpy operations in their order on the same
+    operands, and each temporary deleted after its last use.  The structural
+    zeros and the shared powers and calls are resolved while recording."""
+    tape = []
+    with np.errstate(all="ignore"):
+        jets = _walk(exprs, _Array(tape), _Array(tape))
+    bound = {}  # id -> (name, object) of each constant and function
+
+    def name(x):  # a placeholder's temporary, or a bound object
+        if isinstance(x, _Array):
+            return f"t{x.i}"
+        return bound.setdefault(id(x), (f"k{len(bound)}", x))[0]
+
+    out = [f"{name(Jet2)}({', '.join(map(name, j.as_tuple()))})"
+           if isinstance(j, Jet2) else name(j) for j in jets]
+    last = {a.i: r.i for r, _, args in tape for a in args if isinstance(a, _Array)}
+    last.update((x.i, len(tape)) for j in jets if isinstance(j, Jet2)
+                for x in j.as_tuple() if isinstance(x, _Array))
+    lines = ["def program(t0, t1):"]
+    for r, func, args in tape[2:]:
+        lines.append(f" t{r.i} = {name(func)}({', '.join(map(name, args))})")
+        dead = {f"t{a.i}" for a in args if isinstance(a, _Array) and last[a.i] == r.i}
+        if dead:
+            lines.append(f" del {', '.join(sorted(dead))}")
+    lines.append(f" return ({', '.join(out)},)")
+    env = {"__builtins__": {}, **dict(bound.values())}
+    exec(compile("\n".join(lines), "<jets>", "exec"), env)
+    return env["program"]
 
 
 def finite_mask(jets) -> np.ndarray:
@@ -587,5 +657,13 @@ def eval_surface_jet(surface: SurfaceDef, u, v):
     """Componentwise jets of a surface over the points (u, v), floats or
     arrays of one shape: a tuple of four Jet2.  An undefined point holds nan
     or inf instead of raising, so a batch may carry points allowed to fail;
-    require_finite turns the ones that may not into a DomainError."""
-    return _jets(surface.components, u, v)
+    require_finite turns the ones that may not into a DomainError.
+
+    The first evaluation of a surface object walks its trees; the second
+    compiles them for itself and every later one.  A compile costs tens of
+    small walks, and a command evaluates the surface it parses once."""
+    program = vars(surface).get("_program")  # None, "walked", then compiled
+    if program == "walked":
+        program = _compile(surface.components)
+    object.__setattr__(surface, "_program", program or "walked")
+    return _jets(surface.components, u, v, program)

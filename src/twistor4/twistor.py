@@ -396,8 +396,9 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
 
     grad_plus, grad_minus = lift_gradient_sups(grid)
     u0, u1, v0, v1 = grid.domain
-    diam = math.hypot(u1 - u0, v1 - v0)
-    grad_threshold = tol / diam
+    # tol over the diagonal, halved on both sides: exact where the diagonal
+    # is finite and still finite where it overflows
+    grad_threshold = (tol / 2) / math.hypot((u1 - u0) / 2, (v1 - v0) / 2)
 
     const_plus, const_minus = (float(np.abs(2 * (grid.beta1 + s * grid.beta2)).max())
                                for s in (-1j, 1j))

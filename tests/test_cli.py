@@ -446,6 +446,23 @@ class TestHostileInput:
         assert code == 2 and out == "" and not path.exists()
         assert err.startswith("error: --domain: empty or non-finite domain (")
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    @pytest.mark.parametrize("command", ["isotropy", "residuals"])
+    def test_extents_whose_diagonal_and_h_squared_overflow(self, capsys, command, fmt):
+        # finite extents of 1.6e308: the plane's residuals are exact, and
+        # the gradient threshold tol / diagonal stays finite and positive
+        code, out, err = run(capsys, command, "--expr", "u, v, 0, 0", "--n", "5",
+                             "--domain", "-8e307", "8e307", "-8e307", "8e307", *fmt)
+        assert code == 0 and err == ""
+        if not fmt:
+            return
+        doc = json.loads(out, parse_constant=_strict)
+        if command == "isotropy":
+            assert 0.0 < doc["report"]["grad_threshold"] < math.inf
+            assert doc["report"]["isotropic"]
+        else:
+            assert all(r["sup_h"] == r["sup_h2"] == 0.0 for r in doc["residuals"])
+
     @pytest.mark.parametrize("argv,key,value", [
         (("grid", "--n", "5", "--domain", "-1e-3", "1", "0", "1"),
          ("config", "domain"), [-1e-3, 1, 0, 1]),

@@ -1,12 +1,19 @@
 """Parser behaviour and exactness of the second-order jet arithmetic."""
 
+import copy
+import importlib.util
 import json
 import math
+import pickle
 import re
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twistor4 import surface_expr
 from twistor4.catalog import CATALOG
 from twistor4.errors import (
     ArityError,
@@ -16,6 +23,7 @@ from twistor4.errors import (
     UnknownIdentifier,
 )
 from twistor4.cli import main
+from twistor4.geometry import surface_point_data
 from twistor4.surface_expr import (
     MAX_PRODUCT_POWER,
     SurfaceDef,
@@ -27,6 +35,7 @@ from twistor4.surface_expr import (
     parse_surface,
     surface_from_json,
 )
+from helpers import HO_DOMAIN, HO_SEED_E2, HO_SEED_E3, catalog_text, hoffman_osserman
 
 
 def jet(text, u, v):
@@ -412,7 +421,8 @@ def test_components_together_match_each_alone(a, b, c, points):
     comps = (a, b, Bin("+", a, c), Bin("*", Call("sin", b), Pow(c, 2.0)))
     surface = parse_surface(", ".join(map(expr_text, comps)))
     us, vs = np.array(points).T
-    for u, v in ((us, vs), (us[0], vs[0])):
+    # the same object twice: walked, then compiled, against fresh walks
+    for u, v in ((us, vs), (us[0], vs[0])) * 2:
         together = eval_surface_jet(surface, u, v)
         for comp, jet in zip(comps, together):
             alone = SurfaceDef("alone", (comp, Num(0.0), Num(0.0), Num(0.0)),
@@ -449,6 +459,99 @@ class TestJetMemo:
         for (u, v), other in zip(batches, fresh):
             assert _bits(eval_surface_jet(surface, u, v)) == _bits(
                 eval_surface_jet(other, u, v))
+
+
+def _bench_surfaces():
+    """The surfaces of the benchmark's grid-export round of seed 1 (the
+    catalog, the helicoid and four generated graphs and mirrors) and the
+    generated ones of seed 2, as (label, text, domain)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "surfaces.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_surfaces", path)
+    # registered first: its dataclass looks its own module up
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    cases = module.export_cases(1) + module.generated_cases(2)
+    return [(f"{c.label}-{i}", c.text or catalog_text(c.catalog), c.domain)
+            for i, c in enumerate(cases)]
+
+
+class TestCompiledJets:
+    # Each surface object walks its trees at its first evaluation and
+    # compiles them at its second; a fresh object (a new parse, or
+    # dataclasses.replace) walks again.
+    SURFACES = [*_bench_surfaces(),
+                ("ho_seed_e3", hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
+                ("ho_seed_e2", hoffman_osserman(*HO_SEED_E2), HO_DOMAIN)]
+
+    @pytest.mark.parametrize("text, domain", [c[1:] for c in SURFACES],
+                             ids=[c[0] for c in SURFACES])
+    def test_compiled_equals_walked_bit_for_bit(self, text, domain):
+        surface = parse_surface(text, domain=domain)
+        u0, u1, v0, v1 = domain
+        rng = np.random.default_rng(3)
+        batches = [(float(rng.uniform(u0, u1)), float(rng.uniform(v0, v1))),
+                   (rng.uniform(u0, u1, 5), rng.uniform(v0, v1, 5)),
+                   np.meshgrid(np.linspace(u0, u1, 31), np.linspace(v0, v1, 31))]
+        for u, v in batches * 2:  # the first evaluation walks, the rest compile
+            assert _bits(eval_surface_jet(surface, u, v)) == _bits(
+                eval_surface_jet(replace(surface), u, v))
+        assert callable(vars(surface)["_program"])
+
+    def test_second_evaluation_compiles_once_and_later_ones_reuse_it(self, monkeypatch):
+        compiled = []
+        compile_ = surface_expr._compile
+        monkeypatch.setattr(surface_expr, "_compile",
+                            lambda exprs: compiled.append(compile_(exprs)) or compiled[-1])
+        surface = parse_surface(TestJetMemo.TEXT)
+        for count in (0, 1, 1, 1):
+            eval_surface_jet(surface, 0.3, -0.2)
+            assert len(compiled) == count
+        assert vars(surface)["_program"] is compiled[0]
+        # an equal surface parsed again, or replaced, or copied, walks afresh
+        for other in (parse_surface(TestJetMemo.TEXT), replace(surface),
+                      pickle.loads(pickle.dumps(surface)), copy.copy(surface)):
+            assert other == surface and "_program" not in vars(other)
+            eval_surface_jet(other, 0.3, -0.2)
+            assert len(compiled) == 1
+
+    @pytest.mark.parametrize("command", [
+        ("grid", "--n", "5"), ("grid", "--n", "5", "--format", "csv"),
+        ("isotropy", "--n", "5"), ("residuals", "--n", "5", "--json"),
+        ("analyze", "--at", "0.3", "0.2")])
+    @pytest.mark.parametrize("source", [("--surface", "holo_square"),
+                                        ("--expr", catalog_text("holo_cube"))])
+    def test_commands_never_compile(self, monkeypatch, capsys, command, source):
+        # each command evaluates the surface object it made once: a compile
+        # would cost it tens of walks
+        surface = CATALOG["holo_square"].surface
+        monkeypatch.delitem(vars(surface), "_program", raising=False)
+        eval_surface_jet(surface, 0.1, 0.1)  # the catalog's own object walked once
+        compiled = []
+        monkeypatch.setattr(surface_expr, "_compile", compiled.append)
+        assert main([command[0], *source, *command[1:]]) == 0
+        assert compiled == []
+
+    @pytest.mark.parametrize("text", ["u, v, sqrt(u - u), 0", "u, v, 0, log(v - 2)",
+                                      "u, v, u^0.5 + 1/(v - 0.2), u*v"])
+    def test_compiled_domain_error_names_the_same_sub_expression(self, text):
+        surface = parse_surface(text)
+        messages = []
+        for s in (surface, surface, surface, parse_surface(text)):
+            with pytest.raises(DomainError) as exc:
+                surface_point_data(s, 0.2, 0.2)
+            messages.append(str(exc.value))
+        assert callable(vars(surface)["_program"])
+        assert len(set(messages)) == 1, messages
+
+    def test_generated_code_names_only_its_own_identifiers(self, monkeypatch):
+        # numbers and functions reach the program bound by name, never as text
+        sources = []
+        monkeypatch.setattr(surface_expr, "compile", lambda text, *args: (
+            sources.append(text) or compile(text, *args)), raising=False)
+        surface = parse_surface("u, v, sin(u)*3.5 + exp(v), pi*u^2.5 - 1e-300")
+        surface_expr._compile(surface.components)
+        words = set(re.findall(r"\w+", sources[0]))
+        assert all(re.fullmatch(r"[tk]\d+|program|def|del|return", w) for w in words)
 
 
 # The structural-zero rules of Jet2 written with one helper call per product

@@ -28,7 +28,9 @@ commands in-process through `cli.main`:
   (`catenoid_E3` and the Hoffman-Osserman surfaces);
 - `grid`, `isotropy --json` and `residuals --json` on `holo_square` with
   `--domain 0 0.5 0 0.5`, whose config names the sampled rectangle in its
-  surface block too;
+  surface block too, and `isotropy --json` and `residuals` at n = 5 on the
+  plane `u, v, 0, 0` over [-8e307, 8e307]^2, whose diagonal and h^2
+  overflow a float;
 - a few refusals of a `--domain` or an `--at` that no tree should accept,
   of a surface undefined at a node of the h grid and, earlier, at one of
   the h/2 grid only, and of `residuals --n 1000000`, a grid memory cannot
@@ -119,6 +121,10 @@ SEED_BRANCHES = tuple(
 _ON_DOMAIN = ("--surface", "holo_square", "--domain", "0", "0.5", "0", "0.5")
 ON_DOMAIN = (("grid", *_ON_DOMAIN), ("isotropy", *_ON_DOMAIN, "--json"),
              ("residuals", *_ON_DOMAIN, "--json"))
+# a plane whose diagonal and h^2 overflow a float, though its extents do not
+_HUGE = ("--expr", "u, v, 0, 0", "--domain", "-8e307", "8e307", "-8e307", "8e307",
+         "--n", "5")
+ON_DOMAIN += (("isotropy", *_HUGE, "--json"), ("residuals", *_HUGE))
 
 # refused with exit 2 since --domain and --at are checked
 REFUSALS = (
