@@ -492,7 +492,7 @@ class TestCompiledJets:
         batches = [(float(rng.uniform(u0, u1)), float(rng.uniform(v0, v1))),
                    (rng.uniform(u0, u1, 5), rng.uniform(v0, v1, 5)),
                    np.meshgrid(np.linspace(u0, u1, 31), np.linspace(v0, v1, 31))]
-        for u, v in batches * 2:  # the first evaluation walks, the rest compile
+        for u, v in batches * 2:  # walked, then compiled, then run compiled
             assert _bits(eval_surface_jet(surface, u, v)) == _bits(
                 eval_surface_jet(replace(surface), u, v))
         assert callable(vars(surface)["_program"])
