@@ -18,7 +18,7 @@ import os
 import re
 import stat
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -69,15 +69,6 @@ _DEFAULTS = {
     "seed_tol": SEED_TOL,
     "isotropy_tol": ISOTROPY_TOL,
 }
-
-
-def _c(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _mat(a) -> list:
-    return np.asarray(a, float).tolist()
 
 
 def _resolve_surface(args):
@@ -141,19 +132,32 @@ def _emit(args, text: str):
 
 
 def _json(doc) -> str:
-    """doc as strict, compact JSON: a nan or inf anywhere is a numeric
-    breakdown, refused before anything is written.  Without indent, CPython
-    encodes in C."""
+    """doc as strict, compact JSON, numpy values included (_plain): a nan or
+    inf anywhere is a numeric breakdown, refused before anything is written.
+    Without indent, CPython encodes in C."""
     try:
-        return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+        return json.dumps(doc, separators=(",", ":"), allow_nan=False,
+                          default=_plain)
     except ValueError as exc:
         raise NumericError(
             f"the result is not finite ({_non_finite(doc, '') or exc})") from None
 
 
+def _plain(x):
+    """x as JSON holds it: a numpy array or scalar as its .tolist(), a
+    complex number as [re, im]."""
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def _non_finite(doc, key: str):
     """The first nan or inf in doc as "key is value", keys and list indices
     joined by dots, or None; json's C encoder names neither."""
+    if isinstance(doc, (complex, np.ndarray, np.generic)):
+        doc = _plain(doc)
     if isinstance(doc, float):
         return None if math.isfinite(doc) else f"{key} is {doc}"
     items = (doc.items() if isinstance(doc, dict)
@@ -204,38 +208,30 @@ def cmd_analyze(args) -> str:
                           tolerances={**_DEFAULTS, "isothermal_tol": tol},
                           seed_branch=pd.frame.seed_branch),
         "point": {"u": u, "v": v},
-        "first_form": {"g11": pd.form.g11, "g12": pd.form.g12, "g22": pd.form.g22},
+        "first_form": asdict(pd.form),
         "isothermal": pd.isothermal,
         "alpha": pd.alpha,
-        "frame": {
-            "t1": _mat(pd.frame.t1), "t2": _mat(pd.frame.t2),
-            "n1": _mat(pd.frame.n1), "n2": _mat(pd.frame.n2),
-            "seed_branch": pd.frame.seed_branch,
-        },
+        "frame": asdict(pd.frame),
         "second_form": {f"b{k + 1}{i + 1}{j + 1}": pd.second[k, i, j]
                         for k in (0, 1) for i, j in ((0, 0), (0, 1), (1, 1))},
-        "shape_operators": {"a1": _mat(pd.shape.a1), "a2": _mat(pd.shape.a2)},
-        "christoffel": _mat(pd.christoffel),
-        "normal_connection": {"gamma1": pd.connection.gamma1,
-                              "gamma2": pd.connection.gamma2},
-        "mean_curvature": {"vector": _mat(pd.H), "norm": pd.H_norm},
-        "gauss_weingarten": {"S1": _mat(s1), "S2": _mat(s2)},
-        "beta1": None, "beta2": None, "gamma": None,
+        "shape_operators": asdict(pd.shape),
+        "christoffel": pd.christoffel,
+        "normal_connection": asdict(pd.connection),
+        "mean_curvature": {"vector": pd.H, "norm": pd.H_norm},
+        "gauss_weingarten": {"S1": s1, "S2": s2},
+        "beta1": pd.beta1, "beta2": pd.beta2, "gamma": pd.gamma,
         "psi": None, "lifts": None, "g_plus_closed_form": None,
     }
     if pd.isothermal:
-        doc.update({k: _c(getattr(pd, k)) for k in ("beta1", "beta2", "gamma")})
-        ps = psi(pd.jets)
-        doc["psi"] = [_c(z) for z in ps]
+        doc["psi"] = ps = psi(pd.jets)
         lp = gauss_map(pd)
         doc["lifts"] = {
-            name: {"chirality": sign, "coords": _mat(c), "matrix": _mat(f.matrix),
-                   "chart": {"value": _c(g.value), "antipode": g.antipode}}
-            for name, sign, c, f, g in (
-                ("plus", "+", lp.cplus, lp.fplus, lp.gplus),
-                ("minus", "-", lp.cminus, lp.fminus, lp.gminus))}
+            name: {"chirality": sign, "coords": f.coords, "matrix": f.matrix,
+                   "chart": asdict(g)}
+            for name, sign, f, g in (("plus", "+", lp.fplus, lp.gplus),
+                                     ("minus", "-", lp.fminus, lp.gminus))}
         try:
-            doc["g_plus_closed_form"] = _c(g_plus_closed_form(ps))
+            doc["g_plus_closed_form"] = g_plus_closed_form(ps)
         except PoleOfChart:
             doc["g_plus_closed_form"] = "pole"
     return _json(doc)
@@ -300,7 +296,7 @@ def _grid_summary(grid: FieldGrid) -> dict:
         "sup_H": grid.sup_H(),
         "min_metric_det": float(grid.det.min()),
         "isothermal": grid.isothermal,
-        "minimal": grid.sup_H() <= _DEFAULTS["minimal_tol"],
+        "minimal": grid.minimal,
         "seed_branch": (int(grid.seed_branch) if grid.branch_uniform
                         else "per-point"),
     }
@@ -412,7 +408,8 @@ def cmd_residuals(args) -> str:
         fine = _grid(args, surface, 2 * args.n - 1)
         coarse = fine.every_other()
     except tuple(_EXIT_CODES):  # the h grid's refusal, naming --n, comes first
-        _grid(args, surface, args.n)
+        # a fresh object walks; a second evaluation of this one would compile
+        _grid(args, replace(surface), args.n)
         raise
     rc, rf = map(structure_residuals, (coarse, fine))
     table = [(k, c, f, convergence_order(c, f))

@@ -524,6 +524,11 @@ class FieldGrid:
     def sup_H(self) -> float:
         return float(self.H_norm.max())
 
+    @property
+    def minimal(self) -> bool:
+        """sup |H| within MINIMAL_TOL, the one minimality verdict."""
+        return self.sup_H() <= MINIMAL_TOL
+
     def require_isothermal(self):
         if not self.isothermal:
             i, j = np.unravel_index(
@@ -534,7 +539,7 @@ class FieldGrid:
                 f"(u, v) = ({self.us[i]:g}, {self.vs[j]:g})")
 
     def require_minimal(self):
-        if self.sup_H() > MINIMAL_TOL:
+        if not self.minimal:
             raise NotMinimal(f"sup |H| = {self.sup_H():g} exceeds {MINIMAL_TOL:g}")
 
     def gamma_fields(self):

@@ -368,6 +368,24 @@ class TestHostileInput:
         assert err == ("error: the result is not finite "
                        "(summary.lift_formula_agreement is inf)\n")
 
+    @pytest.mark.parametrize("name, value, where", [
+        ("gauss_weingarten_matrices",
+         lambda pd: (np.eye(4), np.diag([1.0, 2.0, math.inf, 0.0])),
+         "gauss_weingarten.S2.2.2 is inf"),
+        ("g_plus_closed_form", lambda ps: np.complex128(complex(0.5, math.nan)),
+         "g_plus_closed_form.1 is nan"),
+    ], ids=["array", "complex"])
+    def test_non_finite_numpy_value_is_named(self, capsys, monkeypatch, name,
+                                             value, where):
+        # analyze's document holds numpy arrays and complex numbers: the
+        # refusal names the entry inside one as JSON indexes it
+        import twistor4.cli as cli
+        monkeypatch.setattr(cli, name, value)
+        code, out, err = run(capsys, "analyze", "--surface", "holo_square",
+                             "--at", "0.3", "0.2")
+        assert code == 4 and out == ""
+        assert err == f"error: the result is not finite ({where})\n"
+
     @pytest.mark.parametrize("argv", [
         ("grid", "--n", "5", "--seed-normal", "9"),
         ("isotropy", "--n", "5", "--seed-normal", "7"),
@@ -858,10 +876,43 @@ _REPORT_KEYS = ["residuals", "verdicts", "consensus", "isotropic", "constant_lif
                 "const_minus_residual", "tol", "grad_threshold", "n"]
 _LIFT_KEYS = ["sup_grad_lift_plus", "sup_grad_lift_minus", "lift_formula_agreement",
               "holo_residual_gplus", "holo_residual_gminus_conj"]
+_LIFT_ENTRY_KEYS = ["chirality", "coords", "matrix", ("chart", ["value", "antipode"])]
+_ANALYZE_KEYS = [
+    ("config", ["tool", "version",
+                ("surface", ["name", "f1", "f2", "f3", "f4", "domain"]),
+                ("tolerances", ["isothermal_tol", "minimal_tol", "immersion_tol",
+                                "seed_tol", "isotropy_tol"]),
+                "seed_branch"]),
+    ("point", ["u", "v"]), ("first_form", ["g11", "g12", "g22"]),
+    "isothermal", "alpha", ("frame", ["t1", "t2", "n1", "n2", "seed_branch"]),
+    ("second_form", ["b111", "b112", "b122", "b211", "b212", "b222"]),
+    ("shape_operators", ["a1", "a2"]), "christoffel",
+    ("normal_connection", ["gamma1", "gamma2"]),
+    ("mean_curvature", ["vector", "norm"]), ("gauss_weingarten", ["S1", "S2"]),
+    "beta1", "beta2", "gamma", "psi", "lifts", "g_plus_closed_form"]
+_ISOTHERMAL_ONLY = ["beta1", "beta2", "gamma", "psi", "lifts", "g_plus_closed_form"]
+
+
+def _key_tree(doc):
+    """doc's keys in order, an object's as (key, its key tree)."""
+    return [(k, _key_tree(x)) if isinstance(x, dict) else k for k, x in doc.items()]
 
 
 class TestKeyOrder:
     """The key order of the JSON documents, which scripts may index by."""
+
+    @pytest.mark.parametrize("name", ["holo_square", "nonisothermal_graph"])
+    def test_analyze(self, capsys, name):
+        code, out, _ = run(capsys, "analyze", "--surface", name, "--at", "0.3", "0.2")
+        doc = json.loads(out)
+        keys = [*_ANALYZE_KEYS]
+        if doc["isothermal"]:  # the lifts, and both chart values, are objects
+            keys[keys.index("lifts")] = ("lifts", [("plus", _LIFT_ENTRY_KEYS),
+                                                   ("minus", _LIFT_ENTRY_KEYS)])
+        assert code == 0 and doc["isothermal"] == (name == "holo_square")
+        assert _key_tree(doc) == keys
+        # null exactly where the point is not isothermal
+        assert [doc[k] is None for k in _ISOTHERMAL_ONLY] == [not doc["isothermal"]] * 6
 
     def test_isotropy_report(self, capsys):
         code, out, _ = run(capsys, "isotropy", "--surface", "holo_square",

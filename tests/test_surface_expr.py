@@ -514,13 +514,23 @@ class TestCompiledJets:
             eval_surface_jet(other, 0.3, -0.2)
             assert len(compiled) == 1
 
-    @pytest.mark.parametrize("command", [
-        ("grid", "--n", "5"), ("grid", "--n", "5", "--format", "csv"),
-        ("isotropy", "--n", "5"), ("residuals", "--n", "5", "--json"),
-        ("analyze", "--at", "0.3", "0.2")])
-    @pytest.mark.parametrize("source", [("--surface", "holo_square"),
-                                        ("--expr", catalog_text("holo_cube"))])
-    def test_commands_never_compile(self, monkeypatch, capsys, command, source):
+    @pytest.mark.parametrize("argv, code", [
+        *(pytest.param([command[0], *source, *command[1:]], 0,
+                       id=f"source{i}-command{j}")
+          for i, source in enumerate([("--surface", "holo_square"),
+                                      ("--expr", catalog_text("holo_cube"))])
+          for j, command in enumerate([
+              ("grid", "--n", "5"), ("grid", "--n", "5", "--format", "csv"),
+              ("isotropy", "--n", "5"), ("residuals", "--n", "5", "--json"),
+              ("analyze", "--at", "0.3", "0.2")])),
+        # residuals refused: after its h/2 grid failed, it builds the h grid
+        # to name --n if that fails too (here at u = 0), else to refuse the
+        # h/2 grid (here at u = 0.5) after all
+        pytest.param(["residuals", "--expr", "u, v, 1/(u*(u + 0.5)), 0", "--n", "3"],
+                     2, id="h-grid-refuses"),
+        pytest.param(["residuals", "--expr", "u, v, 1/(u - 0.5), 0", "--n", "3"],
+                     2, id="h2-grid-refuses")])
+    def test_commands_never_compile(self, monkeypatch, capsys, argv, code):
         # each command evaluates the surface object it made once: a compile
         # would cost it tens of walks
         surface = CATALOG["holo_square"].surface
@@ -528,7 +538,7 @@ class TestCompiledJets:
         eval_surface_jet(surface, 0.1, 0.1)  # the catalog's own object walked once
         compiled = []
         monkeypatch.setattr(surface_expr, "_compile", compiled.append)
-        assert main([command[0], *source, *command[1:]]) == 0
+        assert main(argv) == code
         assert compiled == []
 
     @pytest.mark.parametrize("text", ["u, v, sqrt(u - u), 0", "u, v, 0, log(v - 2)",

@@ -27,6 +27,21 @@ def test_leaves_reads_a_csv_field_over_128_kib():
     assert list(leaves) == [("a", 1.0), ("b", field)]
 
 
+def test_a_command_that_raises_is_a_mismatch_not_a_traceback():
+    # an exception from cli.main ended the whole comparison in a traceback
+    tool = _cli_equivalence()
+
+    def main(argv):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    crashed = tool._run(main, ["residuals", "--n", "5"])
+    assert crashed == ("exception", "",
+                       "OverflowError: (34, 'Numerical result out of range')\n")
+    line, exact = tool._compare(["residuals", "--n", "5"], [4, "", "error: x\n"],
+                                list(crashed))
+    assert exact and line.startswith("exit 4 -> exception")
+
+
 def _bench_file(path, parent, values):
     # BENCH-shaped: values maps (workload, side) to the points_per_s of its runs
     runs = [{"workload": w, "seed": seed, "side": side,

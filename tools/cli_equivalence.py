@@ -33,9 +33,9 @@ commands in-process through `cli.main`:
   overflow a float;
 - a few refusals of a `--domain` or an `--at` that no tree should accept,
   of a surface undefined at a node of the h grid and, earlier, at one of
-  the h/2 grid only, and of `residuals --n 1000000`, a grid memory cannot
-  hold, run with the address space capped 2 GiB above its present size
-  (Linux);
+  the h/2 grid, of one undefined at a node of the h/2 grid only, and of
+  `residuals --n 1000000`, a grid memory cannot hold, run with the address
+  space capped 2 GiB above its present size (Linux);
 - seven commands on a minimal surface whose second fundamental form b is
   finite but overflows when squared (`u, v, 1e160*(u^2 - v^2), 2e160*u*v`
   on [0, 1e-170]^2): `isotropy` as text at n = 3 and n = 5, `isotropy
@@ -138,6 +138,8 @@ REFUSALS = (
     # undefined on u = -0.5 and u = 0: the h/2 grid meets (-0.5, -1) first,
     # the h grid (0, -1)
     ("residuals", "--expr", "u, v, 1/(u*(u + 0.5)), 0", "--n", "3"),
+    # undefined on u = 0.5, a node of the h/2 grid only
+    ("residuals", "--expr", "u, v, 1/(u - 0.5), 0", "--n", "3"),
 )
 # written with --out over a longer file, on each of these surfaces
 TO_FILE = tuple(
@@ -206,7 +208,9 @@ def _points(domain):
 
 def _run(main, argv):
     """(exit code, stdout, stderr) of one command; each warning is written
-    to its stderr, even where an earlier command raised it already."""
+    to its stderr, even where an earlier command raised it already.  An
+    exception is the command's outcome, exit "exception" with its class and
+    message on stderr, so that one crash does not end a comparison."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -215,6 +219,9 @@ def _run(main, argv):
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = "exception"
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return code, out.getvalue(), err.getvalue()
 
 
