@@ -302,13 +302,12 @@ def _mean_curvature(g11, g12, g22, det, b, n1, n2):
     return 0.5 * (tr1 * n1 + tr2 * n2), np.hypot(0.5 * tr1, 0.5 * tr2)
 
 
-def _christoffel(arrays, g11, g12, g22, det):
-    """Christoffel symbols Gamma[k, i, j, ...], solving for each F_ab the 2x2
-    Gram system <F_ab, F_c> = sum_k Gamma^k_ab g_kc directly."""
-    _, Fu, Fv, Fuu, Fuv, Fvv = arrays
+def _christoffel(r, g11, g12, g22, det):
+    """Christoffel symbols Gamma[k, i, j, ...] from r = the pairs (<F_ab, F_u>,
+    <F_ab, F_v>) for ab = uu, uv, vv, solving for each F_ab the 2x2 Gram
+    system <F_ab, F_c> = sum_k Gamma^k_ab g_kc directly."""
     out = np.empty((2, 2, 2) + np.shape(det))
-    for i, j, Fab in ((0, 0, Fuu), (0, 1, Fuv), (1, 1, Fvv)):
-        r1, r2 = _dot(Fab, Fu), _dot(Fab, Fv)
+    for (i, j), (r1, r2) in zip(((0, 0), (0, 1), (1, 1)), r):
         out[0, i, j] = out[0, j, i] = (g22 * r1 - g12 * r2) / det
         out[1, i, j] = out[1, j, i] = (g11 * r2 - g12 * r1) / det
     return out
@@ -390,38 +389,38 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
                        seed_branch: Optional[int] = None,
                        isothermal_tol: float = ISOTHERMAL_TOL) -> SurfacePointData:
     """All pointwise geometry at (u, v), normal connection included, exact
-    from the 2-jet by the array functions of a FieldGrid, with one jet
-    evaluation of the point and four isothermality probes 1e-3 of the larger
-    domain extent away.  seed_branch pins the normals' seed
-    (DegenerateSeed where it degenerates); without it they are chosen as
-    for a grid."""
+    from the 2-jet by the array functions of a FieldGrid on a 1-point batch.
+    The point is isothermal when its g passes a grid's test and so does the
+    first-order change of g over d, 1e-3 of the larger domain extent:
+    |d_a (g11 - g22)| d and |d_a g12| d are at most isothermal_tol (g11 +
+    g22)/2.  seed_branch pins the normals' seed (DegenerateSeed where it
+    degenerates); without it they are chosen as for a grid."""
+    arrays, ok = _jet_fields(surface, np.array([u]), np.array([v]))
+    _, Fu, Fv, Fuu, Fuv, Fvv = arrays[..., 0]
+    g11, g12, g22, det = _metric(Fu, Fv)
+    if not ok[0] & np.isfinite(det) & _immersed(g11, g22, det):
+        require_finite(surface.components, ok, u, v)
+        _require_finite(u, v, "metric", {"g11, g12, g22 or det g": det})
+        _require_immersed(g11, g22, det, (u, v))
+    form = FirstForm(float(g11), float(g12), float(g22))
+    frame = _seeded_frames(Fu, Fv, seed_branch, (u, v))
     u0, u1, v0, v1 = surface.domain
     d = 1e-3 * max(u1 - u0, v1 - v0)
-    pu = np.array([u, min(max(u - d, u0), u1), min(max(u + d, u0), u1), u, u])
-    pv = np.array([v, v, v, min(max(v - d, v0), v1), min(max(v + d, v0), v1)])
-    arrays, ok = _jet_fields(surface, pu, pv)
-    point = arrays[..., 0]
-    _, Fu, Fv, Fuu, Fuv, Fvv = point
-    g = _metric(arrays[1], arrays[2])
-    g0 = tuple(x[0] for x in g)
-    # One mask holds the first-order checks of the point and its probes.  The
-    # point must pass them, and is named by the first it fails.  The probes
-    # that pass must be isothermal too, lest a pointwise coincidence g11 = g22
-    # pass for isothermal coordinates; the others may hold an inf metric.
-    fine = ok & np.isfinite(g[3]) & _immersed(g[0], g[2], g[3])
-    if not fine[0]:
-        require_finite(surface.components, ok[:1], pu[:1], pv[:1])
-        _require_finite(u, v, "metric", {"g11, g12, g22 or det g": g0[3]})
-        _require_immersed(g0[0], g0[2], g0[3], (u, v))
-    form = FirstForm(*map(float, g0[:3]))
-    frame = _seeded_frames(Fu, Fv, seed_branch, (u, v))
     # products of finite 2-jets can overflow where the metric does not
     with np.errstate(over="ignore", invalid="ignore"):
-        iso = bool(_isothermal_mask(*g[:3], isothermal_tol)[fine].all())
+        # the pairs (<F_ab, F_u>, <F_ab, F_v>), ab = uu, uv, vv, give the
+        # Christoffel symbols and d_a g11 = 2 <F_ua, F_u>, d_a g22 =
+        # 2 <F_va, F_v>, d_a g12 = <F_ua, F_v> + <F_va, F_u>
+        r = [(_dot(Fab, Fu), _dot(Fab, Fv)) for Fab in (Fuu, Fuv, Fvv)]
+        (uu_u, uu_v), (uv_u, uv_v), (vv_u, vv_v) = r
+        dg = np.array((2 * (uu_u - uv_v), 2 * (uv_u - vv_v), uu_v + uv_u, uv_v + vv_u))
+        # an overflowing (inf or nan) term reads as not isothermal
+        iso = bool(_isothermal_mask(g11, g12, g22, isothermal_tol)
+                   & (d * np.abs(dg) <= isothermal_tol * (0.5 * (g11 + g22))).all())
         b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
-        christoffel = _christoffel(point, *g0)
-        H, H_norm = _mean_curvature(*g0, b, frame.n1, frame.n2)
-        gammas = _connection(SEEDS[frame.seed_branch], frame, *g0, b)
+        christoffel = _christoffel(r, g11, g12, g22, det)
+        H, H_norm = _mean_curvature(g11, g12, g22, det, b, frame.n1, frame.n2)
+        gammas = _connection(SEEDS[frame.seed_branch], frame, g11, g12, g22, det, b)
     if not np.isfinite(np.concatenate((b, christoffel, H, gammas), axis=None)).all():
         _require_finite(u, v, "second-order geometry",
                         {"b": b, "Gamma": christoffel, "H": H, "gamma": gammas})
@@ -431,7 +430,7 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     if iso:
         beta1, beta2 = 0.5 * (b[:, 0, 0] - 1j * b[:, 0, 1])
         gamma = 0.5 * (conn.gamma1 + 1j * conn.gamma2)
-    jets = tuple(Jet2(*parts) for parts in point.T.tolist())
+    jets = tuple(Jet2(*parts) for parts in arrays[..., 0].T.tolist())
     return SurfacePointData(u, v, jets, form, iso, alpha,
                             frame, b, shape_operators(form, b), christoffel,
                             H, float(H_norm), conn, beta1, beta2, gamma)
