@@ -498,7 +498,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("at", [("1.5", "0"), ("0", "-1.01"), ("nan", "0"),
                                     ("inf", "0"), ("-inf", "0"), ("0", "-1e400")])
     def test_analyze_refuses_a_point_outside_the_domain(self, capsys, at):
-        # its isothermality probes would be clipped to the domain's edge
+        # a point is analysed on its surface's domain, edges included
         code, out, err = run(capsys, "analyze", "--surface", "holo_square",
                              "--at", *at)
         assert code == 2 and out == ""

@@ -120,12 +120,68 @@ class TestIsothermal:
 
     def test_accidental_pointwise_equality_is_caught_by_pipeline(self):
         # at (1, 1) the graph has g11 = g22 = 5 and g12 = 0 pointwise, but
-        # the coordinates are not isothermal on any neighbourhood
+        # the coordinates are not isothermal on any neighbourhood:
+        # d_u (g11 - g22) = 8 there
         f = first_form(jets_of("nonisothermal_graph", 1.0, 1.0))
         assert (f.g11, f.g12) == (f.g22, 0.0)  # pointwise test alone is fooled
         pd = surface_point_data(CATALOG["nonisothermal_graph"].surface, 1.0, 1.0)
         assert not pd.isothermal
         assert pd.beta1 is pd.beta2 is pd.gamma is None
+
+    def test_graph_origin_is_isothermal_to_first_order(self):
+        # g11 - g22 = 4(u^2 - v^2) and g12 = 0 vanish at (0, 0) together with
+        # their first derivatives: a first-order rule reads the point as
+        # isothermal, while the grid, whose other nodes fail, refuses the graph
+        s = CATALOG["nonisothermal_graph"].surface
+        pd = surface_point_data(s, 0.0, 0.0)
+        assert pd.isothermal and pd.alpha == 0.0
+        assert not FieldGrid(s, 5).isothermal
+
+    # Conformal at the origin (F_u = e1, F_v = e2, so <F_ab, F_c> is the c-th
+    # component of F_ab), with one first derivative of g11 - g22 or of g12
+    # non-zero there: {term: (surface, |term|)}
+    FIRST_ORDER = {
+        "du(g11-g22)": ("u + u^2/2, v, u^2 - v^2, 2*u*v", 2.0),
+        "dv(g11-g22)": ("u, v + v^2/2, u^2 - v^2, 2*u*v", 2.0),
+        "du(g12)": ("u, v + u^2/2, u^2 - v^2, 2*u*v", 1.0),
+        "dv(g12)": ("u + v^2/2, v, u^2 - v^2, 2*u*v", 1.0),
+    }
+
+    @pytest.mark.parametrize("term", FIRST_ORDER)
+    def test_each_first_order_term_refuses(self, term):
+        # g = I passes the pointwise test; the term weighs |term| d against
+        # tol (g11 + g22)/2 = tol, with d = 1e-3 * 2 on [-1, 1]^2
+        text, size = self.FIRST_ORDER[term]
+        s = parse_surface(text)
+        pd = surface_point_data(s, 0.0, 0.0)
+        assert (pd.form.g11, pd.form.g12, pd.form.g22) == (1.0, 0.0, 1.0)
+        assert not pd.isothermal and pd.beta1 is None
+        edge = size * 2e-3
+        assert surface_point_data(s, 0.0, 0.0, isothermal_tol=1.01 * edge).isothermal
+        assert not surface_point_data(s, 0.0, 0.0, isothermal_tol=0.99 * edge).isothermal
+
+    def test_overflowing_term_is_not_isothermal(self):
+        # on [-8e307, 8e307]^2, d = 1.6e305 and |d_u (g11 - g22)| d =
+        # 4000 * 1.6e305 overflows to inf, which reads as not isothermal
+        # (a RuntimeWarning would fail the suite)
+        s = parse_surface("u + 1000*u^2, v, u^2 - v^2, 2*u*v",
+                          domain=(-8e307, 8e307, -8e307, 8e307))
+        pd = surface_point_data(s, 0.0, 0.0)
+        assert (pd.form.g11, pd.form.g12, pd.form.g22) == (1.0, 0.0, 1.0)
+        assert not pd.isothermal
+
+    @pytest.mark.parametrize("name", [*CATALOG, "helicoid"])
+    def test_interior_points_match_the_catalog(self, name):
+        # seeded points 2 % or more from the edges; the helicoid is isothermal
+        if name in CATALOG:
+            s, flag = CATALOG[name].surface, CATALOG[name].isothermal
+        else:
+            s, flag = parse_surface(EVERY_OTHER_EXPRS[name][0],
+                                    domain=EVERY_OTHER_EXPRS[name][1]), True
+        u0, u1, v0, v1 = s.domain
+        for a, b in np.random.default_rng(26).uniform(0.02, 0.98, (40, 2)):
+            u, v = u0 + a * (u1 - u0), v0 + b * (v1 - v0)
+            assert surface_point_data(s, u, v).isothermal is flag, (u, v)
 
 
 class TestChristoffel:
@@ -678,7 +734,8 @@ class TestGaussWeingarten:
 
 class TestPointData:
     def test_one_jet_evaluation_per_point(self, monkeypatch):
-        # the point and its isothermality probes come from a single batch
+        # a point is a 1-point batch: one jet evaluation gives its geometry
+        # and the first derivatives of g that decide its isothermality
         calls = []
 
         def counting(*args):
@@ -691,10 +748,11 @@ class TestPointData:
         for name in names:
             surface_point_data(CATALOG[name].surface, 0.3, 0.5)
         assert len(calls) == len(names)
+        assert all(np.shape(u) == np.shape(v) == (1,) for _, u, v in calls)
 
-    def test_undefined_probe_is_skipped(self):
-        # a plane, defined for u >= 0.1 only: the probe at u - 0.002 is
-        # undefined, the point itself is not
+    def test_isothermal_next_to_an_undefined_region(self):
+        # a plane, defined for u >= 0.1 only: the point 5e-4 inside is
+        # isothermal, its own 1-jet of g deciding it
         s = parse_surface("u, v, 0, 0*sqrt(u - 0.1)")
         pd = surface_point_data(s, 0.1005, 0.0)
         assert pd.isothermal and pd.connection is not None
@@ -709,10 +767,11 @@ class TestPointData:
             surface_point_data(s, 0.0999, 0.0)
         assert "sqrt" in str(err.value) and "(u, v) = (0.0999" in str(err.value)
 
-    def test_non_immersed_probe_is_skipped(self):
-        # F_v = (0, 3v^2, 0, 0) vanishes on v = 0: the probe at v - d of the
-        # point (0.3, 0.002) lands there and is skipped, while the point
-        # itself, immersed, passes; on v = 0 the point is refused
+    def test_immersed_next_to_a_non_immersed_line(self):
+        # F_v = (0, 3v^2, 0, 0) vanishes on v = 0, 0.002 from the point
+        # (0.3, 0.002): the point, immersed, is judged on its own g and its
+        # first derivatives (g22 = 9v^4, not isothermal); on v = 0 the point
+        # is refused
         s = parse_surface("u, v^3, 0, 0")
         assert not surface_point_data(s, 0.3, 0.002).isothermal
         with pytest.raises(NotImmersed) as err:

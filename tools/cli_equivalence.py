@@ -16,8 +16,9 @@ commands in-process through `cli.main`:
   smallest grid) as JSON and as CSV, `isotropy` and `residuals` each as text
   and as `--json`, `residuals --n 5 --json` (the smallest h grid, every other
   node of a 9x9 one), and `analyze` at two interior points of the surface's
-  domain and at four points on its boundary, two corners and two edges,
-  where the isothermality probes are clipped into the domain;
+  domain, at its centre (where `nonisothermal_graph`'s g11 - g22 and g12
+  vanish to first order) and at four points on its boundary, two corners
+  and two edges;
 - `analyze` and a 5x5 `grid` on `holo_square` with each seed branch pinned,
   which fingerprint the normal frame of every seed (at (0, 0) e2 and e1
   are tangent, so the pinned grids of branches 1 and 2 are refused),
@@ -195,7 +196,8 @@ def _commands(surface_args, domain):
     yield ("residuals", *surface_args, "--n", "5", "--json")
     for u, v in _points(domain):
         yield ("analyze", *surface_args, "--at", u, v)
-    for u, v in ((u0, v0), (u1, v1), (u0, 0.5 * (v0 + v1)), (0.5 * (u0 + u1), v1)):
+    um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
+    for u, v in ((um, vm), (u0, v0), (u1, v1), (u0, vm), (um, v1)):
         yield ("analyze", *surface_args, "--at", repr(u), repr(v))
 
 
