@@ -64,9 +64,8 @@ __all__ = [
     "convergence_order",
 ]
 
-# Default tolerances (the CLI reports them in its JSON config): of g11, g22,
-# det g and det g / (g11 g22); of a seed's projection norm; of |g11 - g22|,
-# |g12| per mean g; of sup |H| for a minimal surface.
+# Default tolerances, reported in the CLI's JSON config, of: det g/(g11 g22);
+# a seed's |p1|; |g11 - g22|, |g12| per mean g; sup |H| of a minimal surface.
 IMMERSION_TOL = 1e-12
 SEED_TOL = 1e-6
 ISOTHERMAL_TOL = 1e-8
@@ -198,10 +197,9 @@ def _require_finite(u, v, layer, fields):
 
 
 def _immersed(g11, g22, det):
-    # the last test (sin^2 of the angle of F_u, F_v) refuses roundoff det g
+    # sin^2 of the angle of F_u, F_v: scale-free, and refuses roundoff det g
     with np.errstate(over="ignore", invalid="ignore"):
-        return ((g11 > IMMERSION_TOL) & (g22 > IMMERSION_TOL) & (det > IMMERSION_TOL)
-                & (det > IMMERSION_TOL * g11 * g22))
+        return det > IMMERSION_TOL * g11 * g22
 
 
 def _require_immersed(g11, g22, det, at=()):

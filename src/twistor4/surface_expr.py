@@ -360,14 +360,28 @@ def surface_from_json(obj) -> SurfaceDef:
 
 # A structural zero: a part of a jet that vanishes identically, as the v-part
 # of u does.  Only the jets of u and v start with it (every other zero is
-# numeric, so that 0 * inf still poisons a point); sums, products and chain
-# skip each term it enters.  It is this one object, tested with "is".
+# numeric, so that 0 * inf still poisons a point); sums skip it, and _terms
+# each product it enters.  It is this one object, tested with "is".
 _ZERO = float("0")
+
+
+def _terms(*products):
+    """Sum, in order, of the products (2 or 3 factors) free of _ZERO, or _ZERO."""
+    total = _ZERO
+    for factors in products:
+        for x in factors:  # a loop, not any(): this runs on every product
+            if x is _ZERO:
+                break
+        else:
+            term = factors[0] * factors[1]
+            term = term * factors[2] if len(factors) == 3 else term
+            total = term if total is _ZERO else total + term
+    return total
 
 
 class Jet2:
     """Value and exact partials (du, dv, duu, duv, dvv) of a scalar at a point
-    or elementwise over points; a part may be a plain number, 0.0 where it
+    or elementwise over points; a part may be a plain number, _ZERO where it
     vanishes identically."""
 
     __slots__ = ("val", "du", "dv", "duu", "duv", "dvv")
@@ -409,45 +423,26 @@ class Jet2:
     def __mul__(self, o):
         if not isinstance(o, Jet2):
             return Jet2(*[x if x is _ZERO else x * o for x in self.as_tuple()])
-        # Leibniz: each part adds, in the order written, the products that no
-        # structural zero enters, and stays Z where none is left.
-        Z = _ZERO
+        # Leibniz, each part's products in the order written
         a, au, av, auu, auv, avv = self.as_tuple()
         b, bu, bv, buu, buv, bvv = o.as_tuple()
-        du = Z if au is Z or b is Z else au * b
-        du = du if a is Z or bu is Z else a * bu if du is Z else du + a * bu
-        dv = Z if av is Z or b is Z else av * b
-        dv = dv if a is Z or bv is Z else a * bv if dv is Z else dv + a * bv
-        uu = Z if auu is Z or b is Z else auu * b
-        uu = (uu if au is Z or bu is Z
-              else 2.0 * au * bu if uu is Z else uu + 2.0 * au * bu)
-        uu = uu if a is Z or buu is Z else a * buu if uu is Z else uu + a * buu
-        uv = Z if auv is Z or b is Z else auv * b
-        uv = uv if au is Z or bv is Z else au * bv if uv is Z else uv + au * bv
-        uv = uv if av is Z or bu is Z else av * bu if uv is Z else uv + av * bu
-        uv = uv if a is Z or buv is Z else a * buv if uv is Z else uv + a * buv
-        vv = Z if avv is Z or b is Z else avv * b
-        vv = (vv if av is Z or bv is Z
-              else 2.0 * av * bv if vv is Z else vv + 2.0 * av * bv)
-        vv = vv if a is Z or bvv is Z else a * bvv if vv is Z else vv + a * bvv
+        du = _terms((au, b), (a, bu))
+        dv = _terms((av, b), (a, bv))
+        uu = _terms((auu, b), (2.0, au, bu), (a, buu))
+        uv = _terms((auv, b), (au, bv), (av, bu), (a, buv))
+        vv = _terms((avv, b), (2.0, av, bv), (a, bvv))
         return Jet2(a * b, du, dv, uu, uv, vv)
 
     __rmul__ = __mul__
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given f(x), f'(x), f''(x) at x = val."""
-        Z = _ZERO
         _, du, dv, duu, duv, dvv = self.as_tuple()
-        f2u = Z if f2 is Z or du is Z else f2 * du
-        f2v = Z if f2 is Z or dv is Z else f2 * dv
-        uu = Z if f2u is Z or du is Z else f2u * du
-        uu = uu if f1 is Z or duu is Z else f1 * duu if uu is Z else uu + f1 * duu
-        uv = Z if f2u is Z or dv is Z else f2u * dv
-        uv = uv if f1 is Z or duv is Z else f1 * duv if uv is Z else uv + f1 * duv
-        vv = Z if f2v is Z or dv is Z else f2v * dv
-        vv = vv if f1 is Z or dvv is Z else f1 * dvv if vv is Z else vv + f1 * dvv
-        return Jet2(f0, Z if f1 is Z or du is Z else f1 * du,
-                    Z if f1 is Z or dv is Z else f1 * dv, uu, uv, vv)
+        f2u, f2v = _terms((f2, du)), _terms((f2, dv))
+        uu = _terms((f2u, du), (f1, duu))
+        uv = _terms((f2u, dv), (f1, duv))
+        vv = _terms((f2v, dv), (f1, dvv))
+        return Jet2(f0, _terms((f1, du)), _terms((f1, dv)), uu, uv, vv)
 
     def reciprocal(self) -> "Jet2":
         x = self.val

@@ -231,13 +231,31 @@ class TestHostileInput:
         (("grid", "--n", "5"), "(-1, -1)"),
     ])
     def test_one_immersion_rule_for_points_and_grids(self, capsys, command, point):
-        # g22 = 9e-14 is below IMMERSION_TOL although g11 and det g are not:
-        # a point and a grid both refuse it, naming the first such point
-        code, out, err = run(capsys, command[0], "--expr", "1000*u, 3e-7*v, 0, 0",
+        # F_u = (1, 0, 0, 0) and F_v = (1, 1e-7, 0, 0) are nearly parallel:
+        # det g / (g11 g22), sin^2 of their angle, is about 1e-14, below
+        # IMMERSION_TOL, so a point and a grid both refuse it, naming the
+        # first such point
+        code, out, err = run(capsys, command[0], "--expr", "u + v, 1e-7*v, 0, 0",
                              *command[1:])
         assert code == 3 and out == ""
         assert err == (f"error: tangent vectors are dependent at (u, v) = {point} "
-                       "(g11=1e+06, g22=9e-14, det=9e-08)\n")
+                       "(g11=1, g22=1, det=9.99201e-15)\n")
+
+    @pytest.mark.parametrize("text", [
+        ", ".join(f"1e-4*{f}" for f in catalog_text("catenoid_E3").split(", ")),
+        "1000*u, 3e-7*v, 0, 0", "3e-7*u, 1000*v, 0, 0"],
+        ids=["catenoid_E3-1e-4", "small-g22", "small-g11"])
+    @pytest.mark.parametrize("command", [("analyze", "--at", "-1", "0.3"),
+                                         ("grid", "--n", "5")])
+    def test_small_orthogonal_tangents_are_immersed(self, capsys, text, command):
+        # F_u is orthogonal to F_v, so the angle test passes however small
+        # det g, g11 or g22 is (1.2e-16 and 1.1e-8 at (-1, 0.3) on the
+        # scaled catenoid, 9e-14 in the other two): the verdict does not
+        # depend on the size of F
+        code, out, err = run(capsys, command[0], "--expr", text,
+                             "--domain", "-1", "1", "0.3", "1.3", *command[1:])
+        assert code == 0 and err == ""
+        json.loads(out, parse_constant=_strict)
 
     @pytest.mark.parametrize("command", [("analyze", "--at", "0", "0"),
                                          ("grid", "--n", "5"),
@@ -861,6 +879,23 @@ class TestIsotropyCommand:
         assert code == 0
         assert "consensus: ISOTROPIC (constant lift: +)" in out
         assert out.count("pass") == 5
+
+    def test_catenoid_table(self, capsys):
+        code, out, err = run(capsys, "isotropy", "--surface", "catenoid_E3",
+                             "--n", "21")
+        assert code == 0 and err == ""
+        assert out.endswith("\nconsensus: NON-ISOTROPIC\n")
+        assert out.count("fail") == 5 and "pass" not in out
+
+    def test_split_verdicts_read_disagreement(self, capsys):
+        # on catenoid_E3 (a) reads 0.25 and (b)-(e) at least 0.5, with (e)'s
+        # threshold (tol/2) / 0.559 = 0.27 at tol 0.3: only (a) passes
+        code, out, err = run(capsys, "isotropy", "--surface", "catenoid_E3",
+                             "--n", "21", "--tol", "0.3")
+        assert code == 0 and err == ""
+        assert out.endswith("\nconsensus: DISAGREEMENT among the five conditions\n")
+        lines = out.splitlines()[1:6]
+        assert [line.split()[-1] for line in lines] == ["pass"] + ["fail"] * 4
 
     def test_catenoid_json(self, capsys):
         code, out, _ = run(capsys, "isotropy", "--surface", "catenoid_E3",

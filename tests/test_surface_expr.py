@@ -64,6 +64,25 @@ class TestParser:
             parse("sin(u")
         assert err.value.position == 6
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("u +", "unexpected end of input", 4),
+        ("", "unexpected end of input", 1),
+        ("  ", "unexpected end of input", 3),   # the end is one past the text
+        ("sin(", "unexpected end of input", 5),
+        ("u + $", "unexpected character '$'", 5),
+        ("u*(v - #)", "unexpected character '#'", 8),
+    ])
+    def test_refusal_names_the_token_and_its_offset(self, text, message, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} at offset {position}"
+        assert err.value.position == position
+
+    def test_refusal_offset_counts_from_the_start_of_a_surface(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_surface("u, v, 0, u +")
+        assert str(err.value) == "unexpected end of input at offset 13"
+
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier) as err:
             parse_surface("u, v, w, 0")
@@ -564,8 +583,9 @@ class TestCompiledJets:
         assert all(re.fullmatch(r"[tk]\d+|program|def|del|return", w) for w in words)
 
 
-# The structural-zero rules of Jet2 written with one helper call per product
-# and per sum: the reference its inlined arithmetic must equal bit for bit.
+# The structural-zero rules of Jet2 written apart from its _terms, with one
+# helper call per product and per sum: the reference that Jet2's arithmetic
+# must equal bit for bit.
 def _ref_mul(a, b):
     return _ZERO if a is _ZERO or b is _ZERO else a * b
 

@@ -5,6 +5,10 @@ from pathlib import Path
 
 import json
 
+from twistor4 import surface_expr
+from twistor4.catalog import CATALOG
+from twistor4.surface_expr import parse_surface
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -40,6 +44,53 @@ def test_a_command_that_raises_is_a_mismatch_not_a_traceback():
     line, exact = tool._compare(["residuals", "--n", "5"], [4, "", "error: x\n"],
                                 list(crashed))
     assert exact and line.startswith("exit 4 -> exception")
+
+
+def test_each_matrix_surface_has_a_compiled_program_entry():
+    # no CLI command compiles, so only these entries see the compiled jets
+    tool = _cli_equivalence()
+    surfaces = tool._surfaces()
+    assert len(surfaces) == len(CATALOG) + len(tool.EXPR_SURFACES) + 2
+    entries = [tool._program(*surface) for surface in surfaces]
+    assert [command[1:] for command, *_ in entries] == [list(a) for a, _ in surfaces]
+    for command, code, out, err in entries:
+        assert command[0] == "_compile" and (code, err) == (0, "")
+        assert out.startswith("def program(t0, t1):\n") and "\nk0 = " in out
+
+
+def _changed(monkeypatch, tool):
+    """The _compile entry of catenoid_E3, then again with _terms taking each
+    product's factors last to first: the same jets, another program."""
+    surface = next(s for s in tool._surfaces() if s[0] == ("--surface", "catenoid_E3"))
+    old = tool._program(*surface)
+    terms = surface_expr._terms
+    monkeypatch.setattr(surface_expr, "_terms",
+                        lambda *products: terms(*(p[::-1] for p in products)))
+    new = tool._program(*surface)
+    assert new[1:] != old[1:] and new[1] == 0
+    return old, new
+
+
+def test_fingerprint_mode_sees_a_changed_program(monkeypatch):
+    tool = _cli_equivalence()
+    old, new = _changed(monkeypatch, tool)
+    assert tool._fingerprint(*old) != tool._fingerprint(*new)
+
+
+def test_two_tree_mode_reports_a_changed_program_as_a_mismatch(monkeypatch):
+    tool = _cli_equivalence()
+    (command, *old), (_, *new) = _changed(monkeypatch, tool)
+    line, exact = tool._compare(command, old, new)
+    assert exact and line.startswith("program differs: ")
+
+
+def test_a_program_entry_names_its_bound_constants():
+    # the source names a constant k<i>; its value is listed after the source
+    tool = _cli_equivalence()
+    a, b = (tool._program(("--expr", text), parse_surface(text))
+            for text in ("u, v, 2*u*v, 0", "u, v, 3*u*v, 0"))
+    assert a[2] != b[2]
+    assert a[2].split("\nk0 = ")[0] == b[2].split("\nk0 = ")[0]
 
 
 def _bench_file(path, parent, values):

@@ -49,12 +49,16 @@ commands in-process through `cli.main`:
 - `--out FILE` on `holo_square` and `catenoid_E3`: `grid --n 41` as JSON
   and as CSV, `isotropy --json` and `residuals --json`, each written over a
   temporary file that already holds 5 MiB of junk, longer than any of
-  these outputs, so that the file must end where the output ends.
+  these outputs, so that the file must end where the output ends;
+- `_compile` (no CLI command: each evaluates a fresh surface once, so none
+  runs compiled jets) on each surface of the first item: its output is the
+  source `surface_expr._compile` generates for the surface's components,
+  then the object each bound name k<i> holds, a function by its name.
 
 Prints one line per command: the command, its exit code, the sha256 of its
 stdout and its stderr, and for `--out FILE` the sha256 of the file.  Two
-trees give the same CLI output on the matrix exactly when their outputs are
-identical, e.g.
+trees give the same CLI output and the same compiled jets on the matrix
+exactly when their outputs are identical, e.g.
 
     diff <(python3 tools/cli_equivalence.py old/src) \\
          <(python3 tools/cli_equivalence.py src)
@@ -71,7 +75,8 @@ among the others, then the command.  JSON output is compared leaf by leaf,
 CSV cell by cell and text token by token.  Exit codes, stderr, booleans,
 strings and the shape of the output must match exactly; a mismatch is
 printed as such and makes the exit status 1.  A file written by `--out`
-is compared as its stdout is, after it.
+is compared as its stdout is, after it.  A `_compile` entry must match
+exactly: any change to a program is a mismatch.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 # interior points of the domain, as fractions of its extents
 _POINTS = ((0.3, 0.6), (0.7, 0.2))
@@ -252,23 +258,59 @@ def _run_capped(main, argv):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
+def _surfaces():
+    """(surface arguments, SurfaceDef) of each surface that the matrix runs
+    its twelve commands on: the catalog, EXPR_SURFACES and the two
+    Hoffman-Osserman members."""
+    from helpers import HO_DOMAIN, HO_SEED_E2, HO_SEED_E3, hoffman_osserman
+    from twistor4.catalog import catalog_entries
+    from twistor4.surface_expr import parse_surface
+
+    texts = [(text, domain) for _, text, domain in EXPR_SURFACES]
+    texts += [(hoffman_osserman(*coefs), HO_DOMAIN)
+              for coefs in (HO_SEED_E3, HO_SEED_E2)]
+    return [(("--surface", e.name), e.surface) for e in catalog_entries()] + [
+        (("--expr", text, "--domain", *map(repr, domain)),
+         parse_surface(text, domain=domain)) for text, domain in texts]
+
+
+def _program(surface_args, surface):
+    """[command, exit code, stdout, stderr] of the `_compile` entry of a
+    surface: stdout is the source _compile generates for its components,
+    then one line "k<i> = x" per bound object x, a function by its name; an
+    exception is the outcome, as in _run."""
+    from twistor4 import surface_expr
+
+    sources = []
+
+    def record(text, *args):
+        sources.append(text)
+        return compile(text, *args)
+
+    command = ["_compile", *surface_args]
+    try:
+        with mock.patch.object(surface_expr, "compile", record, create=True):
+            program = surface_expr._compile(surface.components)
+    except Exception as exc:
+        return [command, "exception", "", f"{type(exc).__name__}: {exc}\n"]
+    bound = [f"{k} = {x.__name__ if callable(x) else repr(x)}"
+             for k, x in program.__globals__.items() if re.fullmatch(r"k\d+", k)]
+    return [command, 0, "\n".join([*sources, *bound, ""]), ""]
+
+
 def _outputs(src):
     """[command, exit code, stdout, stderr] for each command of the matrix,
     run on the twistor4 under the directory src, with the text of the file
     after stderr for each command that writes one."""
     sys.path.insert(0, str(Path(src).resolve()))
     sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "tests"))
-    from helpers import HO_DOMAIN, HO_SEED_E2, HO_SEED_E3, hoffman_osserman
     from twistor4 import cli
-    from twistor4.catalog import CATALOG, catalog_entries
+    from twistor4.catalog import CATALOG
 
-    ho = [("--expr", hoffman_osserman(*coefs), "--domain", *map(repr, HO_DOMAIN))
-          for coefs in (HO_SEED_E3, HO_SEED_E2)]
-    matrix = [_commands(("--surface", e.name), e.surface.domain)
-              for e in catalog_entries()]
-    matrix += [_commands(("--expr", text, "--domain", *map(repr, domain)), domain)
-               for _, text, domain in EXPR_SURFACES]
-    matrix += [_commands(surface_args, HO_DOMAIN) for surface_args in ho]
+    surfaces = _surfaces()
+    ho = [surface_args for surface_args, _ in surfaces[-2:]]
+    matrix = [_commands(surface_args, surface.domain)
+              for surface_args, surface in surfaces]
     pinned = [("residuals", *surface_args, "--seed-normal", k, "--json")
               for surface_args, branches in ((("--surface", "catenoid_E3"), "2"),
                                              (ho[0], "2"), (ho[1], "12"))
@@ -288,7 +330,8 @@ def _outputs(src):
             for command in (*(c for commands in matrix for c in commands),
                             *SEED_BRANCHES, *pinned, *ON_DOMAIN, *REFUSALS,
                             *OVERFLOWS, *PARSER_REFUSALS)
-            ] + to_file + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]]
+            ] + to_file + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]] + [
+                _program(*surface) for surface in surfaces]
 
 
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)")
@@ -334,6 +377,11 @@ def _compare(command, old, new):
                                               *new_file) = old, new
     if (old_code, old_err) != (new_code, new_err):
         return f"exit {old_code} -> {new_code}, stderr {old_err!r} -> {new_err!r}", True
+    if command[0] == "_compile":
+        lines = [text.splitlines() for text in (old_out, new_out)]
+        changed = sum(a != b for a, b in zip(*lines))
+        return (f"program differs: {len(lines[0])} -> {len(lines[1])} lines, "
+                f"{changed} of the first {min(map(len, lines))} changed"), True
     a, b = ([leaf for text in texts if text
              for leaf in _leaves(text, "csv" in command)]
             for texts in ((old_out, *old_file), (new_out, *new_file)))
@@ -358,6 +406,13 @@ def _compare(command, old, new):
             f"at most {tiny:.2g} where |x| <= 1e-12"), False
 
 
+def _fingerprint(command, code, out, err, *file):
+    """The line that fingerprint mode prints for one command's output."""
+    return (f"{' '.join(command)} | exit {code} | "
+            f"{hashlib.sha256(out.encode()).hexdigest()} | {err!r}"
+            + "".join(f" | {hashlib.sha256(x.encode()).hexdigest()}" for x in file))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--outputs"] and len(argv) == 2:  # a child of the comparison
@@ -368,11 +423,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     if len(argv) == 1:
-        for command, code, out, err, *file in _outputs(argv[0]):
-            digest = hashlib.sha256(out.encode()).hexdigest()
-            print(f"{' '.join(command)} | exit {code} | {digest} | {err!r}"
-                  + "".join(f" | {hashlib.sha256(x.encode()).hexdigest()}"
-                            for x in file))
+        for output in _outputs(argv[0]):
+            print(_fingerprint(*output))
         return 0
     old, new = (json.loads(subprocess.run(
         [sys.executable, __file__, "--outputs", src], capture_output=True,
