@@ -360,8 +360,8 @@ def surface_from_json(obj) -> SurfaceDef:
 
 # A structural zero: a part of a jet that vanishes identically, as the v-part
 # of u does.  Only the jets of u and v start with it (every other zero is
-# numeric, so that 0 * inf still poisons a point); sums skip it, and _terms
-# each product it enters.  It is this one object, tested with "is".
+# numeric, so that 0 * inf still poisons a point); sums skip it and _terms
+# skips each product it enters.  It is this one object, tested with "is".
 _ZERO = float("0")
 
 

@@ -71,17 +71,13 @@ class TestParser:
         ("sin(", "unexpected end of input", 5),
         ("u + $", "unexpected character '$'", 5),
         ("u*(v - #)", "unexpected character '#'", 8),
+        ("u, v, 0, u +", "unexpected end of input", 13),  # from the text's start
     ])
     def test_refusal_names_the_token_and_its_offset(self, text, message, position):
         with pytest.raises(ExprSyntaxError) as err:
-            parse(text)
+            parse_surface(text)
         assert str(err.value) == f"{message} at offset {position}"
         assert err.value.position == position
-
-    def test_refusal_offset_counts_from_the_start_of_a_surface(self):
-        with pytest.raises(ExprSyntaxError) as err:
-            parse_surface("u, v, 0, u +")
-        assert str(err.value) == "unexpected end of input at offset 13"
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier) as err:
