@@ -59,10 +59,6 @@ class OrthogonalComplexStructure:
     chirality: int
     coords: np.ndarray
 
-    @property
-    def sign(self) -> str:
-        return "+" if self.chirality == 1 else "-"
-
 
 @dataclass(frozen=True, eq=False)
 class OrientedPlane:

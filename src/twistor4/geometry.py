@@ -528,9 +528,8 @@ class FieldGrid:
 
     def require_isothermal(self):
         if not self.isothermal:
-            i, j = np.unravel_index(
-                np.argmax(np.abs(self.g11 - self.g22) + np.abs(self.g12)),
-                self.g11.shape)
+            i, j = np.unravel_index(np.argmin(self.isothermal_mask),
+                                    self.isothermal_mask.shape)
             raise NotIsothermal(
                 f"coordinates are not isothermal, e.g. at "
                 f"(u, v) = ({self.us[i]:g}, {self.vs[j]:g})")

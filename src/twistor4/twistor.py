@@ -63,6 +63,9 @@ __all__ = [
 ISOTROPY_TOL = 1e-6
 # eps over the leading axis of a (2, ...) stack of both lifts
 _EPS = np.reshape(CHIRALITIES, (2, 1, 1))
+# IsotropyReport.constant_lift, keyed by the (e) flags of the + and - lifts
+_CONSTANT_LIFT = {(True, True): "both", (True, False): "+", (False, True): "-",
+                  (False, False): "none"}
 
 
 def psi(jets) -> np.ndarray:
@@ -278,8 +281,8 @@ def lift_agreement_residual(grid: FieldGrid) -> float:
 
 def _lift_derivatives(grid: FieldGrid):
     """dc[(1 - eps) // 2, k, a, ...] = d c_k / d(u, v)_a of the sphere
-    coordinates of both lifts on the interior, by forward mode over the
-    2-jet (no truncation error).
+    coordinates of both lifts at every node, by forward mode over the 2-jet
+    (no truncation error).
 
     psi_u = (F_uu - i F_uv)/2, psi_v = (F_uv - i F_vv)/2 and
     (e2a)_a = 2 <F_u, F_ua>.  For B(p, q) = pair_coords(p, conj(q))[e],
@@ -287,29 +290,27 @@ def _lift_derivatives(grid: FieldGrid):
     B(psi, d psi) = -conj(B(d psi, psi)), so Re(-2i d Psi) = 4 Im B(d psi, psi)
     and dc = 4 Im B(d psi, psi) / e2a - c d(e2a) / e2a.
     """
-    inner = np.s_[..., 1:-1, 1:-1]
-    psi, e2a = grid.psi[inner], grid.e2a[inner]
-    Fu, Fuu, Fuv, Fvv = (a[inner] for a in (grid.Fu, grid.Fuu, grid.Fuv, grid.Fvv))
+    Fu, Fuu, Fuv, Fvv, e2a = grid.Fu, grid.Fuu, grid.Fuv, grid.Fvv, grid.e2a
     dpsi = 0.5 * np.stack([Fuu - 1j * Fuv, Fuv - 1j * Fvv], axis=1)
     dlog_e2a = 2.0 * np.stack([_dot(Fu, Fuu), _dot(Fu, Fuv)]) / e2a
-    return (4.0 * np.imag(pair_coords(dpsi, np.conj(psi))) / e2a
-            - _kept(grid, _sphere_fields)[:, :, None, 1:-1, 1:-1] * dlog_e2a)
+    return (4.0 * np.imag(pair_coords(dpsi, np.conj(grid.psi))) / e2a
+            - _kept(grid, _sphere_fields)[:, :, None] * dlog_e2a)
 
 
 def chart_residuals(grid: FieldGrid):
     """Holomorphicity residuals (sup |d/dwbar|) of g+ and of conj(g-).
 
-    Each interior point is evaluated in whichever chart covers it: the
-    standard one where c3 <= 0, the antipodal one where c3 > 0.  Swapping
-    charts replaces the holomorphic function by its reciprocal, so the
-    residual keeps testing the same statement on the pole's chart too.
+    Every node is evaluated in whichever chart covers it: the standard one
+    where c3 <= 0, the antipodal one where c3 > 0.  Swapping charts replaces
+    the holomorphic function by its reciprocal, so the residual keeps
+    testing the same statement on the pole's chart too.
 
     g+- depend only on F_u and F_v, so their first derivatives are
     second-order quantities that the 2-jet holds exactly; they are pushed
     through the sphere coordinates and the chart, with no truncation error.
     """
     # components first, both lifts after: c_k[e, ...], dc_k[a, e, ...]
-    c1, c2, c3 = _kept(grid, _sphere_fields)[..., 1:-1, 1:-1].swapaxes(0, 1)
+    c1, c2, c3 = _kept(grid, _sphere_fields).swapaxes(0, 1)
     dc1, dc2, dc3 = np.moveaxis(_kept(grid, _lift_derivatives), (1, 2), (0, 1))
     # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
     s = np.where(c3 <= 0.0, 1.0, -1.0)
@@ -330,8 +331,8 @@ class IsotropyReport:
     (b)/(c) the two quadratic second-form identities;
     (d) theta-independence of the rotated shape operator's eigenvalues,
         tested through the two theta-dependent Fourier coefficients;
-    (e) one twistor lift is constant, tested through the sup over the
-        interior of the Euclidean norm of each lift's exact gradient
+    (e) one twistor lift is constant, tested through the sup over every
+        node of the Euclidean norm of each lift's exact gradient
         (lift_gradient_sups), cross-checked against the closed-form
         coefficients of the lift derivatives, sup |2(beta^1 -+ i beta^2)|
         (const_plus_residual, const_minus_residual): rotating the normal
@@ -362,7 +363,7 @@ class IsotropyReport:
 
 
 def lift_gradient_sups(grid: FieldGrid):
-    """Sup over the interior of the Euclidean norms |dc/du| and |dc/dv| of
+    """Sup over every node of the Euclidean norms |dc/du| and |dc/dv| of
     the sphere coordinates c of each lift (isothermal required), exact from
     the 2-jet.  A rotation of the surface in E^4 rotates each lift's c in
     R^3, so the sups do not depend on the surface's orientation."""
@@ -406,13 +407,7 @@ def isotropy_report(grid: FieldGrid, tol: float = ISOTROPY_TOL) -> IsotropyRepor
     plus_const = grad_plus <= grad_threshold
     minus_const = grad_minus <= grad_threshold
     res["e"], ok["e"] = min(grad_plus, grad_minus), plus_const or minus_const
-
-    if plus_const and minus_const:
-        which = "both"
-    elif ok["e"]:
-        which = "+" if const_plus <= const_minus else "-"
-    else:
-        which = "none"
+    which = _CONSTANT_LIFT[plus_const, minus_const]
 
     consensus = ok["a"] if len(set(ok.values())) == 1 else None
 

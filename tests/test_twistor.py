@@ -1,6 +1,8 @@
 """Twistor lifts, stereographic charts, holomorphicity and isotropy."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from twistor4.geometry import (
     first_form,
     surface_point_data,
 )
-from twistor4.linalg4 import basis_I
+from twistor4.linalg4 import DERIVED_TOL, basis_I
 from twistor4.surface_expr import eval_surface_jet, parse_surface
 from twistor4.twistor import (
     big_psi,
@@ -66,6 +68,14 @@ ISOTHERMAL = ("plane", "holo_square", "holo_cube", "clifford_torus",
 
 def psi_at(name, u, v):
     return psi(eval_surface_jet(CATALOG[name].surface, u, v))
+
+
+def interior_grid(grid):
+    """The grid of grid's interior nodes: n - 2 nodes on the domain shrunk by
+    one step on each side, where the exact fields can be set against a
+    stencil's interior values."""
+    domain = (grid.us[1], grid.us[-2], grid.vs[1], grid.vs[-2])
+    return FieldGrid(replace(grid.surface, domain=domain), grid.n - 2)
 
 
 class TestPsi:
@@ -297,6 +307,17 @@ class TestChart:
     def test_plain_complex_inverse(self):
         assert np.allclose(inverse_chart(0j), [0, 0, -1], atol=1e-16)
 
+    def test_round_trip_at_the_pole_goes_through_the_antipode(self, rng):
+        # unit vectors within DERIVED_TOL of (0, 0, 1), the pole itself first
+        for dist in (0.0, *rng.uniform(0.0, DERIVED_TOL, 50)):
+            phase = rng.uniform(0.0, 2 * math.pi)
+            t = 2 * math.asin(dist / 2)  # the angle of a chord of length dist
+            c = np.array([math.sin(t) * math.cos(phase),
+                          math.sin(t) * math.sin(phase), math.cos(t)])
+            cv = chart(c)
+            assert cv.antipode
+            assert np.max(np.abs(inverse_chart(cv) - c)) <= 1e-15
+
 
 class TestGPlusClosedForm:
     def test_plane_value_matches_chart(self):
@@ -388,11 +409,12 @@ class TestChartResiduals:
     def test_exact_agrees_with_stencil_to_second_order(self, grids):
         # On a non-minimal surface the residuals are O(1); the exact values
         # and the stencil's must close in on each other like h^2, which a
-        # zero field or a wrong chain rule would not do.
+        # zero field or a wrong chain rule would not do.  The stencil reads
+        # the interior only, so the exact sups are taken on its nodes.
         diffs = []
         for n in (21, 41):
             g = grids("clifford_torus", n)
-            exact = chart_residuals(g)
+            exact = chart_residuals(interior_grid(g))
             stencil = self.stencil(g)
             diffs.append([abs(e - s) for e, s in zip(exact, stencil)])
         for coarse, fine in zip(*diffs):
@@ -421,11 +443,13 @@ class TestLiftGradientSups:
     @pytest.mark.parametrize("name", ["catenoid_E3", "clifford_torus"])
     def test_central_differences_approach_the_exact_sups(self, grids, name):
         # the stencil's O(h^2) error quarters when h halves; a dropped term
-        # or a wrong factor in the exact gradient would leave an O(1) gap
+        # or a wrong factor in the exact gradient would leave an O(1) gap.
+        # The stencil reads the interior only, so the exact sups are taken
+        # on its nodes.
         def err(n):
             g = grids(name, n)
             return max(abs(e - c) for e, c in
-                       zip(lift_gradient_sups(g), self.central(g)))
+                       zip(lift_gradient_sups(interior_grid(g)), self.central(g)))
         assert 3.5 <= err(21) / err(41) <= 4.5
 
     def test_constant_lift_reads_roundoff(self, grids):
@@ -490,6 +514,48 @@ class TestIsotropyReport:
             isotropy_report(grids("clifford_torus", 11))
         with pytest.raises(NotIsothermal):
             isotropy_report(grids("nonisothermal_graph", 11))
+
+    @pytest.mark.parametrize("name", ["nonisothermal_graph", "exp_3u"])
+    def test_refusal_names_a_node_that_fails(self, name):
+        # exp_3u: g11 - g22 = 1e-4 and g12 = 0, isothermal within tolerance
+        # where e^(6u) dominates; rounding alone sets the argmax of
+        # |g11 - g22| + |g12|, which falls at u = 2, where the node passes
+        s = (CATALOG[name].surface if name in CATALOG else
+             parse_surface("exp(3*u)*cos(3*v)/3, exp(3*u)*sin(3*v)/3, 0.01*u, 0",
+                           domain=(-2, 2, -0.5, 0.5)))
+        grid = FieldGrid(s, 11)
+        assert grid.isothermal_mask.any() and not grid.isothermal
+        with pytest.raises(NotIsothermal) as exc:
+            isotropy_report(grid)
+        u, v = re.search(r"\(u, v\) = \((\S+), (\S+)\)", str(exc.value)).groups()
+        i = [f"{x:g}" for x in grid.us].index(u)
+        j = [f"{x:g}" for x in grid.vs].index(v)
+        assert not grid.isothermal_mask[i, j]
+
+    @pytest.mark.parametrize("n", [3, 5, 41])
+    @pytest.mark.parametrize("name", ["plane", "holo_square", "holo_cube"])
+    def test_isotropic_catalog_reads_its_constant_lift(self, name, n):
+        # at n = 3 the only interior node of holo_cube is the origin, where
+        # b = 0 and both lifts are stationary: a sup over the interior alone
+        # read 'both'
+        entry = CATALOG[name]
+        assert entry.isotropic
+        rep = isotropy_report(FieldGrid(entry.surface, n))
+        assert rep.constant_lift == entry.constant_lift
+
+    @pytest.mark.parametrize("n", [3, 5, 21])
+    def test_constant_lift_reads_the_two_flags_of_e(self, n):
+        want = {(True, True): "both", (True, False): "+", (False, True): "-",
+                (False, False): "none"}
+        surfaces = [e.surface for e in CATALOG.values() if e.isothermal and e.minimal]
+        surfaces += [parse_surface(hoffman_osserman(*seed), domain=HO_DOMAIN)
+                     for seed in (HO_SEED_E3, HO_SEED_E2)]
+        for s in surfaces:
+            rep = isotropy_report(FieldGrid(s, n))
+            flags = (rep.grad_plus <= rep.grad_threshold,
+                     rep.grad_minus <= rep.grad_threshold)
+            assert rep.constant_lift == want[flags]
+            assert rep.verdicts["e"] == any(flags)
 
     def test_catenoid_beta_square_sum_is_nonzero_but_holomorphic(self, grids):
         g = grids("catenoid_E3", 21)
