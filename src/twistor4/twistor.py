@@ -343,7 +343,7 @@ class IsotropyReport:
     residuals: dict
     verdicts: dict
     consensus: Optional[bool]
-    constant_lift: str          # '+', '-', 'both' or 'none'
+    constant_lift: str          # lifts passing (e): '+', '-', 'both' or 'none'
     grad_plus: float
     grad_minus: float
     const_plus_residual: float
