@@ -49,6 +49,8 @@ __all__ = [
     "chirality_via_frame",
 ]
 
+_HALF_ROWS, _HALF_COLS = np.array([[3, 1, 2], [2, 3, 1]])  # (4,3), (2,4), (3,2)
+
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalComplexStructure:
@@ -104,7 +106,7 @@ def classify_ocs(A) -> OrthogonalComplexStructure:
     A = np.array(A, float)
     _check_structure_matrix(A, EXACT_TOL)
     c = A[..., 1:, 0]
-    eps = np.where((c * A[..., [3, 1, 2], [2, 3, 1]]).sum(-1) > 0, 1, -1)
+    eps = np.where((c * A[..., _HALF_ROWS, _HALF_COLS]).sum(-1) > 0, 1, -1)
     recon = np.einsum("...k,...kij->...ij", c, _I_STACKS[(1 - eps) // 2])
     if not np.abs(recon - A).max() <= 20 * EXACT_TOL:
         raise NotAComplexStructure(

@@ -89,7 +89,7 @@ class FirstForm:
 
     @property
     def det(self) -> float:
-        return self.g11 * self.g22 - self.g12 ** 2
+        return self.g11 * self.g22 - self.g12 * self.g12
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.g11, self.g12], [self.g12, self.g22]])
@@ -146,10 +146,11 @@ class SurfacePointData:
 
 def _dot(a, b):
     """Inner products of E^4 vectors a[4, ...] and b[4, ...] over "...", each
-    summed in component order from +0.0, so that a point's is bitwise its
-    value on a grid (einsum sums a contiguous 4-vector pairwise)."""
+    summed in component order from +0.0; a point's is a Python float, so summed,
+    with the bits of its value on a grid (einsum sums a 4-vector pairwise)."""
     if a.ndim == 1:
-        return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = a.tolist(), b.tolist()
+        return 0.0 + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
     return np.einsum("c...,c...->...", a, b)
 
 
@@ -174,12 +175,12 @@ def _jet_fields(surface: SurfaceDef, u, v):
 # --- array functions: one point or a whole grid (broadcasting over "...") ----
 
 def _metric(Fu, Fv):
-    """First fundamental form (g11, g12, g22) and det g.  Where products of
-    finite jets overflow these are inf or nan, without a warning; det g is
-    then not finite, whichever of them overflowed."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g11, g12, g22 = _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
-        return g11, g12, g22, g11 * g22 - g12 ** 2
+    """First fundamental form (g11, g12, g22) and det g, floats at a point.
+    Where products of finite jets overflow, det g is not finite, whichever
+    overflowed (g12 * g12: a float's ** 2 raises; a grid's caller silences
+    numpy's warnings)."""
+    g11, g12, g22 = _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
+    return g11, g12, g22, g11 * g22 - g12 * g12
 
 
 def _require_finite(u, v, layer, fields):
@@ -198,14 +199,13 @@ def _require_finite(u, v, layer, fields):
 
 def _immersed(g11, g22, det):
     # sin^2 of the angle of F_u, F_v: scale-free, and refuses roundoff det g
-    with np.errstate(over="ignore", invalid="ignore"):
-        return det > IMMERSION_TOL * g11 * g22
+    return det > IMMERSION_TOL * g11 * g22
 
 
 def _require_immersed(g11, g22, det, at=()):
     """Raise NotImmersed at the first point that is not _immersed, naming
     g11, g22 and det g and, given at = (u, v), the point."""
-    bad = np.flatnonzero(~_immersed(g11, g22, det))
+    bad = np.flatnonzero(~np.asarray(_immersed(g11, g22, det)))  # ~True is -2
     if bad.size:
         a, b, d, *uv = (np.ravel(x)[bad[0]] for x in (g11, g22, det, *at))
         where = " at (u, v) = ({:g}, {:g})".format(*uv) if uv else ""
@@ -215,7 +215,7 @@ def _require_immersed(g11, g22, det, at=()):
 
 def _isothermal_mask(g11, g12, g22, tol):
     scale = 0.5 * (g11 + g22)
-    return (np.abs(g11 - g22) <= tol * scale) & (np.abs(g12) <= tol * scale)
+    return (abs(g11 - g22) <= tol * scale) & (abs(g12) <= tol * scale)
 
 
 # The 2x2 minors of [t1 t2] on the row pairs (i, j) = _MINORS[m], and
@@ -251,9 +251,9 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
     n1 = p1/|p1| and n2 = *(t1 ^ t2 ^ e_s)/|p1| = (minors @ _STAR[k])/|p1|,
     whence det [t1 t2 n1 n2] = +1 by construction."""
     t1, t2, minors = _tangent_plane(Fu, Fv)
-    sq = []  # |p1|^2 of the seeds tried ([s, ...] keeps a point's 0-d)
+    sq = []  # |p1|^2 of the seeds tried
     for k in range(len(SEEDS)) if branch is None else (branch,):
-        sq.append(1 - t1[SEEDS[k], ...] ** 2 - t2[SEEDS[k], ...] ** 2)
+        sq.append(1 - t1[SEEDS[k]] ** 2 - t2[SEEDS[k]] ** 2)
         if sq[-1].min() > _BRANCH_MARGIN ** 2:  # smooth, so above SEED_TOL
             branch = k
             break
@@ -265,11 +265,11 @@ def _seeded_frames(Fu, Fv, branch, at=()) -> Frame:
                 *(np.ravel(x)[bad[0]] for x in at)) if at else ""
             raise DegenerateSeed(f"seed branch {branch} degenerates{where}")
     # the first branch at every point, with <e_s, t> read off t as t_s
-    first = branch if np.ndim(branch) == 0 else branch.min()
+    first = branch.min() if (per_point := np.ndim(branch) > 0) else branch
     s = SEEDS[first]
     p1 = E4[s].reshape((4,) + (1,) * (t1.ndim - 1)) - t1[s] * t1 - t2[s] * t2
     n2 = np.einsum("m...,ml->l...", minors, _STAR[first])
-    if np.ndim(branch):  # per point: redo the (few) points off the first branch
+    if per_point:  # redo the (few) points off the first branch
         off = branch != first
         s = np.take(SEEDS, branch[off])
         p1[:, off] = E4[:, s] - t1[s, off] * t1[:, off] - t2[s, off] * t2[:, off]
@@ -289,8 +289,8 @@ def _second_form(Fuu, Fuv, Fvv, n1, n2):
 
 
 def _traces(g11, g12, g22, det, b):
-    """tr_k = tr(g^-1 b_k) for k = 1, 2."""
-    return [(g22 * bk[0, 0] - 2 * g12 * bk[0, 1] + g11 * bk[1, 1]) / det for bk in b]
+    """tr_k = tr(g^-1 b_k) for k = 1, 2, stacked over k."""
+    return (g22 * b[:, 0, 0] - 2 * g12 * b[:, 0, 1] + g11 * b[:, 1, 1]) / det
 
 
 def _mean_curvature(g11, g12, g22, det, b, n1, n2):
@@ -395,28 +395,29 @@ def surface_point_data(surface: SurfaceDef, u: float, v: float, *,
     degenerates); without it they are chosen as for a grid."""
     arrays, ok = _jet_fields(surface, np.array([u]), np.array([v]))
     _, Fu, Fv, Fuu, Fuv, Fvv = arrays[..., 0]
-    g11, g12, g22, det = _metric(Fu, Fv)
-    if not ok[0] & np.isfinite(det) & _immersed(g11, g22, det):
+    g11, g12, g22, det = _metric(Fu, Fv)  # floats, as are r below
+    if not (ok[0] and math.isfinite(det) and _immersed(g11, g22, det)):
         require_finite(surface.components, ok, u, v)
         _require_finite(u, v, "metric", {"g11, g12, g22 or det g": det})
         _require_immersed(g11, g22, det, (u, v))
-    form = FirstForm(float(g11), float(g12), float(g22))
+    form = FirstForm(g11, g12, g22)
     frame = _seeded_frames(Fu, Fv, seed_branch, (u, v))
     u0, u1, v0, v1 = surface.domain
     d = 1e-3 * max(u1 - u0, v1 - v0)
+    # the pairs (<F_ab, F_u>, <F_ab, F_v>), ab = uu, uv, vv, give the
+    # Christoffel symbols and d_a g11 = 2 <F_ua, F_u>, d_a g22 =
+    # 2 <F_va, F_v>, d_a g12 = <F_ua, F_v> + <F_va, F_u>
+    r = [(_dot(Fab, Fu), _dot(Fab, Fv)) for Fab in (Fuu, Fuv, Fvv)]
+    (uu_u, uu_v), (uv_u, uv_v), (vv_u, vv_v) = r
+    bound = isothermal_tol * (0.5 * (g11 + g22))
+    # an overflowing (inf or nan) term reads as not isothermal
+    iso = _isothermal_mask(g11, g12, g22, isothermal_tol) and all(
+        d * abs(x) <= bound for x in (2 * (uu_u - uv_v), 2 * (uv_u - vv_v),
+                                      uu_v + uv_u, uv_v + vv_u))
+    b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
+    christoffel = _christoffel(r, g11, g12, g22, det)
     # products of finite 2-jets can overflow where the metric does not
     with np.errstate(over="ignore", invalid="ignore"):
-        # the pairs (<F_ab, F_u>, <F_ab, F_v>), ab = uu, uv, vv, give the
-        # Christoffel symbols and d_a g11 = 2 <F_ua, F_u>, d_a g22 =
-        # 2 <F_va, F_v>, d_a g12 = <F_ua, F_v> + <F_va, F_u>
-        r = [(_dot(Fab, Fu), _dot(Fab, Fv)) for Fab in (Fuu, Fuv, Fvv)]
-        (uu_u, uu_v), (uv_u, uv_v), (vv_u, vv_v) = r
-        dg = np.array((2 * (uu_u - uv_v), 2 * (uv_u - vv_v), uu_v + uv_u, uv_v + vv_u))
-        # an overflowing (inf or nan) term reads as not isothermal
-        iso = bool(_isothermal_mask(g11, g12, g22, isothermal_tol)
-                   & (d * np.abs(dg) <= isothermal_tol * (0.5 * (g11 + g22))).all())
-        b = _second_form(Fuu, Fuv, Fvv, frame.n1, frame.n2)
-        christoffel = _christoffel(r, g11, g12, g22, det)
         H, H_norm = _mean_curvature(g11, g12, g22, det, b, frame.n1, frame.n2)
         gammas = _connection(SEEDS[frame.seed_branch], frame, g11, g12, g22, det, b)
     if not np.isfinite(np.concatenate((b, christoffel, H, gammas), axis=None)).all():
@@ -470,7 +471,8 @@ class FieldGrid:
         require_finite(surface.components, ok, U, V)
         self.F, self.Fu, self.Fv, self.Fuu, self.Fuv, self.Fvv = arrays
 
-        self.g11, self.g12, self.g22, self.det = g = _metric(self.Fu, self.Fv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.g11, self.g12, self.g22, self.det = g = _metric(self.Fu, self.Fv)
         _require_finite(U, V, "metric", {"g11, g12, g22 or det g": self.det})
         _require_immersed(self.g11, self.g22, self.det, (U, V))
 
@@ -485,7 +487,7 @@ class FieldGrid:
         # products of finite 2-jets can overflow where the metric does not
         with np.errstate(over="ignore", invalid="ignore"):
             self.b = b = _second_form(self.Fuu, self.Fuv, self.Fvv, self.n1, self.n2)
-            self.H_norm = np.hypot(*(0.5 * tr for tr in _traces(*g, b)))
+            self.H_norm = np.hypot(*0.5 * _traces(*g, b))
             # In each component |tr_1 n_1 + tr_2 n_2| <= |tr_1| + |tr_2| <=
             # 2 sqrt(2) |H|: H is finite where |H| < max/8, and the check
             # builds H only where that fails at some node

@@ -149,7 +149,7 @@ def chart(c) -> ChartValue:
     antipode = den <= DERIVED_TOL
     # the chosen projection's denominator is at least DERIVED_TOL, or about 2
     value = (c1 + 1j * c2) / np.where(antipode, 1.0 + c3, den)
-    if np.ndim(value) == 0:
+    if value.ndim == 0:
         return ChartValue(complex(value), bool(antipode))
     return ChartValue(value, antipode)
 
@@ -157,10 +157,8 @@ def chart(c) -> ChartValue:
 def inverse_chart(g) -> np.ndarray:
     """Sphere point of a chart value: for g = a + ib in the standard chart,
     c = (2a, 2b, a^2 + b^2 - 1) / (a^2 + b^2 + 1); antipodal chart flips c3."""
-    if isinstance(g, ChartValue):
-        value, antipode = g.value, g.antipode
-    else:
-        value, antipode = complex(g), False
+    value, antipode = ((g.value, g.antipode) if isinstance(g, ChartValue)
+                       else (complex(g), False))
     a, b = value.real, value.imag
     r2 = a * a + b * b
     c = np.array([2 * a, 2 * b, r2 - 1.0]) / (r2 + 1.0)
@@ -241,9 +239,7 @@ def holomorphicity_residual(field: np.ndarray, hu: float,
     field = np.asarray(field)
     if field.ndim != 2 or min(field.shape) < 3:
         raise GridTooSmall("holomorphicity residual needs at least a 3x3 grid")
-    if hv is None:
-        hv = hu
-    return float(np.abs(dwbar_field(field, hu, hv)).max())
+    return float(np.abs(dwbar_field(field, hu, hu if hv is None else hv)).max())
 
 
 # --- grid-level lift machinery ------------------------------------------------

@@ -218,6 +218,16 @@ class TestHostileInput:
         assert code == 4 and out == ""
         assert err.startswith("error: the metric overflows at (u, v) = (0.25, 1)")
 
+    def test_overflowing_g12_squared_is_a_numeric_breakdown(self, capsys):
+        # g11 = 2e160, g12 = g22 = 1e160 are finite; g11 g22 and g12^2 are not.
+        # A point's metric is Python floats, whose ** 2 raises OverflowError
+        # where numpy's gives inf: det g must be g11 g22 - g12 g12
+        code, out, err = run(capsys, "analyze", "--expr", "1e80*u, 1e80*(u+v), 0, 0",
+                             "--at", "0.5", "0.5")
+        assert code == 4 and out == ""
+        assert err == ("error: the metric overflows at (u, v) = (0.5, 0.5): "
+                       "g11, g12, g22 or det g is not finite\n")
+
     def test_overflowing_christoffel_symbols_are_a_numeric_breakdown(self, capsys):
         # the metric is finite at u = 0.872, but <F_uu, F_u> = 400 g11 is not
         code, out, err = run(capsys, "analyze", "--expr", "exp(400*u), v, 0, 0",

@@ -1,8 +1,10 @@
 """Fundamental forms, frames, curvature, connection and structure residuals."""
 
+import importlib.util
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,21 @@ EVERY_OTHER_EXPRS = {
     "ho_seed_e3": (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
     "ho_seed_e2": (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
 }
+
+
+def _graph5():
+    """(text, domain) of the degree-5 polynomial graph of the CLI comparison
+    tool, whose monomials repeat u^p and v^q."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_equivalence.py"
+    spec = importlib.util.spec_from_file_location("_cli_equivalence", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (_, text, domain), = (s for s in tool.EXPR_SURFACES if s[0] == "graph5")
+    return text, domain
+
+
+# --expr surfaces of the point-equals-grid test
+POINT_GRID_EXPRS = {**EVERY_OTHER_EXPRS, "graph5": _graph5()}
 
 
 def jets_of(name, u, v):
@@ -780,18 +797,24 @@ class TestPointData:
                                   "(0.3, 0) (g11=1, g22=0, det=0)")
 
     @pytest.mark.parametrize("name,n", [(name, 21 if name == "holo_cube" else 11)
-                                        for name in sorted(CATALOG)])
+                                        for name in sorted(CATALOG)]
+                             + [(name, 11) for name in POINT_GRID_EXPRS])
     def test_point_equals_grid(self, grids, name, n):
-        # one kernel: a point is the grid's arithmetic on a 1-point batch, bit
-        # for bit at every interior node, each node's seed branch pinned (a
-        # grid without a smooth branch, round_sphere, picks one per node)
-        g = grids(name, n)
+        # one kernel: a point is the grid's arithmetic on a 1-point batch, its
+        # scalars Python floats where the grid's are arrays, bit for bit (the
+        # sign of every zero included) at every node, boundary included, each
+        # node's seed branch pinned (a grid without a smooth branch,
+        # round_sphere, picks one per node)
+        if name in CATALOG:
+            g = grids(name, n)
+        else:
+            text, domain = POINT_GRID_EXPRS[name]
+            g = FieldGrid(parse_surface(text, domain=domain), n)
         branches = np.broadcast_to(g.seed_branch, (n, n))
         # the grid's gamma_fields where it has one smooth branch, else the
         # same formula on each node's fields
         grid_gammas = np.array(g.gamma_fields()) if g.branch_uniform else None
-        for i, j in np.ndindex(n - 2, n - 2):
-            i, j = i + 1, j + 1
+        for i, j in np.ndindex(n, n):
             pd = surface_point_data(g.surface, g.us[i], g.vs[j],
                                     seed_branch=int(branches[i, j]))
             frame = Frame(*(x[:, i, j] for x in (g.t1, g.t2, g.n1, g.n2)))
@@ -806,7 +829,7 @@ class TestPointData:
                      (pd.H_norm, g.H_norm[i, j]),
                      ((pd.connection.gamma1, pd.connection.gamma2), gammas)]
             for a, b in pairs:
-                assert np.array_equal(a, b), (name, i, j)
+                assert _same_bits(a, b), (name, i, j)
 
     def test_holo_square_origin_betas(self):
         pd = surface_point_data(CATALOG["holo_square"].surface, 0.0, 0.0)

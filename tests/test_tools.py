@@ -132,3 +132,39 @@ def test_bench_trajectory_flags_a_parent_that_is_not_the_previous_file(tmp_path)
         "BENCH_pr2.json, which git cannot compare with it"]
     assert tool.parent_flags(files, {files[0]: "b" * 40, files[1]: None}) == [
         "BENCH_pr3.json: BENCH_pr2.json is not committed; parent not checked"]
+
+
+def _bench_run(workload, seed, side, metrics, failed=0):
+    return {"workload": workload, "seed": seed, "side": side,
+            "result": {"correct": True, "attempted": 10, "failed": failed,
+                       "metrics": {k: {"value": x, "unit": "u"} for k, x in metrics.items()}}}
+
+
+def test_bench_pairs_summary_reads_medians_pairs_and_spread():
+    tool = _tool("bench_pairs")
+    pps = {"parent": [10.0, 20.0, 30.0, 40.0], "change": [11.0, 19.0, 33.0, 44.0]}
+    p50 = {"parent": [4.0, 4.0, 2.0, 2.0], "change": [3.0, 5.0, 1.0, 2.0]}
+    runs = [_bench_run("w", seed, side, {"points_per_s": pps[side][seed - 1],
+                                         "latency_p50_ms": p50[side][seed - 1]},
+                       failed=int(side == "change" and seed == 4))
+            for seed in range(1, 5) for side in ("parent", "change")]
+    # per-layer metrics of three traced seeds; the change lacks "only_parent_ms"
+    traced = [_bench_run("w", seed, side, {"geometry.x_ms": x, "zero_ms": 0.0,
+                                           **({"only_parent_ms": 1.0} if side == "parent"
+                                              else {})})
+              for seed, xs in ((1, (1.0, 2.0)), (2, (2.0, 2.0)), (3, (3.0, 1.0)))
+              for side, x in zip(("parent", "change"), xs)]
+    doc = {"runs": runs, "traced": {"runs": traced}}
+    assert tool.summary(doc, {"points_per_s": "higher", "latency_p50_ms": "lower",
+                              "setup_s": "lower"}) == [
+        "w: 8 of 8 runs correct, 1 operations failed",
+        # medians 25 and 26; seeds 1, 3, 4 better; exclusive quartiles 12.5, 37.5
+        "  points_per_s              25 ->          26   +4.00 %, better in 3 of 4 pairs, "
+        "parent quartile spread 25",
+        # lower is better: seeds 1 and 3; quartiles 2 and 4
+        "  latency_p50_ms             3 ->         2.5  -16.67 %, better in 2 of 4 pairs, "
+        "parent quartile spread 2",
+        "w traced: medians over seeds 1, 2, 3",
+        "  geometry.x_ms                                      2 ->           2   +0.00 %",
+        "  zero_ms                                            0 ->           0        -",
+    ]

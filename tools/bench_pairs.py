@@ -4,9 +4,9 @@
 Usage:
     python3 tools/bench_pairs.py --label LABEL --parent REV
         --describe TEXT --pairs WORKLOAD:SEEDS [--pairs ...]
-        [--traced WORKLOAD:SEED ...] [--protocol-note TEXT]
+        [--traced WORKLOAD:SEEDS ...] [--protocol-note TEXT]
 
-e.g. --pairs classify:1-11 --pairs grid-export:1-5 --traced classify:2.
+e.g. --pairs classify:1-11 --pairs grid-export:1-5 --traced classify:1-3.
 
 The change is HEAD, and the file is written at the repository root.  Each
 side is the committed files of its revision, exported with `git archive`
@@ -19,14 +19,21 @@ run length and no tracing:
 
 For each workload and seed the side that runs first alternates with the
 seed's parity, parent first on odd seeds, so that a drift of the machine
-over the session does not favour one side.  Each `--traced` run (--trace 1,
-per-layer metrics) is made once per side, in the same order.  The file gets
+over the session does not favour one side.  Each `--traced` seed is run
+once per side (--trace 1, per-layer metrics), in the same order.  The file gets
 the schema of the earlier BENCH files: `change` (TEXT), `parent` (the
 parent's commit), `command`, `protocol`, `machine` and `runs`, one entry
 {workload, seed, side, result} per run in the order made, `result` holding
 run.py's verdict (`correct`, `attempted`, `failed`) and metrics; traced runs
 go under `traced`.  The temporary trees are removed afterwards.  The file is
 written after every run, so an interrupted session keeps what it measured.
+
+After the runs it prints `summary` of the file: per workload and
+end-to-end metric of the benchmark, the medians of both sides, the change
+in %, the pairs where the change is better and the parent's quartile
+spread; then per traced workload the median of each per-layer metric over
+its traced seeds, on both sides, since one traced run drifts with the
+machine more than a change moves it.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -83,6 +91,53 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
 
 
+def _values(runs, workload, side, name):
+    """{seed: value} of one metric over the runs of a workload on one side."""
+    return {r["seed"]: r["result"]["metrics"][name]["value"] for r in runs
+            if (r["workload"], r["side"]) == (workload, side)
+            and name in r["result"]["metrics"]}
+
+
+def _change(p, c):
+    return f"{100 * (c - p) / p:+7.2f} %" if p else "       -"
+
+
+def summary(doc: dict, better: dict) -> list:
+    """Lines that sum up a BENCH document; better maps each end-to-end
+    metric to "higher" or "lower".  The quartiles are statistics.quantiles'
+    (its default, exclusive method)."""
+    lines = []
+    runs = doc["runs"]
+    for w in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r["result"] for r in runs if r["workload"] == w]
+        lines.append(f"{w}: {sum(r['correct'] for r in mine)} of {len(mine)} runs "
+                     f"correct, {sum(r['failed'] for r in mine)} operations failed")
+        for name, direction in better.items():
+            parent, change = (_values(runs, w, side, name) for side in ("parent", "change"))
+            if not (parent and change):
+                continue
+            p, c = statistics.median(parent.values()), statistics.median(change.values())
+            seeds = parent.keys() & change.keys()
+            sign = 1 if direction == "higher" else -1
+            wins = sum(sign * (change[s] - parent[s]) > 0 for s in seeds)
+            q1, _, q3 = (statistics.quantiles(parent.values(), n=4)
+                         if len(parent) > 1 else (p, p, p))
+            lines.append(f"  {name:16s} {p:11.5g} -> {c:11.5g} {_change(p, c)}, "
+                         f"better in {wins} of {len(seeds)} pairs, "
+                         f"parent quartile spread {q3 - q1:.3g}")
+    traced = doc.get("traced", {}).get("runs", [])
+    for w in dict.fromkeys(r["workload"] for r in traced):
+        mine = [r for r in traced if r["workload"] == w]
+        seeds = sorted({r["seed"] for r in mine})
+        lines.append(f"{w} traced: medians over seeds {', '.join(map(str, seeds))}")
+        for name in dict.fromkeys(n for r in mine for n in r["result"]["metrics"]):
+            sides = [_values(traced, w, side, name) for side in ("parent", "change")]
+            if all(sides):
+                p, c = (statistics.median(x.values()) for x in sides)
+                lines.append(f"  {name:40s} {p:11.5g} -> {c:11.5g} {_change(p, c)}")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -91,7 +146,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=seed_spec, action="append", required=True,
                    metavar="WORKLOAD:SEEDS")
     p.add_argument("--traced", type=seed_spec, action="append", default=[],
-                   metavar="WORKLOAD:SEED")
+                   metavar="WORKLOAD:SEEDS")
     p.add_argument("--protocol-note", default="",
                    help="appended to the protocol, e.g. which seeds carry a claim")
     args = p.parse_args(argv)
@@ -135,6 +190,8 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp)
     print(f"wrote {out}")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    print("\n".join(summary(doc, {m["name"]: m["better"] for m in bench["end_to_end"]})))
     return 0
 
 

@@ -37,6 +37,10 @@ commands in-process through `cli.main`:
   the h/2 grid, of one undefined at a node of the h/2 grid only, and of
   `residuals --n 1000000`, a grid memory cannot hold, run with the address
   space capped 2 GiB above its present size (Linux);
+- `analyze` where a point's metric fails its checks in floats: at (0.5,
+  0.5) on `1e80*u, 1e80*(u+v), 0, 0`, whose g12^2 overflows (exit 4), and
+  at (0.1, 0.1) on `1e-100*u, 1e-100*v, 0, 0`, whose det g underflows to 0
+  (exit 3);
 - seven commands on a minimal surface whose second fundamental form b is
   finite but overflows when squared (`u, v, 1e160*(u^2 - v^2), 2e160*u*v`
   on [0, 1e-170]^2): `isotropy` as text at n = 3 and n = 5, `isotropy
@@ -155,6 +159,13 @@ TO_FILE = tuple(
         ("grid", "--n", "41"), ("grid", "--n", "41", "--format", "csv"),
         ("isotropy", "--json"), ("residuals", "--json")))
 _JUNK = b"junk\n" * (1 << 20)  # 5 MiB
+
+# refused at one point by the metric's checks: g11 g22 and g12^2 overflow
+# (exit 4); det g underflows to 0, though F_u and F_v are orthogonal (exit 3)
+POINT_METRIC = (
+    ("analyze", "--expr", "1e80*u, 1e80*(u+v), 0, 0", "--at", "0.5", "0.5"),
+    ("analyze", "--expr", "1e-100*u, 1e-100*v, 0, 0", "--at", "0.1", "0.1"),
+)
 
 # refused with exit 4 in every format: residuals (a)-(d) and the structure
 # residuals overflow to nan or inf
@@ -329,7 +340,7 @@ def _outputs(src):
     return [[list(command), *_run(cli.main, command)]
             for command in (*(c for commands in matrix for c in commands),
                             *SEED_BRANCHES, *pinned, *ON_DOMAIN, *REFUSALS,
-                            *OVERFLOWS, *PARSER_REFUSALS)
+                            *POINT_METRIC, *OVERFLOWS, *PARSER_REFUSALS)
             ] + to_file + [[list(TOO_LARGE), *_run_capped(cli.main, TOO_LARGE)]] + [
                 _program(*surface) for surface in surfaces]
 
