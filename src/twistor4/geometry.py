@@ -73,6 +73,7 @@ MINIMAL_TOL = 1e-8
 # A batch of points (a grid, or one point) uses one seed throughout when
 # its projection |p1| stays above this margin, well clear of SEED_TOL.
 _BRANCH_MARGIN = 1e-2
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 # Normal-frame seeds, tried in order: seed branch k is the axis SEEDS[k] of
 # E^4 (e3, e2, e1).  Some seed always works: the squared projections of e1,
@@ -175,10 +176,9 @@ def _jet_fields(surface: SurfaceDef, u, v):
 # --- array functions: one point or a whole grid (broadcasting over "...") ----
 
 def _metric(Fu, Fv):
-    """First fundamental form (g11, g12, g22) and det g, floats at a point.
-    Where products of finite jets overflow, det g is not finite, whichever
-    overflowed (g12 * g12: a float's ** 2 raises; a grid's caller silences
-    numpy's warnings)."""
+    """First form (g11, g12, g22) and det g, floats at a point; where products
+    of finite jets overflow, det g is inf or nan (g12 * g12: a float's ** 2
+    raises; a grid's caller silences numpy's warnings)."""
     g11, g12, g22 = _dot(Fu, Fu), _dot(Fu, Fv), _dot(Fv, Fv)
     return g11, g12, g22, g11 * g22 - g12 * g12
 
@@ -198,8 +198,8 @@ def _require_finite(u, v, layer, fields):
 
 
 def _immersed(g11, g22, det):
-    # sin^2 of the angle of F_u, F_v: scale-free, and refuses roundoff det g
-    return det > IMMERSION_TOL * g11 * g22
+    # sin^2 of the angle of F_u, F_v above roundoff; g11, t2's |w|^2 = det g/g11 normal
+    return (det > IMMERSION_TOL * g11 * g22) & (g11 >= _TINY) & (det >= _TINY * g11)
 
 
 def _require_immersed(g11, g22, det, at=()):

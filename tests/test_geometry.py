@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twistor4.geometry as geometry
@@ -294,6 +294,8 @@ class TestFrame:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8))
+    # |F_v|^2 subnormal: the angle test passed, and t2 came out 2 % off unit
+    @example([0.0, 0.0, 0.0, 1.0, 1.0773658823791147e-161, 0.0, 0.0, 0.0])
     def test_some_seed_always_works(self, xs):
         # over e1, e2, e3 the squared projections onto a tangent plane sum to
         # at most 2, so some seed has |p1| >= 1/sqrt(3) at every point that
