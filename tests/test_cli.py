@@ -228,6 +228,15 @@ class TestHostileInput:
         assert err == ("error: the metric overflows at (u, v) = (0.5, 0.5): "
                        "g11, g12, g22 or det g is not finite\n")
 
+    def test_subnormal_first_form_is_not_immersed(self, capsys):
+        # g11 = 1e-322 is subnormal and F_u / |F_u| loses its bits: the angle
+        # test alone passed it (tol g11 g22 underflows to 0), and numpy then
+        # warned of a nan in the shape operators
+        code, out, err = run(capsys, "analyze", "--expr", "1e-161*u, 0, 0, v",
+                             "--at", "0.5", "0.5")
+        assert code == 3 and out == ""
+        assert err.startswith("error: tangent vectors are dependent at (u, v) = (0.5, 0.5)")
+
     def test_overflowing_christoffel_symbols_are_a_numeric_breakdown(self, capsys):
         # the metric is finite at u = 0.872, but <F_uu, F_u> = 400 g11 is not
         code, out, err = run(capsys, "analyze", "--expr", "exp(400*u), v, 0, 0",
