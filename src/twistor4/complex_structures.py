@@ -10,7 +10,8 @@ the corresponding bivector 3-space.  Ordered orthonormal pairs (a, b) span
 oriented 2-planes; each oriented plane determines one structure of either
 chirality mapping a to b, and conversely a (+,-) pair of structures shares a
 unique oriented plane.  The module also provides the H1 * H2 factorization of
-SO(4) and the two double covers onto SO(3) and SO(3) x SO(3) built from it.
+SO(4), with H1 = {b1 E4 + b2 I[-,1] + b3 I[-,2] + b4 I[-,3]}, and the double
+covers onto SO(3) and SO(3) x SO(3) by conjugation of the bivector triples.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NotAComplexStructure,
     NotSO4,
 )
-from .linalg4 import (CHIRALITIES, DERIVED_TOL, E4, EXACT_TOL, _I_STACKS,
+from .linalg4 import (CHIRALITIES, DERIVED_TOL, E4, EXACT_TOL, _I_STACKS, _PAIRS,
                       basis_I_stack, det4, is_special_orthogonal, pair_coords)
 
 __all__ = [
@@ -49,7 +50,8 @@ __all__ = [
     "chirality_via_frame",
 ]
 
-_HALF_ROWS, _HALF_COLS = np.array([[3, 1, 2], [2, 3, 1]])  # (4,3), (2,4), (3,2)
+# the (m, l) entry of each I[eps, k] = e_i ^ e_j + eps e_l ^ e_m, which is eps
+_HALF_ROWS, _HALF_COLS = np.array(_PAIRS)[:, [3, 2]].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +102,8 @@ def classify_ocs(A) -> OrthogonalComplexStructure:
 
     The matrix is necessarily alternating, so the coordinates can be read off
     the first column, where each I[eps, k] holds its e_1 ^ e_(k+1) part.  The
-    entries (4,3), (2,4), (3,2) hold the eps halves, eps c, in either basis,
-    so their inner product with c is eps |c|^2 = eps.
+    (m, l) entries, for (i, j, l, m) in `linalg4._PAIRS`, hold the eps halves,
+    eps c, so their inner product with c is eps |c|^2 = eps.
     """
     A = np.array(A, float)
     _check_structure_matrix(A, EXACT_TOL)
@@ -172,14 +174,10 @@ def same_oriented_plane(p: OrientedPlane, q: OrientedPlane) -> bool:
 # --- SO(4) = H1 . H2 and the double covers ---------------------------------
 
 def h1_matrix(b) -> np.ndarray:
-    """The H1 (unit quaternion) matrix with first column b = (b1, b2, b3, b4)."""
-    b1, b2, b3, b4 = np.asarray(b, float)
-    return np.array([
-        [b1, -b2, -b3, -b4],
-        [b2, b1, b4, -b3],
-        [b3, -b4, b1, b2],
-        [b4, b3, -b2, b1],
-    ])
+    """The H1 (unit quaternion) matrix with first column b = (b1, b2, b3, b4):
+    b1 E4 + b2 I[-,1] + b3 I[-,2] + b4 I[-,3]."""
+    b = np.asarray(b, float)
+    return b[0] * E4 + np.einsum("k,kij->ij", b[1:], _I_STACKS[1])
 
 
 def h2_matrix(c_block) -> np.ndarray:
@@ -224,37 +222,32 @@ def h1h2_factorize(A) -> SO4Factorization:
     return SO4Factorization(b, c_block)
 
 
+def _conjugations(A) -> np.ndarray:
+    """R[(1 - eps) // 2, k, l] = <I[eps, k], A I[eps, l] A^T>: the action of
+    A by conjugation on both bivector triples, column l the image of I[eps, l]."""
+    return np.einsum("ekij,elij->ekl", _I_STACKS, A @ _I_STACKS @ A.T) / 4
+
+
 def phi(b_quat) -> np.ndarray:
     """Double cover H1 -> SO(3); phi(b) = phi(-b).
 
-    The image describes how the H1 element with first column b rotates the
-    minus-chirality bivector triple.
+    The image is how the H1 element with first column b rotates the
+    minus-chirality bivector triple; it fixes the plus triple.
     """
     b = np.asarray(b_quat, float)
     if not abs(np.linalg.norm(b) - 1.0) <= EXACT_TOL:
         raise NonUnitQuaternion(f"|b| = {np.linalg.norm(b)!r} is not 1")
-    b1, b2, b3, b4 = b
-    return np.array([
-        [b1 * b1 + b2 * b2 - b3 * b3 - b4 * b4,
-         2 * b1 * b4 + 2 * b2 * b3,
-         -2 * b1 * b3 + 2 * b2 * b4],
-        [-2 * b1 * b4 + 2 * b2 * b3,
-         b1 * b1 + b3 * b3 - b2 * b2 - b4 * b4,
-         2 * b1 * b2 + 2 * b3 * b4],
-        [2 * b1 * b3 + 2 * b2 * b4,
-         -2 * b1 * b2 + 2 * b3 * b4,
-         b1 * b1 + b4 * b4 - b2 * b2 - b3 * b3],
-    ])
+    return _conjugations(h1_matrix(b))[1]
 
 
 def phi_tilde(A):
-    """Double cover SO(4) -> SO(3) x SO(3) through the H1 . H2 factorization.
-
-    The two components are the actions of A, by conjugation, on the plus and
-    minus bivector triples: (C, phi(b) C) for A = B C.
-    """
-    f = h1h2_factorize(A)
-    return f.c_block.copy(), phi(f.b_quat) @ f.c_block
+    """Double cover SO(4) -> SO(3) x SO(3): the actions of A, by conjugation,
+    on the plus and minus bivector triples, equal to (C, phi(b) C) for the
+    factorization A = B C."""
+    A = np.asarray(A, float)
+    if not is_special_orthogonal(A):
+        raise NotSO4("matrix is not in SO(4) within tolerance")
+    return tuple(_conjugations(A))
 
 
 def chirality_via_frame(A, u, uprime) -> int:

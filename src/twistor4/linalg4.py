@@ -52,9 +52,7 @@ def basis_vector(i: int) -> np.ndarray:
     """Standard basis vector e_i, i in 1..4."""
     if not 1 <= i <= 4:
         raise ValueError("basis index must be in 1..4")
-    e = np.zeros(4)
-    e[i - 1] = 1.0
-    return e
+    return E4[i - 1].copy()
 
 
 def inner4(a, b) -> float:

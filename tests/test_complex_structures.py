@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from twistor4.complex_structures import (
+    _HALF_COLS,
+    _HALF_ROWS,
     OrientedPlane,
     OrthogonalComplexStructure,
     chirality_via_frame,
@@ -104,6 +106,15 @@ class TestClassifyCompose:
     def test_classify_rejects_non_orthogonal(self):
         with pytest.raises(NotAComplexStructure):
             classify_ocs(2.0 * basis_I(1, 1))
+
+    def test_half_entries_are_read_off_the_pairs(self):
+        # the (m, l) entries of I[eps, k] = e_i ^ e_j + eps e_l ^ e_m, 0-based:
+        # (4,3), (2,4), (3,2) in 1-based indices
+        assert np.array_equal(np.array([_HALF_ROWS, _HALF_COLS]),
+                              [[3, 1, 2], [2, 3, 1]])
+        for k, (r, c) in enumerate(zip(_HALF_ROWS, _HALF_COLS), 1):
+            for eps in (1, -1):
+                assert basis_I(eps, k)[r, c] == eps
 
     def test_stack_matches_each_matrix(self, rng):
         # a stack A[..., 4, 4] is classified matrix by matrix, bit for bit
@@ -274,6 +285,20 @@ class TestH1H2:
         with pytest.raises(NotSO4):
             h1h2_factorize(np.diag([1.0, 1.0, 1.0, -1.0]))
 
+    def test_h1_matrix_equals_the_table(self, rng):
+        # values, not bytes: b1 E4 + sum_k b_(k+1) I[-,k] may give -0.0
+        # where the table holds +0.0
+        for b in [*np.eye(4), -np.eye(4)[2], np.zeros(4), [0.0, -0.0, 3.0, -2.0],
+                  *(rng.normal(size=4) for _ in range(100))]:
+            b1, b2, b3, b4 = b
+            table = np.array([
+                [b1, -b2, -b3, -b4],
+                [b2, b1, b4, -b3],
+                [b3, -b4, b1, b2],
+                [b4, b3, -b2, b1],
+            ])
+            assert np.array_equal(h1_matrix(b), table)
+
 
 class TestPhi:
     def test_identity_quaternion(self):
@@ -326,6 +351,35 @@ class TestPhi:
         with pytest.raises(NonUnitQuaternion):
             phi([1, 1, 0, 0])
 
+    def test_keeps_its_own_tolerance(self, rng):
+        # |b| - 1 up to EXACT_TOL is accepted, though is_special_orthogonal
+        # already refuses h1_matrix(b) at |b| = 1 + 9e-11, and a b beyond it
+        # is refused as a quaternion, not as a matrix outside SO(4)
+        b = random_unit4(rng)
+        m = phi(b * (1 + 9e-11))
+        assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-9
+        assert abs(np.linalg.det(m) - 1.0) <= 1e-9
+        with pytest.raises(NonUnitQuaternion):
+            phi(b * (1 + 2e-10))
+
+    def test_equals_the_quadratic_polynomial(self, rng):
+        # the entries of phi written out in b: an oracle for the conjugation
+        # kernel that shares none of its basis tables
+        for _ in range(200):
+            b1, b2, b3, b4 = b = random_unit4(rng)
+            table = np.array([
+                [b1 * b1 + b2 * b2 - b3 * b3 - b4 * b4,
+                 2 * b1 * b4 + 2 * b2 * b3,
+                 -2 * b1 * b3 + 2 * b2 * b4],
+                [-2 * b1 * b4 + 2 * b2 * b3,
+                 b1 * b1 + b3 * b3 - b2 * b2 - b4 * b4,
+                 2 * b1 * b2 + 2 * b3 * b4],
+                [2 * b1 * b3 + 2 * b2 * b4,
+                 -2 * b1 * b2 + 2 * b3 * b4,
+                 b1 * b1 + b4 * b4 - b2 * b2 - b3 * b3],
+            ])
+            assert np.max(np.abs(phi(b) - table)) <= 1e-15
+
 
 class TestPhiTilde:
     def test_identity(self):
@@ -355,6 +409,19 @@ class TestPhiTilde:
             p2, m2 = phi_tilde(A2)
             assert np.max(np.abs(p12 - p1 @ p2)) <= 1e-11
             assert np.max(np.abs(m12 - m1 @ m2)) <= 1e-11
+
+    def test_equals_the_factorization_route(self, rng):
+        # (C, phi(b) C) for A = B C, the definition through H1 . H2
+        for _ in range(100):
+            A = random_so4(rng)
+            f = h1h2_factorize(A)
+            plus, minus = phi_tilde(A)
+            assert np.max(np.abs(plus - f.c_block)) <= 1e-14
+            assert np.max(np.abs(minus - phi(f.b_quat) @ f.c_block)) <= 1e-14
+
+    def test_rejects_non_rotation(self):
+        with pytest.raises(NotSO4):
+            phi_tilde(np.diag([1.0, 1.0, 1.0, -1.0]))
 
     def test_components_are_the_conjugation_actions(self, rng):
         # A I[eps,k] A^T expanded in the bivector basis reproduces the

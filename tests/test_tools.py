@@ -5,6 +5,8 @@ from pathlib import Path
 
 import json
 
+import pytest
+
 from twistor4 import surface_expr
 from twistor4.catalog import CATALOG
 from twistor4.surface_expr import parse_surface
@@ -168,3 +170,44 @@ def test_bench_pairs_summary_reads_medians_pairs_and_spread():
         "  geometry.x_ms                                      2 ->           2   +0.00 %",
         "  zero_ms                                            0 ->           0        -",
     ]
+
+
+def test_bench_pairs_resume_skips_the_runs_a_document_holds():
+    tool = _tool("bench_pairs")
+    # an interrupted session: classify seed 1 done on both sides, seed 2 on
+    # the change side only (it runs first on even seeds), one traced run
+    doc = {"runs": [_bench_run("classify", 1, "parent", {}),
+                    _bench_run("classify", 1, "change", {}),
+                    _bench_run("classify", 2, "change", {})],
+           "traced": {"runs": [_bench_run("classify", 1, "parent", {})]}}
+    plan = tool.pending(doc, [("classify", [1, 2, 3]), ("grid-export", [2])],
+                        [("classify", [1])])
+    assert [p[1:] for p in plan] == [
+        ("classify", 2, 0, "parent"),
+        ("classify", 3, 0, "parent"), ("classify", 3, 0, "change"),
+        ("grid-export", 2, 0, "change"), ("grid-export", 2, 0, "parent"),
+        ("classify", 1, 1, "change")]
+    # each run goes to the list of the document it belongs in
+    assert [p[0] is (doc["traced"]["runs"] if p[3] else doc["runs"])
+            for p in plan] == [True] * 6
+    assert tool.pending(doc, [("classify", [1])], []) == []
+
+
+def test_bench_pairs_resumes_only_a_document_of_the_same_commits(tmp_path):
+    tool = _tool("bench_pairs")
+    revs = {"parent": "a" * 40, "change": "b" * 40}
+    out = tmp_path / "BENCH_x.json"
+    fresh = {"parent": revs["parent"], "change_commit": revs["change"], "runs": []}
+    assert tool.start(out, revs, fresh) is fresh
+    held = {"parent": revs["parent"], "change_commit": revs["change"],
+            "runs": [_bench_run("classify", 1, "parent", {})]}
+    out.write_text(json.dumps(held))
+    assert tool.start(out, revs, fresh) == held
+    for other in ({**revs, "change": "c" * 40}, {**revs, "parent": "c" * 40}):
+        with pytest.raises(SystemExit, match="holds runs of parent"):
+            tool.start(out, other, fresh)
+        assert json.loads(out.read_text()) == held
+    # a file written before change_commit was recorded is not resumed
+    out.write_text(json.dumps({"parent": revs["parent"], "runs": []}))
+    with pytest.raises(SystemExit):
+        tool.start(out, revs, fresh)

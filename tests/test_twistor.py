@@ -32,6 +32,7 @@ from twistor4.geometry import (
 )
 from twistor4.linalg4 import DERIVED_TOL, basis_I
 from twistor4.surface_expr import eval_surface_jet, parse_surface
+from twistor4 import twistor
 from twistor4.twistor import (
     big_psi,
     chart,
@@ -64,6 +65,16 @@ from helpers import (
 
 ISOTHERMAL = ("plane", "holo_square", "holo_cube", "clifford_torus",
               "catenoid_E3", "round_sphere")
+# isothermal surfaces outside the catalog, as ('f1, f2, f3, f4' text, domain)
+EXTRA = {
+    "helicoid": ("sinh(v)*cos(u), sinh(v)*sin(u), u, 0", (-1.0, 1.0, 0.3, 1.3)),
+    "ho_seed_e3": (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
+    "ho_seed_e2": (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
+}
+
+
+def text_and_domain(name):
+    return EXTRA.get(name) or (catalog_text(name), CATALOG[name].surface.domain)
 
 
 def psi_at(name, u, v):
@@ -256,11 +267,7 @@ class TestLiftStack:
     def test_rigid_motions_act_through_the_double_cover(self, name):
         # c+(R F + a) = P c+(F) and c-(R F + a) = M c-(F) at every node,
         # for (P, M) = phi_tilde(R): the paper's SO(4) -> SO(3) x SO(3)
-        text, domain = {
-            "helicoid": ("sinh(v)*cos(u), sinh(v)*sin(u), u, 0", (-1.0, 1.0, 0.3, 1.3)),
-            "ho_seed_e3": (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
-            "ho_seed_e2": (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
-        }.get(name) or (catalog_text(name), CATALOG[name].surface.domain)
+        text, domain = text_and_domain(name)
 
         def lifts(text):
             return lift_sphere_fields(FieldGrid(parse_surface(text, domain=domain), 11))
@@ -455,6 +462,37 @@ class TestLiftGradientSups:
     def test_constant_lift_reads_roundoff(self, grids):
         grad_plus, grad_minus = lift_gradient_sups(grids("holo_cube", 21))
         assert grad_plus <= 1e-12 and grad_minus >= 1.0
+
+
+class TestLiftCurvatureIdentities:
+    """The signed area and the energy of each lift c = c_eps in terms of
+    K, K_N and |H| (Hoffman and Osserman, Proc. LMS 50, 1985): with
+    A_k = b_k / e2a, K = sum_k det A_k and K_N = (A_1 A_2 - A_2 A_1)_12 in
+    the grid's normal frame,
+
+        <c, c_u x c_v> = e2a (eps K + K_N),
+        |c_u|^2 + |c_v|^2 = 2 e2a (2 |H|^2 - K - eps K_N),
+
+    on any isothermal surface, minimal or not.  Both are needed: the area
+    cannot see a dropped term of the exact derivatives along c, the energy
+    can."""
+
+    @pytest.mark.parametrize("name", ISOTHERMAL + tuple(EXTRA))
+    def test_exact_derivatives_satisfy_both_identities(self, name):
+        text, domain = text_and_domain(name)
+        grid = FieldGrid(parse_surface(text, domain=domain), 21)
+        e2a, A = grid.e2a, grid.b / grid.e2a
+        K = (A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2).sum(0)
+        KN = (A[0, 0] * A[1, :, 1] - A[1, 0] * A[0, :, 1]).sum(0)
+        bound = 1e-13 * (e2a * (A ** 2).sum((0, 1, 2))).max()
+        dc = twistor._lift_derivatives(grid)
+        for eps, c, (cu, cv) in zip((1, -1), lift_sphere_fields(grid),
+                                    dc.swapaxes(1, 2)):
+            area = (c * np.cross(cu, cv, axis=0)).sum(0)
+            energy = (cu ** 2 + cv ** 2).sum(0)
+            assert np.abs(area - e2a * (eps * K + KN)).max() <= bound
+            assert np.abs(energy - 2 * e2a * (2 * grid.H_norm ** 2 - K - eps * KN)
+                          ).max() <= bound
 
 
 class TestIsotropyReport:

@@ -25,8 +25,13 @@ the schema of the earlier BENCH files: `change` (TEXT), `parent` (the
 parent's commit), `command`, `protocol`, `machine` and `runs`, one entry
 {workload, seed, side, result} per run in the order made, `result` holding
 run.py's verdict (`correct`, `attempted`, `failed`) and metrics; traced runs
-go under `traced`.  The temporary trees are removed afterwards.  The file is
-written after every run, so an interrupted session keeps what it measured.
+go under `traced`; `change_commit` is the change's commit.  The temporary
+trees are removed afterwards.  The file is written after every run, so an
+interrupted session keeps what it measured, and the same command resumes
+it: when BENCH_<label>.json already names the same parent and change
+commits, its runs are kept (with its description and protocol) and each
+(workload, seed, side, trace) run it holds is skipped.  When it names other
+commits, the command exits without touching it.
 
 After the runs it prints `summary` of the file: per workload and
 end-to-end metric of the benchmark, the medians of both sides, the change
@@ -91,6 +96,38 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return {k: result[k] for k in ("correct", "attempted", "failed", "metrics")}
 
 
+def start(out: Path, revs: dict, fresh: dict) -> dict:
+    """The document to extend: the one at out when it names the parent and
+    change commits of revs, fresh when there is none; exits when out names
+    other commits, leaving it as it is."""
+    if not out.exists():
+        return fresh
+    doc = json.loads(out.read_text())
+    held = (doc.get("parent"), doc.get("change_commit"))
+    if held != (revs["parent"], revs["change"]):
+        raise SystemExit(f"{out.name} holds runs of parent {held[0]} and change "
+                         f"{held[1]}, not of {revs['parent']} and {revs['change']}; "
+                         "move it away or choose another --label")
+    return doc
+
+
+def pending(doc: dict, pairs, traced) -> list:
+    """(runs, workload, seed, trace, side) of each run of the session that
+    doc does not hold yet, in the order to make them, runs being the list
+    of doc it goes to: for each workload and seed the side that runs first
+    alternates with the seed's parity, parent first on odd seeds."""
+    plan = []
+    for trace, specs in ((0, pairs), (1, traced)):
+        if not specs:
+            continue
+        runs = doc["traced"]["runs"] if trace else doc["runs"]
+        done = {(r["workload"], r["seed"], r["side"]) for r in runs}
+        plan += [(runs, w, s, trace, side) for w, seeds in specs for s in seeds
+                 for side in (("parent", "change") if s % 2 else ("change", "parent"))
+                 if (w, s, side) not in done]
+    return plan
+
+
 def _values(runs, workload, side, name):
     """{seed: value} of one metric over the runs of a workload on one side."""
     return {r["seed"]: r["result"]["metrics"][name]["value"] for r in runs
@@ -153,9 +190,10 @@ def main(argv=None) -> int:
 
     revs = {"parent": commit(args.parent), "change": commit("HEAD")}
     out = ROOT / f"BENCH_{args.label}.json"
-    doc = {
+    doc = start(out, revs, {
         "change": args.describe,
         "parent": revs["parent"],
+        "change_commit": revs["change"],
         "command": COMMAND.format(0),
         "protocol": ("parent and change each run from a fresh copy of the "
                      "committed files of its revision (git archive), one "
@@ -165,28 +203,24 @@ def main(argv=None) -> int:
                          f"; {args.protocol_note}" if args.protocol_note else "")),
         "machine": MACHINE,
         "runs": [],
-    }
+    })
     if args.traced:
-        doc["traced"] = {"command": COMMAND.format(1),
-                         "runs": []}
-    plan = [(doc["runs"], w, s, 0) for w, seeds in args.pairs for s in seeds]
-    plan += [(doc["traced"]["runs"], w, s, 1)
-             for w, seeds in args.traced for s in seeds]
+        doc.setdefault("traced", {"command": COMMAND.format(1), "runs": []})
+    plan = pending(doc, args.pairs, args.traced)
+    print(f"{len(plan)} runs to make", flush=True)
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
         trees = {side: export(rev, tmp / side) for side, rev in revs.items()}
-        for runs, workload, seed, trace in plan:
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                result = run(trees[side], workload, seed, trace)
-                runs.append({"workload": workload, "seed": seed, "side": side,
-                             "result": result})
-                out.write_text(json.dumps(doc, indent=1) + "\n")
-                pps = result["metrics"].get("points_per_s", {}).get("value")
-                print(f"{workload} seed {seed} trace {trace} {side}: correct "
-                      f"{result['correct']}, failed {result['failed']}"
-                      + (f", {pps:.0f} points/s" if pps else ""), flush=True)
+        for runs, workload, seed, trace, side in plan:
+            result = run(trees[side], workload, seed, trace)
+            runs.append({"workload": workload, "seed": seed, "side": side,
+                         "result": result})
+            out.write_text(json.dumps(doc, indent=1) + "\n")
+            pps = result["metrics"].get("points_per_s", {}).get("value")
+            print(f"{workload} seed {seed} trace {trace} {side}: correct "
+                  f"{result['correct']}, failed {result['failed']}"
+                  + (f", {pps:.0f} points/s" if pps else ""), flush=True)
     finally:
         shutil.rmtree(tmp)
     print(f"wrote {out}")
