@@ -7,9 +7,11 @@ whose leading axis holds chirality eps at (1 - eps) // 2.  Independently, the
 lifts are wedge expressions t1 ^ t2 + eps n1 ^ n2 in any positively oriented
 adapted frame; both routes must agree, which the tests exploit.  Stereographic
 charts g+/g- of the lift spheres are holomorphic (respectively antiholomorphic)
-exactly when the surface is minimal, and a minimal surface is isotropic
-precisely when one of the lifts is constant; the five equivalent
-characterizations are evaluated as residual fields over a grid.
+exactly when the surface is minimal: on the sphere itself, the lift c_eps
+satisfies c_u = eps c x c_v where H = 0, and chart_residuals reads its defect
+there.  A minimal surface is isotropic precisely when one of the lifts is
+constant; the five equivalent characterizations are evaluated as residual
+fields over a grid.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def holomorphicity_residual(field: np.ndarray, hu: float,
 
     The field is given only by its samples, so the derivative is the
     central-difference stencil of dwbar_field (O(h^2)); chart_residuals
-    computes the residuals of g+ and conj(g-) exactly instead.
+    reads those of g+ and conj(g-) exactly instead, on the lift sphere.
     """
     field = np.asarray(field)
     if field.ndim != 2 or min(field.shape) < 3:
@@ -294,28 +296,24 @@ def _lift_derivatives(grid: FieldGrid):
 
 
 def chart_residuals(grid: FieldGrid):
-    """Holomorphicity residuals (sup |d/dwbar|) of g+ and of conj(g-).
+    """Holomorphicity residuals (sup |d/dwbar|) of g+ and of conj(g-), read
+    on the lift sphere as sup |c_u - eps c x c_v| / (2 (1 + |c3|)).
 
-    Every node is evaluated in whichever chart covers it: the standard one
-    where c3 <= 0, the antipodal one where c3 > 0.  Swapping charts replaces
-    the holomorphic function by its reciprocal, so the residual keeps
-    testing the same statement on the pole's chart too.
-
-    g+- depend only on F_u and F_v, so their first derivatives are
-    second-order quantities that the 2-jet holds exactly; they are pushed
-    through the sphere coordinates and the chart, with no truncation error.
+    c x turns the sphere's tangent plane at c by a right angle, so the
+    Cauchy-Riemann equation of the lift c = c_eps is c_u = eps c x c_v.  The
+    chart covering a node, standard (s = 1) where c3 <= 0 and antipodal
+    (s = -1) where c3 > 0, takes the defect to 2 d/dwbar and scales lengths
+    by 1 / (1 - s c3) = 1 / (1 + |c3|); swapping charts replaces the
+    holomorphic function by its reciprocal, so the residual tests the same
+    statement on the pole's chart too.  c depends only on F_u and F_v, so
+    the 2-jet holds c_u and c_v exactly (_lift_derivatives).
     """
-    # components first, both lifts after: c_k[e, ...], dc_k[a, e, ...]
-    c1, c2, c3 = _kept(grid, _sphere_fields).swapaxes(0, 1)
-    dc1, dc2, dc3 = np.moveaxis(_kept(grid, _lift_derivatives), (1, 2), (0, 1))
-    # s = +1: standard chart g = z / (1 - c3); s = -1: antipodal chart.
-    s = np.where(c3 <= 0.0, 1.0, -1.0)
-    den = 1.0 - s * c3
-    g = (c1 + 1j * c2) / den
-    gu, gv = (dc1 + 1j * dc2 + s * g * dc3) / den
-    # g+ is holomorphic in the standard chart, g- antiholomorphic, and the
-    # antipodal chart swaps the two: d/dwbar of conj(g) is conj(dg/dw).
-    return tuple((0.5 * np.abs(gu + 1j * (s * _EPS) * gv).max(axis=(1, 2))).tolist())
+    c = _kept(grid, _sphere_fields)
+    cu, cv = np.moveaxis(_kept(grid, _lift_derivatives), 2, 0)
+    d1, d2, d3 = (cu - _EPS[..., None] * np.cross(c, cv, axis=1)).swapaxes(0, 1)
+    # nested hypot: the defect of a large non-minimal surface squares to inf
+    res = 0.5 * np.hypot(np.hypot(d1, d2), d3) / (1.0 + np.abs(c[:, 2]))
+    return tuple(res.reshape(2, -1).max(1).tolist())
 
 
 @dataclass(frozen=True, eq=False)  # eq=True would add a __hash__ that raises on dicts

@@ -116,6 +116,20 @@ def rigid_motion(text, seed):
                      for row, ai in zip(r, a)), r
 
 
+# A point of E^4 off every catalog surface, the centre of the tests' inversions.
+INVERSION_CENTRE = (0.3, 0.2, 2.0, 0.7)
+
+
+def inversion(text, p=INVERSION_CENTRE):
+    """'f1, f2, f3, f4' text of p + (F - p) / |F - p|^2, the inversion about
+    p of the surface F of text: a conformal map of E^4 that reverses its
+    orientation, so it keeps isothermal coordinates isothermal."""
+    d = [f"({expr_text(f)} - {x!r})"
+         for f, x in zip(parse_surface(text).components, p)]
+    r2 = " + ".join(f"{dk}^2" for dk in d)
+    return ", ".join(f"{x!r} + {dk}/({r2})" for x, dk in zip(p, d))
+
+
 def random_catalog_point(rng, names=None, margin=0.05):
     """A random interior parameter point of a random catalog surface."""
     if names is None:

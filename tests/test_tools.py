@@ -136,6 +136,30 @@ def test_bench_trajectory_flags_a_parent_that_is_not_the_previous_file(tmp_path)
         "BENCH_pr3.json: BENCH_pr2.json is not committed; parent not checked"]
 
 
+def test_bench_trajectory_checks_the_last_commit_that_wrote_a_file(tmp_path, monkeypatch):
+    # a BENCH file rerun whole is written again, and the next file's parent
+    # is that rerun, not the commit that first added the file
+    tool = _tool("bench_trajectory")
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+
+    def commit(message):
+        tool._git("add", "-A")
+        tool._git("-c", "user.name=t", "-c", "user.email=t@example.com",
+                  "-c", "commit.gpgsign=false", "commit", "-q", "-m", message)
+        return tool._git("rev-parse", "HEAD")
+
+    tool._git("init", "-q")
+    first = _bench_file(tmp_path / "BENCH_pr1.json", "a" * 40, {})
+    added = commit("add BENCH_pr1")
+    _bench_file(first, "b" * 40, {})
+    rerun = commit("rerun BENCH_pr1")
+    files = [first, _bench_file(tmp_path / "BENCH_pr2.json", rerun, {})]
+    commit("add BENCH_pr2")
+    assert tool.writing_commit(first) == rerun != added
+    assert tool.parent_flags(files, {f: tool.writing_commit(f) for f in files}) == []
+    assert tool.writing_commit(tmp_path / "BENCH_pr3.json") is None
+
+
 def _bench_run(workload, seed, side, metrics, failed=0):
     return {"workload": workload, "seed": seed, "side": side,
             "result": {"correct": True, "attempted": 10, "failed": failed,

@@ -58,6 +58,7 @@ from helpers import (
     HO_SEED_E3,
     catalog_text,
     hoffman_osserman,
+    inversion,
     random_catalog_point,
     random_unit3,
     rigid_motion,
@@ -65,11 +66,15 @@ from helpers import (
 
 ISOTHERMAL = ("plane", "holo_square", "holo_cube", "clifford_torus",
               "catenoid_E3", "round_sphere")
+# catalog surfaces whose inversions (helpers.inversion) are tested as well
+INVERTED = ("holo_cube", "catenoid_E3", "clifford_torus", "round_sphere")
 # isothermal surfaces outside the catalog, as ('f1, f2, f3, f4' text, domain)
 EXTRA = {
     "helicoid": ("sinh(v)*cos(u), sinh(v)*sin(u), u, 0", (-1.0, 1.0, 0.3, 1.3)),
     "ho_seed_e3": (hoffman_osserman(*HO_SEED_E3), HO_DOMAIN),
     "ho_seed_e2": (hoffman_osserman(*HO_SEED_E2), HO_DOMAIN),
+    **{f"inverted_{name}": (inversion(catalog_text(name)), CATALOG[name].surface.domain)
+       for name in INVERTED},
 }
 
 
@@ -79,6 +84,15 @@ def text_and_domain(name):
 
 def psi_at(name, u, v):
     return psi(eval_surface_jet(CATALOG[name].surface, u, v))
+
+
+def curvatures(grid):
+    """A_k = b_k / e2a, K = sum_k det A_k and K_N = (A_1 A_2 - A_2 A_1)_12
+    in the grid's normal frame."""
+    A = grid.b / grid.e2a
+    K = (A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2).sum(0)
+    KN = (A[0, 0] * A[1, :, 1] - A[1, 0] * A[0, :, 1]).sum(0)
+    return A, K, KN
 
 
 def interior_grid(grid):
@@ -475,16 +489,32 @@ class TestLiftCurvatureIdentities:
 
     on any isothermal surface, minimal or not.  Both are needed: the area
     cannot see a dropped term of the exact derivatives along c, the energy
-    can."""
+    can.  Their sum and difference split into the lift's Cauchy-Riemann
+    defect and its opposite (Eells and Salamon, Ann. SNS Pisa 12, 1985),
+
+        |c_u - eps c x c_v|^2 = 4 e2a |H|^2,
+        |c_u + eps c x c_v|^2 = 4 e2a (|H|^2 - K - eps K_N),
+
+    so c_eps is holomorphic in the chart's sense exactly where H = 0, and
+    the second is Wintgen's inequality K + |K_N| <= |H|^2 as a sum of
+    squares (Wintgen, C. R. Acad. Sci. 288, 1979)."""
+
+    @staticmethod
+    def fields(name):
+        """The grid of name at n = 21, e2a, A, K, K_N and the scale
+        sup e2a sum_k |A_k|^2 + sup e2a sup |H|^2 of both sides of the
+        identities."""
+        text, domain = text_and_domain(name)
+        grid = FieldGrid(parse_surface(text, domain=domain), 21)
+        e2a, (A, K, KN) = grid.e2a, curvatures(grid)
+        scale = (e2a * (A ** 2).sum((0, 1, 2))).max() + e2a.max() * (grid.H_norm ** 2).max()
+        return grid, e2a, A, K, KN, scale
 
     @pytest.mark.parametrize("name", ISOTHERMAL + tuple(EXTRA))
     def test_exact_derivatives_satisfy_both_identities(self, name):
-        text, domain = text_and_domain(name)
-        grid = FieldGrid(parse_surface(text, domain=domain), 21)
-        e2a, A = grid.e2a, grid.b / grid.e2a
-        K = (A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2).sum(0)
-        KN = (A[0, 0] * A[1, :, 1] - A[1, 0] * A[0, :, 1]).sum(0)
+        grid, e2a, A, K, KN, scale = self.fields(name)
         bound = 1e-13 * (e2a * (A ** 2).sum((0, 1, 2))).max()
+        H2 = grid.H_norm ** 2
         dc = twistor._lift_derivatives(grid)
         for eps, c, (cu, cv) in zip((1, -1), lift_sphere_fields(grid),
                                     dc.swapaxes(1, 2)):
@@ -493,6 +523,28 @@ class TestLiftCurvatureIdentities:
             assert np.abs(area - e2a * (eps * K + KN)).max() <= bound
             assert np.abs(energy - 2 * e2a * (2 * grid.H_norm ** 2 - K - eps * KN)
                           ).max() <= bound
+            turned = eps * np.cross(c, cv, axis=0)
+            assert (np.abs(((cu - turned) ** 2).sum(0) - 4 * e2a * H2).max()
+                    <= 1e-13 * scale)
+            assert (np.abs(((cu + turned) ** 2).sum(0) - 4 * e2a * (H2 - K - eps * KN)
+                           ).max() <= 1e-13 * scale)
+        # chart_residuals reads the first: sup e^alpha |H| / (1 + |c3|)
+        want = [(np.sqrt(e2a) * grid.H_norm / (1 + np.abs(c[2]))).max()
+                for c in lift_sphere_fields(grid)]
+        assert np.abs(np.subtract(chart_residuals(grid), want)).max() <= 1e-13 * np.sqrt(scale)
+
+    @pytest.mark.parametrize("name", INVERTED)
+    def test_inversion_keeps_willmore_density_and_flips_normal_curvature(self, name):
+        # an inversion of E^4 keeps the coordinates isothermal and
+        # e2a (|H|^2 - K) (White, Proc. AMS 38, 1973; Chen, 1974) node for
+        # node, and reverses the orientation, which flips e2a K_N
+        (grid, e2a, _, K, KN, scale), (inv, ie2a, _, iK, iKN, iscale) = (
+            self.fields(n) for n in (name, f"inverted_{name}"))
+        assert inv.isothermal
+        bound = 1e-13 * max(scale, iscale)
+        assert (np.abs(ie2a * (inv.H_norm ** 2 - iK) - e2a * (grid.H_norm ** 2 - K)).max()
+                <= bound)
+        assert np.abs(ie2a * iKN + e2a * KN).max() <= bound
 
 
 class TestIsotropyReport:
@@ -686,10 +738,11 @@ class TestHoffmanOssermanFamily:
         text = hoffman_osserman(*coefs)
         grid = FieldGrid(parse_surface(text, domain=(-0.5, 0.5, -0.5, 0.5)), 21)
         z = grid.us[:, None] + 1j * grid.vs[None, :]
-        return request.param, grid, *(np.polynomial.Polynomial(c)(z) for c in coefs)
+        g1, g2 = map(np.polynomial.Polynomial, coefs)
+        return request.param, grid, g1(z), g2(z), g1.deriv()(z), g2.deriv()(z)
 
     def test_lifts_are_moebius_images_of_the_gauss_maps(self, member):
-        _, grid, g1, g2 = member
+        _, grid, g1, g2, *_ = member
         cplus, cminus = lift_sphere_fields(grid)
         assert np.abs(cplus - self.S((g1 + 1) / (g1 - 1))).max() <= 1e-13
         assert np.abs(cminus - self.S(np.conj((g2 + 1) / (g2 - 1)))).max() <= 1e-13
@@ -703,3 +756,17 @@ class TestHoffmanOssermanFamily:
 
     def test_chart_residuals_at_roundoff(self, member):
         assert max(chart_residuals(member[1])) <= 1e-13
+
+    def test_metric_and_curvatures_in_closed_form(self, member):
+        # e2a = 2 |psi|^2 = |phi|^2 / 2, and K + K_N and K - K_N read g1'
+        # and g2' alone (Hoffman and Osserman): b itself, not only the lifts,
+        # in closed form over the family
+        _, grid, g1, g2, dg1, dg2 = member
+        r1, r2 = 1 + np.abs(g1) ** 2, 1 + np.abs(g2) ** 2
+        assert np.abs(grid.e2a - r1 * r2 / 4).max() <= 1e-13 * (r1 * r2).max()
+        A, K, KN = curvatures(grid)
+        plus = -16 * np.abs(dg1) ** 2 / (r1 ** 3 * r2)
+        minus = -16 * np.abs(dg2) ** 2 / (r1 * r2 ** 3)
+        bound = 1e-13 * (A ** 2).sum((0, 1, 2)).max()
+        assert np.abs(K + KN - plus).max() <= bound
+        assert np.abs(K - KN - minus).max() <= bound

@@ -11,8 +11,10 @@ those ratios over the files so far.  Only ratios chain: absolute medians of
 the same code drift between sessions, so they do not compare across files.
 A file's `superseded_runs` are not read.
 
-Inside a git checkout, each file's `parent` should be the commit that added
-the previous file, so that the chain has no gap.  A file whose parent is
+Inside a git checkout, each file's `parent` should be the last commit that
+wrote the previous file, so that the chain has no gap: a file rerun whole on
+the final sources of its change is written again, and the next change starts
+from there.  A file whose parent is
 another commit is flagged, with how many commits lie between the two and
 how many files under src/ and perfbench/ those commits change; a chain
 through a flagged file holds only where that count is 0.
@@ -78,13 +80,12 @@ def _git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def adding_commit(path: Path):
-    """The commit that first added path, or None where git has no record."""
+def writing_commit(path: Path):
+    """The last commit that wrote path, or None where git has no record."""
     try:
-        log = _git("log", "--diff-filter=A", "--format=%H", "--", str(path))
+        return _git("log", "-1", "--format=%H", "--", str(path)) or None
     except (OSError, subprocess.CalledProcessError):
         return None
-    return log.splitlines()[-1] if log else None
 
 
 def gap(expected: str, parent: str) -> str:
@@ -102,8 +103,9 @@ def gap(expected: str, parent: str) -> str:
 
 
 def parent_flags(files, added) -> list:
-    """A line for each file whose parent is not the commit that added the
-    previous file; added maps each file to that commit or None."""
+    """A line for each file whose parent is not the last commit that wrote
+    (added the content of) the previous file; added maps each file to that
+    commit or None."""
     lines = []
     for prev, f in zip(files, files[1:]):
         parent = json.loads(f.read_text())["parent"]
@@ -123,7 +125,7 @@ def main() -> int:
     metrics = [m["name"] for m in bench["end_to_end"]]
     print("\n".join(trajectory(files, metrics)))
     if (ROOT / ".git").exists():
-        flags = parent_flags(files, {f: adding_commit(f) for f in files})
+        flags = parent_flags(files, {f: writing_commit(f) for f in files})
         print("\n".join(flags) if flags else "every parent is the previous file's commit")
     return 0
 
