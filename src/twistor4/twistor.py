@@ -221,12 +221,12 @@ class LiftPoint:
 
 
 def gauss_map(pd: SurfacePointData) -> LiftPoint:
-    """The pair of twistor lifts of the oriented tangent plane at a point,
-    classified and charted as one stack of the two lift matrices."""
-    both = lift_frame(pd.frame, _EPS)
-    g = chart(both.coords.T)
-    return LiftPoint(*map(OrthogonalComplexStructure, both.matrix,
-                          both.chirality.tolist(), both.coords),
+    """Both twistor lifts of the oriented tangent plane at a point, read as its
+    structure pair pair_coords(t1, t2); chart's unit check is their one check."""
+    c = pair_coords(pd.frame.t1, pd.frame.t2)
+    g = chart(c.T)
+    return LiftPoint(*map(OrthogonalComplexStructure,
+                          np.einsum("ek,ekij->eij", c, _I_STACKS), CHIRALITIES, c),
                      *map(ChartValue, g.value.tolist(), g.antipode.tolist()))
 
 

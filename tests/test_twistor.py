@@ -17,6 +17,7 @@ from twistor4.complex_structures import (
     plane_to_pair,
 )
 from twistor4.errors import (
+    DegenerateSeed,
     GridTooSmall,
     NonUnitCoords,
     NotIsothermal,
@@ -24,13 +25,14 @@ from twistor4.errors import (
     PoleOfChart,
 )
 from twistor4.geometry import (
+    SEEDS,
     FieldGrid,
     build_frame_auto,
     dwbar_field,
     first_form,
     surface_point_data,
 )
-from twistor4.linalg4 import DERIVED_TOL, basis_I
+from twistor4.linalg4 import DERIVED_TOL, basis_I, pair_coords
 from twistor4.surface_expr import eval_surface_jet, parse_surface
 from twistor4 import twistor
 from twistor4.twistor import (
@@ -216,20 +218,68 @@ class TestGaussMap:
         assert np.array_equal(lp.fminus.matrix, basis_I(-1, 1))
         assert lp.gplus.value == 1.0 + 0.0j and not lp.gplus.antipode
 
-    def test_stacked_lifts_equal_each_lift_alone(self, rng):
-        # gauss_map classifies and charts both lift matrices as one stack:
-        # bit for bit what each chirality gives alone
+    def test_lifts_are_the_tangent_structure_pair(self, rng):
+        # gauss_map reads both lifts off pair_coords(t1, t2) and charts them
+        # in one call; the wedge route t1 ^ t2 + eps n1 ^ n2, classified back
+        # by classify_ocs (lift_frame), stays the independent oracle
         for _ in range(40):
             _, surface, u, v = random_catalog_point(rng)
             pd = surface_point_data(surface, u, v)
             lp = gauss_map(pd)
-            for f, g, eps in ((lp.fplus, lp.gplus, 1), (lp.fminus, lp.gminus, -1)):
-                one = lift_frame(pd.frame, eps)
-                assert f.chirality == one.chirality == eps
-                assert np.array_equal(f.matrix, one.matrix)
-                assert np.array_equal(f.coords, one.coords)
-                assert g == chart(one.coords)
+            pair = pair_coords(pd.frame.t1, pd.frame.t2)
+            assert (lp.fplus.chirality, lp.fminus.chirality) == (1, -1)
+            for f, g, c, eps in ((lp.fplus, lp.gplus, pair[0], 1),
+                                 (lp.fminus, lp.gminus, pair[1], -1)):
+                assert type(f.chirality) is int
+                assert f.coords.tobytes() == c.tobytes()
+                assert repr(g) == repr(chart(c))
                 assert type(g.value) is complex and type(g.antipode) is bool
+                one = lift_frame(pd.frame, eps)
+                assert one.chirality == eps
+                assert np.max(np.abs(f.coords - one.coords)) <= 1e-13
+                assert np.max(np.abs(f.matrix - one.matrix)) <= 1e-13
+
+    def test_lifts_do_not_depend_on_the_seed_branch(self, rng):
+        # no normal enters the lifts, so every seed branch that does not
+        # degenerate gives the same doubles
+        cases = 0
+        for _ in range(40):
+            _, surface, u, v = random_catalog_point(rng)
+            want = gauss_map(surface_point_data(surface, u, v))
+            for k in range(len(SEEDS)):
+                try:
+                    pd = surface_point_data(surface, u, v, seed_branch=k)
+                except DegenerateSeed:
+                    continue
+                cases += 1
+                lp = gauss_map(pd)
+                for f, w in ((lp.fplus, want.fplus), (lp.fminus, want.fminus)):
+                    assert f.matrix.tobytes() == w.matrix.tobytes()
+                    assert f.coords.tobytes() == w.coords.tobytes()
+                assert repr((lp.gplus, lp.gminus)) == repr((want.gplus, want.gminus))
+        assert cases > 40
+
+    def test_unit_check_guards_the_lifts(self):
+        # chart's unit check (DERIVED_TOL) is the one check on a point's lifts
+        pd = surface_point_data(CATALOG["catenoid_E3"].surface, 0.3, -0.2)
+
+        def scaled(s):
+            return replace(pd, frame=replace(pd.frame, t1=pd.frame.t1 * s))
+
+        gauss_map(scaled(1 + 1e-9))
+        with pytest.raises(NonUnitCoords):
+            gauss_map(scaled(1 + 1e-6))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is float64 here")
+    def test_lifts_within_roundoff_of_long_double(self, rng):
+        for _ in range(200):
+            _, surface, u, v = random_catalog_point(rng)
+            pd = surface_point_data(surface, u, v)
+            lp = gauss_map(pd)
+            exact = pair_coords(*(np.asarray(t, np.longdouble)
+                                  for t in (pd.frame.t1, pd.frame.t2)))
+            assert np.max(np.abs(np.array([lp.cplus, lp.cminus]) - exact)) <= 1e-15
 
     def test_holo_square_plus_constant_minus_moving(self, grids):
         g = grids("holo_square", 11)
